@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, bounds, build, compare, envelope, splice. Problem
-specs are JSON; grids and univariate functions are CSV; reports are JSON.
+specs are JSON; grids are `.npy` (default) or CSV; univariate functions are
+CSV; reports are JSON.
 
 Spec file format::
 
@@ -17,6 +18,7 @@ Spec file format::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -27,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
-from .construction import GridCopula, make_cpsi, materialize_grid
-from .errors import TrackcopError
+from .construction import GridCopula, _validate_mesh, make_cpsi, materialize_grid
+from .errors import BadMesh, TrackcopError
 from .funcspace import USER_TOL, PLFunction, make_pl, merge_knots
 from .splice import make_splice, splice_grid
 from .trackmodel import (
@@ -146,40 +148,111 @@ def default_mesh(problem: ProblemSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # file formats
+#
+# A grid file holds the (n+1) x (n+1) table whose row 0 and column 0 are the
+# mesh and whose body is the values (first index x). `.npy` stores it as
+# float64 with a NaN corner; `.csv` writes it at 17 significant digits with
+# an empty corner. Both round-trip bit-exactly.
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+GRID_FORMATS = ("npy", "csv")
+CSV_CHUNK_ROWS = 64  # grid CSV rows formatted per write, to bound memory
+
+
+def _csv_text(table) -> str:
+    """The rows of a 2-D float table as comma-separated lines, 17 significant digits."""
+    rows, cols = table.shape
+    return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(table.ravel().tolist())
+
+
+def _write_columns_csv(path, header: str, *columns):
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + _csv_text(np.column_stack(columns)))
 
 
 def write_function_csv(path, f: PLFunction):
-    with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for x, y in zip(f.x, f.y):
-            fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+    _write_columns_csv(path, "x,value", f.x, f.y)
+
+
+def _grid_table(grid: GridCopula) -> np.ndarray:
+    n = len(grid.mesh)
+    table = np.empty((n + 1, n + 1))
+    table[0, 0] = np.nan
+    table[0, 1:] = grid.mesh
+    table[1:, 0] = grid.mesh
+    table[1:, 1:] = grid.values
+    return table
+
+
+def _grid_from_table(table: np.ndarray, path) -> GridCopula:
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise SpecFileError(f"grid file {path}: expected a square (n+1) x (n+1) table,"
+                            f" got shape {table.shape}")
+    mesh = table[0, 1:]
+    if not np.array_equal(table[1:, 0], mesh):
+        raise SpecFileError(f"grid file {path}: row and column meshes disagree")
+    try:
+        _validate_mesh(mesh)
+    except BadMesh as exc:
+        raise SpecFileError(f"grid file {path}: {exc}")
+    return GridCopula(mesh, table[1:, 1:])
 
 
 def write_grid_csv(path, grid: GridCopula):
+    mesh, values = grid.mesh, grid.values
     with open(path, "w") as fh:
-        fh.write("," + ",".join(_fmt(m) for m in grid.mesh) + "\n")
-        for x, row in zip(grid.mesh, grid.values):
-            fh.write(_fmt(x) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        fh.write("," + _csv_text(mesh[None, :]))
+        for start in range(0, len(mesh), CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            fh.write(_csv_text(np.column_stack((mesh[rows], values[rows]))))
 
 
 def read_grid_csv(path) -> GridCopula:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    header = lines[0].split(",")
-    mesh = np.array([float(v) for v in header[1:]])
-    rows = []
-    row_mesh = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        row_mesh.append(float(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
-    values = np.array(rows)
-    if not np.array_equal(np.array(row_mesh), mesh):
-        raise SpecFileError("grid CSV row and column meshes disagree")
-    return GridCopula(mesh, values)
+    try:
+        with open(path) as fh:
+            rows = [line.split(",") for line in map(str.strip, fh) if line]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecFileError(f"cannot read grid file {path}: {exc}")
+    if not rows:
+        raise SpecFileError(f"grid file {path} is empty")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise SpecFileError(f"grid file {path}: rows have different lengths")
+    rows[0][0] = "nan"  # the empty corner
+    try:
+        cells = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+    except ValueError as exc:
+        raise SpecFileError(f"grid file {path}: {exc}")
+    return _grid_from_table(cells.reshape(len(rows), width), path)
+
+
+def write_grid(path, grid: GridCopula, fmt: str) -> Path:
+    """Write `grid` as `fmt` ("npy" or "csv") to `path` with that suffix; return the path."""
+    path = Path(path).with_suffix("." + fmt)
+    if fmt == "csv":
+        write_grid_csv(path, grid)
+    else:
+        with open(path, "wb") as fh:
+            np.save(fh, _grid_table(grid))
+    return path
+
+
+def read_grid(path) -> GridCopula:
+    """Read a grid file, `.npy` or `.csv` by its suffix."""
+    suffix = Path(path).suffix.lower()
+    if suffix == ".csv":
+        return read_grid_csv(path)
+    if suffix != ".npy":
+        raise SpecFileError(f"grid file {path}: expected a .npy or .csv suffix")
+    try:
+        table = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise SpecFileError(f"cannot read grid file {path}: {exc}")
+    if not isinstance(table, np.ndarray):  # an .npz archive
+        table.close()
+        raise SpecFileError(f"grid file {path} is an .npz archive, not an .npy array")
+    if table.dtype.kind != "f":
+        raise SpecFileError(f"grid file {path} holds {table.dtype} values, not floats")
+    return _grid_from_table(table, path)
 
 
 def write_json(path, payload: dict):
@@ -239,11 +312,9 @@ def cmd_build(args) -> int:
     report = check_grid(grid, mode="copula", tol=args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(out / "grid.csv", grid)
-    with open(out / "region.csv", "w") as fh:
-        fh.write("x,g,h\n")
-        for x in cpsi.g.x:
-            fh.write(f"{_fmt(x)},{_fmt(cpsi.g(x))},{_fmt(cpsi.h(x))}\n")
+    write_grid(out / "grid", grid, args.format)
+    knots = cpsi.g.x
+    _write_columns_csv(out / "region.csv", "x,g,h", knots, cpsi.g(knots), cpsi.h(knots))
     write_json(out / "report.json", report.as_dict())
     if not args.quiet:
         print(f"copula checks: {'pass' if report.copula_ok else 'FAIL'}"
@@ -294,14 +365,14 @@ def _psi_arg(value):
 
 def cmd_envelope(args) -> int:
     problem = load_problem(args.spec, tol=args.tol)
-    grid = read_grid_csv(args.grid)
+    grid = read_grid(args.grid)
     cpsi = dominating_envelope(grid, problem.track, problem.spec, tol=args.tol)
     env = materialize_grid(problem.spec, cpsi.candidate, grid.mesh)
     gain = float((env.values - grid.values).max())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_function_csv(out / "psi_extracted.csv", cpsi.candidate.psi)
-    write_grid_csv(out / "envelope_grid.csv", env)
+    write_grid(out / "envelope_grid", env, args.format)
     if not args.quiet:
         print(f"max pointwise gain: {gain:.6g}")
     return 0
@@ -325,7 +396,7 @@ def cmd_splice(args) -> int:
     report = check_grid(grid, mode="quasi", tol=args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(out / "splice_grid.csv", grid)
+    write_grid(out / "splice_grid", grid, args.format)
     write_json(out / "report.json", report.as_dict())
     if not args.quiet:
         print(f"quasi-copula checks: {'pass' if report.quasi_ok else 'FAIL'};"
@@ -341,13 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     default_tol = float(os.environ.get("TRACKCOP_TOL", USER_TOL))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, needs_out=True, grids=False):
         p.add_argument("--tol", type=float, default=default_tol,
                        help="user-facing slack (default 1e-9; env TRACKCOP_TOL)")
         p.add_argument("--mesh", type=int, default=None, help="override mesh size")
         p.add_argument("--quiet", action="store_true")
         if needs_out:
             p.add_argument("--out", default=".", help="output directory")
+        if grids:
+            p.add_argument("--format", choices=GRID_FORMATS, default="npy",
+                           help="grid file format: binary npy (default) or 17-digit csv")
 
     p = sub.add_parser("validate", help="check diagonal admissibility and existence")
     p.add_argument("spec")
@@ -361,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="materialize and verify a constructed copula")
     p.add_argument("spec")
-    common(p)
+    common(p, grids=True)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("compare", help="pointwise order of two constructions")
@@ -369,19 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("psi_a")
     p.add_argument("psi_b")
     common(p)
-    p.set_defaults(func=cmd_compare)
+    # comparison.json is written only into an --out the user names
+    p.set_defaults(func=cmd_compare, out=None)
 
     p = sub.add_parser("envelope", help="extract the dominating envelope of a grid")
-    p.add_argument("grid")
+    p.add_argument("grid", help="grid file, .npy or .csv")
     p.add_argument("spec")
-    common(p)
+    common(p, grids=True)
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("splice", help="splice two constructions along the track")
     p.add_argument("spec")
     p.add_argument("psi_upper")
     p.add_argument("psi_lower")
-    common(p)
+    common(p, grids=True)
     p.set_defaults(func=cmd_splice)
 
     return parser

@@ -69,6 +69,14 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     Rectangle positivity for the quasi check only needs rectangles touching
     the boundary of the unit square; by additivity of volumes across mesh
     lines those reduce to adjacent-line monotonicity and Lipschitz checks.
+
+    Tolerances: grounding, margins and 2-increasingness allow an absolute
+    INTERNAL_TOL; monotonicity allows an absolute `tol`. The Lipschitz bound
+    between adjacent mesh lines a distance dx apart is
+    ``diff <= dx * (1 + tol) + INTERNAL_TOL``. The relative slack alone
+    fails on the few-ulp rounding of the values in cells so thin that
+    dx * tol is below an ulp (a knot ~1e-7 from a mesh line); the absolute
+    INTERNAL_TOL covers that rounding.
     """
     mesh, v = grid.mesh, grid.values
     if v.shape != (len(mesh), len(mesh)):
@@ -83,9 +91,9 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     diff_x = np.diff(v, axis=0)
     diff_y = np.diff(v, axis=1)
     monotone = bool(np.all(diff_x >= -tol) and np.all(diff_y >= -tol))
-    lip_slack = 1.0 + tol
-    lipschitz = bool(np.all(diff_x <= dx[:, None] * lip_slack)
-                     and np.all(diff_y <= dx[None, :] * lip_slack))
+    lip_bound = dx * (1.0 + tol) + INTERNAL_TOL
+    lipschitz = bool(np.all(diff_x <= lip_bound[:, None])
+                     and np.all(diff_y <= lip_bound[None, :]))
     cells = diff_x[:, 1:] - diff_x[:, :-1]
     min_cell = float(cells.min())
     i, j = np.unravel_index(np.argmin(cells), cells.shape)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trackcop import GridCopula, psi_bounds
-from trackcop.cli import main, read_grid_csv, write_grid_csv
+from trackcop.cli import main, read_grid, read_grid_csv, write_grid_csv
 from conftest import diagonal_spec
 
 
@@ -71,7 +71,8 @@ def test_build_outputs_and_exit(tmp_path, fig2_spec_file, capsys):
     assert "copula checks: pass" in capsys.readouterr().out
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["copula_ok"] and report["two_increasing"]
-    grid = read_grid_csv(tmp_path / "grid.csv")
+    assert not (tmp_path / "grid.csv").exists()
+    grid = read_grid(tmp_path / "grid.npy")
     assert grid.values[0, 0] == 0.0 and grid.values[-1, -1] == 1.0
     region = (tmp_path / "region.csv").read_text().splitlines()
     assert region[0] == "x,g,h"
@@ -96,8 +97,11 @@ def test_compare_extremes_exit_3(tmp_path, fig2_spec_file, capsys):
     assert payload["product"] < 0
 
 
-def test_compare_equal_exit_0(tmp_path, fig2_spec_file):
+def test_compare_equal_exit_0(tmp_path, fig2_spec_file, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["compare", fig2_spec_file, "lower", "lower", "--quiet"]) == 0
+    # without --out, compare writes nothing
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 def test_compare_ineligible_psi_exit_1(tmp_path, fig2_spec_file):
@@ -108,12 +112,12 @@ def test_compare_ineligible_psi_exit_1(tmp_path, fig2_spec_file):
 
 def test_envelope_roundtrip(tmp_path, fig2_spec_file, capsys):
     assert main(["build", fig2_spec_file, "--out", str(tmp_path), "--quiet"]) == 0
-    code = main(["envelope", str(tmp_path / "grid.csv"), fig2_spec_file,
+    code = main(["envelope", str(tmp_path / "grid.npy"), fig2_spec_file,
                  "--out", str(tmp_path)])
     assert code == 0
     assert "max pointwise gain" in capsys.readouterr().out
-    env = read_grid_csv(tmp_path / "envelope_grid.csv")
-    grid = read_grid_csv(tmp_path / "grid.csv")
+    env = read_grid(tmp_path / "envelope_grid.npy")
+    grid = read_grid(tmp_path / "grid.npy")
     assert (env.values - grid.values).min() >= -2.0 / 51
 
 
