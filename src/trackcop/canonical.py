@@ -27,6 +27,7 @@ from .funcspace import (
     USER_TOL,
     PLFunction,
     eval_pl,
+    first_decrease,
     merge_knots,
 )
 from .trackmodel import DiagonalSpec, existence_check
@@ -108,23 +109,10 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
     cum_vp_z = np.concatenate(([0.0], np.cumsum(np.maximum(du - dd, 0.0))))
     # lower bound: psi - V-(phi - delta) must be non-decreasing;
     # upper bound: x - V+(zeta) - psi must be non-decreasing.
-    witness = _first_decrease_violation(psi_u - cum_vm_dt, u, tol)
+    witness = first_decrease(psi_u - cum_vm_dt, u, tol)
     if witness is None:
-        witness = _first_decrease_violation(u - cum_vp_z - psi_u, u, tol)
+        witness = first_decrease(u - cum_vp_z - psi_u, u, tol)
     return EligibilityResult(witness is None, witness)
-
-
-def _first_decrease_violation(values: np.ndarray, knots: np.ndarray, tol: float):
-    """First pair i < j with values[j] < max(values[:j]) - tol."""
-    run_max = values[0]
-    run_idx = 0
-    for j in range(1, len(values)):
-        if values[j] < run_max - tol:
-            return (float(knots[run_idx]), float(knots[j]))
-        if values[j] >= run_max:
-            run_max = values[j]
-            run_idx = j
-    return None
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def load_problem(path, tol: float = USER_TOL, validate: bool = True) -> ProblemS
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or non-UTF-8 bytes
         raise SpecFileError(f"cannot read spec file {path}: {exc}")
     if not isinstance(raw, dict):
         raise SpecFileError("spec file must contain a JSON object")
@@ -139,9 +139,12 @@ def resolve_candidate(problem: ProblemSpec, request=None, tol: float = USER_TOL)
     return quadruplet(problem.spec, request, tol=tol)
 
 
-def default_mesh(problem: ProblemSpec) -> np.ndarray:
-    """Uniform mesh plus all spec knots and their track images."""
-    uniform = np.linspace(0.0, 1.0, problem.mesh_n)
+def default_mesh(problem: ProblemSpec, n: int | None = None) -> np.ndarray:
+    """Uniform n-point mesh plus all spec knots and their track images.
+
+    n defaults to the spec's mesh; `--mesh` on build, compare and splice sets it.
+    """
+    uniform = np.linspace(0.0, 1.0, problem.mesh_n if n is None else n)
     knots = problem.spec.knots
     return merge_knots(uniform, knots, problem.spec.phi_values())
 
@@ -304,10 +307,7 @@ def cmd_build(args) -> int:
     if not candidate.eligible:
         print(f"ineligible psi: {candidate.violation}", file=sys.stderr)
         return 1
-    mesh = default_mesh(problem) if args.mesh is None else \
-        merge_knots(np.linspace(0.0, 1.0, args.mesh), problem.spec.knots,
-                    problem.spec.phi_values())
-    grid = materialize_grid(problem.spec, candidate, mesh)
+    grid = materialize_grid(problem.spec, candidate, default_mesh(problem, args.mesh))
     cpsi = make_cpsi(problem.spec, candidate)
     report = check_grid(grid, mode="copula", tol=args.tol)
     out = Path(args.out)
@@ -324,17 +324,13 @@ def cmd_build(args) -> int:
 
 def cmd_compare(args) -> int:
     problem = load_problem(args.spec, tol=args.tol)
-    try:
-        cand_a = resolve_candidate(problem, _psi_arg(args.psi_a), tol=args.tol)
-        cand_b = resolve_candidate(problem, _psi_arg(args.psi_b), tol=args.tol)
-    except TrackcopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cand_a = resolve_candidate(problem, _psi_arg(args.psi_a), tol=args.tol)
+    cand_b = resolve_candidate(problem, _psi_arg(args.psi_b), tol=args.tol)
     if not cand_a.eligible or not cand_b.eligible:
         bad = cand_a if not cand_a.eligible else cand_b
         print(f"ineligible psi: {bad.violation}", file=sys.stderr)
         return 1
-    mesh = default_mesh(problem)
+    mesh = default_mesh(problem, args.mesh)
     grid_a = materialize_grid(problem.spec, cand_a, mesh)
     grid_b = materialize_grid(problem.spec, cand_b, mesh)
     result = compare(grid_a, grid_b, tol=args.tol)
@@ -359,7 +355,7 @@ def _psi_arg(value):
     try:
         with open(value) as fh:
             return _knot_function(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or non-UTF-8 bytes
         raise SpecFileError(f"cannot read psi file {value}: {exc}")
 
 
@@ -380,19 +376,14 @@ def cmd_envelope(args) -> int:
 
 def cmd_splice(args) -> int:
     problem = load_problem(args.spec, tol=args.tol)
-    try:
-        upper = resolve_candidate(problem, _psi_arg(args.psi_upper), tol=args.tol)
-        lower = resolve_candidate(problem, _psi_arg(args.psi_lower), tol=args.tol)
-    except TrackcopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    upper = resolve_candidate(problem, _psi_arg(args.psi_upper), tol=args.tol)
+    lower = resolve_candidate(problem, _psi_arg(args.psi_lower), tol=args.tol)
     if not upper.eligible or not lower.eligible:
         bad = upper if not upper.eligible else lower
         print(f"ineligible psi: {bad.violation}", file=sys.stderr)
         return 1
-    mesh = default_mesh(problem)
     spliced = make_splice(upper, lower)
-    grid = splice_grid(spliced, mesh)
+    grid = splice_grid(spliced, default_mesh(problem, args.mesh))
     report = check_grid(grid, mode="quasi", tol=args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -406,16 +397,30 @@ def cmd_splice(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _mesh_size(text: str) -> int:
+    """--mesh value: an integer >= 3, as for the spec file's "mesh"."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 3:
+        raise argparse.ArgumentTypeError(f"mesh must be an integer >= 3, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trackcop",
                                      description="copulas with a prescribed track section")
     default_tol = float(os.environ.get("TRACKCOP_TOL", USER_TOL))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True, grids=False):
+    def common(p, needs_out=True, grids=False, mesh=False):
         p.add_argument("--tol", type=float, default=default_tol,
                        help="user-facing slack (default 1e-9; env TRACKCOP_TOL)")
-        p.add_argument("--mesh", type=int, default=None, help="override mesh size")
+        if mesh:
+            p.add_argument("--mesh", type=_mesh_size, default=None,
+                           help="uniform mesh points, before the spec knots are added"
+                                " (default: the spec's mesh)")
         p.add_argument("--quiet", action="store_true")
         if needs_out:
             p.add_argument("--out", default=".", help="output directory")
@@ -435,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="materialize and verify a constructed copula")
     p.add_argument("spec")
-    common(p, grids=True)
+    common(p, grids=True, mesh=True)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("compare", help="pointwise order of two constructions")
     p.add_argument("spec")
     p.add_argument("psi_a")
     p.add_argument("psi_b")
-    common(p)
+    common(p, mesh=True)
     # comparison.json is written only into an --out the user names
     p.set_defaults(func=cmd_compare, out=None)
 
@@ -456,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("psi_upper")
     p.add_argument("psi_lower")
-    common(p, grids=True)
+    common(p, grids=True, mesh=True)
     p.set_defaults(func=cmd_splice)
 
     return parser

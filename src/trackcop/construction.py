@@ -83,17 +83,45 @@ def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -
     return {"s": s, "t": t}
 
 
-def _rightmost_level(knots: np.ndarray, vals: np.ndarray, c: float) -> float:
-    """max{y : f(y) <= c} for an increasing PL f given by (knots, vals)."""
-    idx = np.searchsorted(vals, c, side="right")
-    if idx >= len(vals):
-        return float(knots[-1])
-    if idx == 0:
-        return float(knots[0])
-    lo, hi = vals[idx - 1], vals[idx]
-    if hi == lo:
-        return float(knots[idx - 1])
-    return float(knots[idx - 1] + (c - lo) * (knots[idx] - knots[idx - 1]) / (hi - lo))
+def _search_right(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """np.searchsorted(vals, c, side="right") for each c in levels, called one c at a time.
+
+    Eligibility lets chi and eta dip by up to tol, so vals may be out of
+    order by a few ulps on flat stretches. There a binary search's answer
+    depends on its probe path, and the array form of searchsorted narrows
+    each search from the previous level's result; so unsorted vals get a
+    vectorized copy of the full-range bisection instead.
+    """
+    if np.all(vals[1:] >= vals[:-1]):
+        return np.searchsorted(vals, levels, side="right")
+    lo = np.zeros(len(levels), dtype=np.intp)
+    hi = np.full(len(levels), len(vals), dtype=np.intp)
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = lo + ((hi - lo) >> 1)
+        right = vals[np.minimum(mid, len(vals) - 1)] <= levels
+        lo = np.where(active & right, mid + 1, lo)
+        hi = np.where(active & ~right, mid, hi)
+
+
+def _rightmost_level(knots: np.ndarray, vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """max{y : f(y) <= c} for each c in levels, for an increasing PL f given by (knots, vals).
+
+    Below vals[0] the answer is knots[0] and at or above vals[-1] it is
+    knots[-1]; in between, the linear inverse on the segment holding c.
+    """
+    idx = _search_right(vals, levels)
+    right = np.clip(idx, 1, len(vals) - 1)
+    lo, hi = vals[right - 1], vals[right]
+    x0, x1 = knots[right - 1], knots[right]
+    # Both searches leave lo <= c < hi for 0 < idx < len(vals), so a flat
+    # segment only comes up at the clipped ends, whose entries are replaced.
+    span = np.where(hi != lo, hi - lo, 1.0)
+    out = x0 + (levels - lo) * (x1 - x0) / span
+    out = np.where(idx >= len(vals), knots[-1], out)
+    return np.where(idx == 0, knots[0], out)
 
 
 def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
@@ -106,11 +134,8 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
     _require_eligible(candidate)
     u = candidate.psi.x
     phi_u = eval_pl(spec.track.phi, u)
-    g_vals = np.empty(len(u))
-    h_vals = np.empty(len(u))
-    for i, t in enumerate(u):
-        g_vals[i] = _rightmost_level(candidate.chi.x, candidate.chi.y, candidate.psi.y[i])
-        h_vals[i] = _rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y[i])
+    g_vals = _rightmost_level(candidate.chi.x, candidate.chi.y, candidate.psi.y)
+    h_vals = _rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y)
     g_vals = np.minimum(g_vals, phi_u)
     return {"g": PLFunction(u, g_vals), "h": PLFunction(u, h_vals)}
 
@@ -124,6 +149,8 @@ def _validate_mesh(mesh) -> np.ndarray:
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or len(mesh) < 3:
         raise BadMesh("mesh must be 1-d with at least 3 points")
+    if not np.all(np.isfinite(mesh)):
+        raise BadMesh("mesh must be finite")
     if np.any(np.diff(mesh) <= 0):
         raise BadMesh("mesh must be strictly increasing")
     if mesh[0] != 0.0 or mesh[-1] != 1.0:

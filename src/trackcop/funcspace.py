@@ -62,10 +62,22 @@ def make_pl(knots_x, knots_y) -> PLFunction:
 
 
 def eval_pl(f: PLFunction, t):
-    """Evaluate f at t (scalar or array); exact at knots."""
+    """Evaluate f at t (scalar or array); exact at knots.
+
+    Points outside [0, 1], and NaN, raise OutOfDomain.
+    """
+    if isinstance(t, (float, int)):  # Python scalars and np.float64
+        if not 0.0 <= t <= 1.0:
+            raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
+        # np.interp copies read-only knot arrays on every call, O(n) for one
+        # point. On the slice around the segment holding t it reads the same
+        # knots and returns the same bits.
+        j = f.x.searchsorted(t, side="right")
+        lo = j - 1 if j else 0
+        return float(np.interp(t, f.x[lo:j + 1], f.y[lo:j + 1]))
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise OutOfDomain(f"evaluation point outside [0, 1]")
+    if t_arr.size and not (t_arr.min() >= 0.0 and t_arr.max() <= 1.0):
+        raise OutOfDomain("evaluation point outside [0, 1]")
     out = np.interp(t_arr, f.x, f.y)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
@@ -142,6 +154,27 @@ def positive_variation_majorant(f: PLFunction) -> PLFunction:
     """
     vp, _ = cumulative_variations(f)
     return PLFunction(f.x, vp)
+
+
+def first_decrease(values, knots, tol: float = 0.0):
+    """First knot pair (x_i, x_j), i < j, with values[j] < max(values[:j]) - tol.
+
+    This is the witness of a failed monotonicity test: values must be
+    nondecreasing up to tol. j is the first offending index and i is the
+    latest index before j that attains the running maximum, which pins the
+    witness to the interval over which the values fell. Returns None when
+    no index offends. For the mirror question (values[j] > min(values[:j])
+    + tol, left end at the latest running minimum) pass -values; negation
+    is exact, so the pair and its tie rule are the same.
+    """
+    values = np.asarray(values, dtype=float)
+    run_max = np.maximum.accumulate(values)
+    bad = np.flatnonzero(values[1:] < run_max[:-1] - tol)
+    if not len(bad):
+        return None
+    j = int(bad[0]) + 1
+    i = int(np.flatnonzero(values[:j] == run_max[j - 1])[-1])
+    return (float(knots[i]), float(knots[j]))
 
 
 def is_increasing(f: PLFunction, tol: float = 0.0) -> bool:

@@ -9,6 +9,7 @@ prescription.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,6 +24,7 @@ from .funcspace import (
     USER_TOL,
     PLFunction,
     eval_pl,
+    first_decrease,
     merge_knots,
     resample,
 )
@@ -35,7 +37,7 @@ class Track:
     phi: PLFunction
     phi_inv: PLFunction
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.phi.x, self.phi.y))
 
@@ -61,6 +63,9 @@ class DiagonalSpec:
     All three functions are carried on the common refinement of the
     diagonal's and the track's knots, so knot-level checks are exact.
     zeta(x) = x - delta(x); delta_tilde(x) = phi(x) - delta(x).
+
+    zeta_zeros and phi_values() are computed once per spec and returned as
+    read-only arrays.
     """
 
     delta: PLFunction
@@ -72,13 +77,23 @@ class DiagonalSpec:
     def knots(self) -> np.ndarray:
         return self.delta.x
 
-    @property
+    @cached_property
     def zeta_zeros(self) -> np.ndarray:
         """Knots at which the diagonal touches min(x, phi(x)) gap zero."""
-        return self.delta.x[self.zeta.y == 0.0]
+        return _read_only(self.delta.x[self.zeta.y == 0.0])
+
+    @cached_property
+    def _phi_knots(self) -> np.ndarray:
+        return _read_only(eval_pl(self.track.phi, self.delta.x))
 
     def phi_values(self) -> np.ndarray:
-        return eval_pl(self.track.phi, self.delta.x)
+        """phi at the spec's knots."""
+        return self._phi_knots
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def diagonal_conditions(delta: PLFunction, track: Track, tol: float = USER_TOL) -> dict:
@@ -135,23 +150,6 @@ class ExistenceResult:
     witness: Optional[tuple]
 
 
-def _first_increase_violation(values: np.ndarray, knots: np.ndarray, tol: float):
-    """First pair i < j with values[j] > min(values[:j]) + tol.
-
-    The left endpoint reported is the latest index attaining the running
-    minimum, which pins the witness to the offending interval.
-    """
-    run_min = values[0]
-    run_idx = 0
-    for j in range(1, len(values)):
-        if values[j] > run_min + tol:
-            return (float(knots[run_idx]), float(knots[j]))
-        if values[j] <= run_min:
-            run_min = values[j]
-            run_idx = j
-    return None
-
-
 def existence_check(spec: DiagonalSpec, tol: float = USER_TOL) -> ExistenceResult:
     """Decide whether any copula has the prescribed track section.
 
@@ -167,10 +165,10 @@ def existence_check(spec: DiagonalSpec, tol: float = USER_TOL) -> ExistenceResul
     du = np.diff(u)
     # running variations: V-(delta_tilde) and V+(zeta) per segment
     a = np.concatenate(([0.0], np.cumsum(np.maximum(dd - dp, 0.0) + np.maximum(du - dd, 0.0))))
-    witness_var = _first_increase_violation(a - u, u, tol)
-    # Lipschitz form: delta - x - phi must be non-increasing at knots
-    b = spec.delta.y - u - spec.phi_values()
-    witness_lip = _first_increase_violation(b, u, tol)
+    # x - a(x) must be nondecreasing at knots
+    witness_var = first_decrease(u - a, u, tol)
+    # Lipschitz form: x - delta + phi must be nondecreasing at knots
+    witness_lip = first_decrease(u - spec.delta.y + spec.phi_values(), u, tol)
     variational_ok = witness_var is None
     lipschitz_ok = witness_lip is None
     return ExistenceResult(

@@ -16,13 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import quadruplet
+from .canonical import psi_bounds, quadruplet
 from .construction import CopulaCpsi, GridCopula, c_psi_value, make_cpsi
 from .errors import BadMesh, MeshMismatch, NoCopulaExists, NotACopula, \
     IneligibleExtractedPsi, TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, eval_pl, variation
 from .trackmodel import DiagonalSpec, Track, existence_check
-from .canonical import psi_bounds
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from trackcop import GridCopula, psi_bounds
-from trackcop.cli import main, read_grid, read_grid_csv, write_grid_csv
+import trackcop.cli as cli
+from trackcop import GridCopula, merge_knots, psi_bounds
+from trackcop.cli import load_problem, main, read_grid, read_grid_csv, write_grid_csv
 from conftest import diagonal_spec
 
 
@@ -133,3 +134,65 @@ def test_splice_exit_0_and_quasi(tmp_path, fig2_spec_file, capsys):
 def test_blend_psi_build(tmp_path):
     spec = write_spec(tmp_path, diagonal="fig2", psi="blend:0.5", mesh=51)
     assert main(["build", spec, "--out", str(tmp_path), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("command", ["compare", "splice"])
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe[1]", b"[0, 1]"],
+                         ids=["missing", "unparsable", "not-utf8", "not-knots"])
+def test_malformed_psi_file_exits_2(tmp_path, fig2_spec_file, command, content, capsys):
+    psi_path = tmp_path / "psi.json"
+    if content is not None:
+        psi_path.write_bytes(content)
+    code = main([command, fig2_spec_file, str(psi_path), "upper",
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["compare", "splice"])
+def test_unanchored_psi_file_exits_1(tmp_path, fig2_spec_file, command):
+    # a well-formed file whose psi fails the mathematics: psi(0) != 0
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text(json.dumps({"x": [0, 1], "y": [0.1, 0.2]}))
+    assert main([command, fig2_spec_file, str(psi_path), "upper",
+                 "--out", str(tmp_path), "--quiet"]) == 1
+
+
+def knot_track_spec(tmp_path):
+    return write_spec(tmp_path, track={"x": [0, 0.35, 1], "y": [0, 0.55, 1]},
+                      diagonal={"x": [0, 0.35, 1], "y": [0, 0.1, 1]}, mesh=51)
+
+
+def test_mesh_option_on_build_compare_splice(tmp_path, monkeypatch):
+    spec_path = knot_track_spec(tmp_path)
+    spec = load_problem(spec_path).spec
+    expected = merge_knots(np.linspace(0.0, 1.0, 11), spec.knots, spec.phi_values())
+    assert len(expected) == 13  # 11 uniform points, the knot 0.35 and its image 0.55
+    meshes = []
+    materialize = cli.materialize_grid
+    monkeypatch.setattr(cli, "materialize_grid",
+                        lambda s, c, mesh: materialize(s, c, meshes.append(mesh) or mesh))
+    assert main(["compare", spec_path, "lower", "upper", "--mesh", "11", "--quiet"]) == 3
+    assert len(meshes) == 2 and all(np.array_equal(m, expected) for m in meshes)
+    out = tmp_path / "out"
+    assert main(["splice", spec_path, "upper", "lower", "--mesh", "11",
+                 "--out", str(out), "--quiet"]) == 0
+    assert np.array_equal(read_grid(out / "splice_grid.npy").mesh, expected)
+    assert main(["build", spec_path, "--mesh", "11", "--out", str(out), "--quiet"]) == 0
+    assert np.array_equal(read_grid(out / "grid.npy").mesh, expected)
+    # without --mesh the spec's 51 points are used
+    assert main(["build", spec_path, "--out", str(out), "--quiet"]) == 0
+    assert len(read_grid(out / "grid.npy").mesh) == 53
+
+
+@pytest.mark.parametrize("argv", [["validate", "{spec}"], ["bounds", "{spec}"],
+                                  ["envelope", "grid.npy", "{spec}"],
+                                  ["build", "{spec}", "--mesh", "2"],
+                                  ["compare", "{spec}", "lower", "upper", "--mesh", "x"]])
+def test_mesh_option_refused_where_unused_or_invalid(tmp_path, fig2_spec_file, argv):
+    argv = [a.format(spec=fig2_spec_file) for a in argv]
+    if "--mesh" not in argv:
+        argv += ["--mesh", "11"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -141,6 +141,9 @@ def test_materialize_grid_rejects_bad_mesh(fig2_spec_201, fig2_spec):
         materialize_grid(fig2_spec_201, cand, [0.0, 1.0])
     with pytest.raises(BadMesh):
         materialize_grid(fig2_spec_201, cand, [0.0, 0.5, 0.9])
+    for mesh in ([0.0, np.nan, 1.0], [0.0, 0.3, np.nan, 1.0], [0.0, 0.3, np.inf, 1.0]):
+        with pytest.raises(BadMesh):
+            materialize_grid(fig2_spec_201, cand, mesh)
 
 
 def test_min_equals_cases_branches(fig1_spec):

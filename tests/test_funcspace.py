@@ -46,6 +46,18 @@ def test_eval_out_of_domain():
         eval_pl(identity_pl(), 1.5)
 
 
+@pytest.mark.parametrize("t", [np.nan, -0.1, 1.5, -np.inf, np.inf])
+def test_eval_rejects_nan_and_outside_points_on_every_path(t):
+    f = identity_pl()
+    for arg in (float(t), np.float64(t), np.array(t), np.array([0.2, t, 0.7])):
+        with pytest.raises(OutOfDomain):
+            eval_pl(f, arg)
+
+
+def test_eval_empty_array():
+    assert eval_pl(ZIGZAG, np.array([])).shape == (0,)
+
+
 def test_variation_zigzag():
     v = variation(ZIGZAG, 0, 1)
     assert v.vplus == pytest.approx(0.5, abs=1e-15)
@@ -148,3 +160,16 @@ def test_majorant_properties(f):
     assert m.y[0] == 0.0
     assert is_increasing(m)
     assert np.all(np.diff(m.y - f.y) >= -1e-12)
+
+
+@given(pl_strategy, st.floats(0, 1), st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_eval_scalar_path_matches_array_path(f, t, k):
+    # at an arbitrary point and exactly at a knot (0 and 1 included)
+    for s in (t, float(f.x[k % len(f.x)])):
+        value = eval_pl(f, s)
+        assert type(value) is float
+        assert value.hex() == float(eval_pl(f, np.array([s]))[0]).hex()
+        assert value.hex() == float(np.interp(s, f.x.copy(), f.y.copy())).hex()
+        assert eval_pl(f, np.float64(s)).hex() == value.hex()
+        assert eval_pl(f, np.array(s)).hex() == value.hex()
