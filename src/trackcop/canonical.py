@@ -63,12 +63,6 @@ def _same_spec(a: DiagonalSpec, b: DiagonalSpec) -> bool:
     )
 
 
-def _refined(spec: DiagonalSpec, psi: PLFunction):
-    """psi, delta and phi evaluated on the union of all relevant knots."""
-    u = merge_knots(spec.knots, psi.x)
-    return u, eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
-
-
 def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> PsiCandidate:
     """Materialize the canonical quadruplet of psi and check monotonicity.
 
@@ -77,7 +71,8 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     """
     if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
-    u, psi_u, delta_u, phi_u = _refined(spec, psi)
+    u = merge_knots(spec.knots, psi.x)
+    psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
     psi_r = PLFunction(u, psi_u)
     xi = PLFunction(u, u - psi_u)
     eta = PLFunction(phi_u, delta_u - psi_u)
@@ -97,21 +92,20 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
 
     For every x <= y the increment psi(y) - psi(x) must lie between the
     negative variation of phi - delta and (y - x) minus the positive
-    variation of x - delta(x). Returns the first violating pair, if any.
+    variation of x - delta(x): psi - psi_L and psi_U - psi must both be
+    nondecreasing. Returns the first violating pair, if any.
+
+    psi_L and psi_U are read from the spec's band and interpolated onto
+    psi's extra knots, where they are linear.
     """
     if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
-    u, psi_u, delta_u, phi_u = _refined(spec, psi)
-    dd = np.diff(delta_u)
-    dp = np.diff(phi_u)
-    du = np.diff(u)
-    cum_vm_dt = np.concatenate(([0.0], np.cumsum(np.maximum(dd - dp, 0.0))))
-    cum_vp_z = np.concatenate(([0.0], np.cumsum(np.maximum(du - dd, 0.0))))
-    # lower bound: psi - V-(phi - delta) must be non-decreasing;
-    # upper bound: x - V+(zeta) - psi must be non-decreasing.
-    witness = first_decrease(psi_u - cum_vm_dt, u, tol)
+    u = merge_knots(spec.knots, psi.x)
+    psi_u = eval_pl(psi, u)
+    low, up, _ = spec._band
+    witness = first_decrease(psi_u - np.interp(u, spec.knots, low), u, tol)
     if witness is None:
-        witness = first_decrease(u - cum_vp_z - psi_u, u, tol)
+        witness = first_decrease(np.interp(u, spec.knots, up) - psi_u, u, tol)
     return EligibilityResult(witness is None, witness)
 
 
@@ -125,18 +119,14 @@ def psi_bounds(spec: DiagonalSpec, tol: float = USER_TOL) -> PsiBounds:
     """Minimal and maximal eligible mass functions.
 
     psi_low accumulates the negative variation of phi - delta; psi_up is
-    x minus the accumulated positive variation of x - delta(x).
+    x minus the accumulated positive variation of x - delta(x). Both are the
+    spec's cached band; NoCopulaExists is raised when the band narrows.
     """
     result = existence_check(spec, tol=tol)
     if not result.exists:
         raise NoCopulaExists(f"no copula with this track section; witness {result.witness}")
-    u = spec.knots
-    dd = np.diff(spec.delta.y)
-    dp = np.diff(spec.phi_values())
-    du = np.diff(u)
-    low = np.concatenate(([0.0], np.cumsum(np.maximum(dd - dp, 0.0))))
-    up = u - np.concatenate(([0.0], np.cumsum(np.maximum(du - dd, 0.0))))
-    return PsiBounds(PLFunction(u, low), PLFunction(u, up))
+    low, up, _ = spec._band
+    return PsiBounds(PLFunction(spec.knots, low), PLFunction(spec.knots, up))
 
 
 def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ import numpy as np
 
 from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
 from .construction import GridCopula, _validate_mesh, make_cpsi, materialize_grid
-from .errors import BadMesh, TrackcopError
+from .errors import BadMesh, IneligiblePsi, TrackcopError
 from .funcspace import USER_TOL, PLFunction, make_pl, merge_knots
 from .splice import make_splice, splice_grid
 from .trackmodel import (
@@ -137,6 +136,15 @@ def resolve_candidate(problem: ProblemSpec, request=None, tol: float = USER_TOL)
         up = quadruplet(problem.spec, bounds.psi_up, tol=tol)
         return blend(low, up, request[1])
     return quadruplet(problem.spec, request, tol=tol)
+
+
+def _eligible_candidates(problem: ProblemSpec, requests, tol: float) -> list:
+    """Resolve each request; raise IneligiblePsi at the first ineligible one."""
+    candidates = [resolve_candidate(problem, request, tol=tol) for request in requests]
+    for candidate in candidates:
+        if not candidate.eligible:
+            raise IneligiblePsi(f"ineligible psi: {candidate.violation}")
+    return candidates
 
 
 def default_mesh(problem: ProblemSpec, n: int | None = None) -> np.ndarray:
@@ -285,15 +293,17 @@ def cmd_validate(args) -> int:
     return 0 if (result.exists and conditions_ok) else 1
 
 
-def cmd_bounds(args) -> int:
-    problem = load_problem(args.spec, tol=args.tol)
-    result = existence_check(problem.spec, tol=args.tol)
-    if not result.exists:
-        print(f"no copula exists; witness {result.witness}", file=sys.stderr)
-        return 1
-    bounds = psi_bounds(problem.spec, tol=args.tol)
+def _out_dir(args) -> Path:
+    """The --out directory, created if missing."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_bounds(args) -> int:
+    problem = load_problem(args.spec, tol=args.tol)
+    bounds = psi_bounds(problem.spec, tol=args.tol)
+    out = _out_dir(args)
     write_function_csv(out / "psi_lower.csv", bounds.psi_low)
     write_function_csv(out / "psi_upper.csv", bounds.psi_up)
     if not args.quiet:
@@ -303,15 +313,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_build(args) -> int:
     problem = load_problem(args.spec, tol=args.tol)
-    candidate = resolve_candidate(problem, tol=args.tol)
-    if not candidate.eligible:
-        print(f"ineligible psi: {candidate.violation}", file=sys.stderr)
-        return 1
+    [candidate] = _eligible_candidates(problem, [problem.psi_request], args.tol)
     grid = materialize_grid(problem.spec, candidate, default_mesh(problem, args.mesh))
     cpsi = make_cpsi(problem.spec, candidate)
     report = check_grid(grid, mode="copula", tol=args.tol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_grid(out / "grid", grid, args.format)
     knots = cpsi.g.x
     _write_columns_csv(out / "region.csv", "x,g,h", knots, cpsi.g(knots), cpsi.h(knots))
@@ -324,21 +330,15 @@ def cmd_build(args) -> int:
 
 def cmd_compare(args) -> int:
     problem = load_problem(args.spec, tol=args.tol)
-    cand_a = resolve_candidate(problem, _psi_arg(args.psi_a), tol=args.tol)
-    cand_b = resolve_candidate(problem, _psi_arg(args.psi_b), tol=args.tol)
-    if not cand_a.eligible or not cand_b.eligible:
-        bad = cand_a if not cand_a.eligible else cand_b
-        print(f"ineligible psi: {bad.violation}", file=sys.stderr)
-        return 1
+    cand_a, cand_b = _eligible_candidates(
+        problem, [_psi_arg(args.psi_a), _psi_arg(args.psi_b)], args.tol)
     mesh = default_mesh(problem, args.mesh)
     grid_a = materialize_grid(problem.spec, cand_a, mesh)
     grid_b = materialize_grid(problem.spec, cand_b, mesh)
     result = compare(grid_a, grid_b, tol=args.tol)
     payload = result.as_dict()
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "comparison.json", payload)
+        write_json(_out_dir(args) / "comparison.json", payload)
     if not args.quiet:
         print(json.dumps(payload))
     if result.relation == "equal":
@@ -365,8 +365,7 @@ def cmd_envelope(args) -> int:
     cpsi = dominating_envelope(grid, problem.track, problem.spec, tol=args.tol)
     env = materialize_grid(problem.spec, cpsi.candidate, grid.mesh)
     gain = float((env.values - grid.values).max())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_function_csv(out / "psi_extracted.csv", cpsi.candidate.psi)
     write_grid(out / "envelope_grid", env, args.format)
     if not args.quiet:
@@ -376,17 +375,12 @@ def cmd_envelope(args) -> int:
 
 def cmd_splice(args) -> int:
     problem = load_problem(args.spec, tol=args.tol)
-    upper = resolve_candidate(problem, _psi_arg(args.psi_upper), tol=args.tol)
-    lower = resolve_candidate(problem, _psi_arg(args.psi_lower), tol=args.tol)
-    if not upper.eligible or not lower.eligible:
-        bad = upper if not upper.eligible else lower
-        print(f"ineligible psi: {bad.violation}", file=sys.stderr)
-        return 1
+    upper, lower = _eligible_candidates(
+        problem, [_psi_arg(args.psi_upper), _psi_arg(args.psi_lower)], args.tol)
     spliced = make_splice(upper, lower)
     grid = splice_grid(spliced, default_mesh(problem, args.mesh))
     report = check_grid(grid, mode="quasi", tol=args.tol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_grid(out / "splice_grid", grid, args.format)
     write_json(out / "report.json", report.as_dict())
     if not args.quiet:

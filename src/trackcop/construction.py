@@ -145,7 +145,8 @@ def make_cpsi(spec: DiagonalSpec, candidate: PsiCandidate) -> CopulaCpsi:
     return CopulaCpsi(spec, candidate, region["g"], region["h"])
 
 
-def _validate_mesh(mesh) -> np.ndarray:
+def _validate_mesh(mesh, knots=()) -> np.ndarray:
+    """mesh as a float array, checked; it must also hold each of `knots` to INTERNAL_TOL."""
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or len(mesh) < 3:
         raise BadMesh("mesh must be 1-d with at least 3 points")
@@ -155,6 +156,9 @@ def _validate_mesh(mesh) -> np.ndarray:
         raise BadMesh("mesh must be strictly increasing")
     if mesh[0] != 0.0 or mesh[-1] != 1.0:
         raise BadMesh("mesh must include 0 and 1")
+    for knot in knots:
+        if np.min(np.abs(mesh - knot)) > INTERNAL_TOL:
+            raise BadMesh(f"mesh must include track knot {knot}")
     return mesh
 
 
@@ -167,11 +171,8 @@ def c_psi_grid_values(spec: DiagonalSpec, candidate: PsiCandidate, mesh: np.ndar
     m = np.minimum(mesh[:, None], mesh[None, :])
     values = np.minimum(m, kappa)
     if spec.track.is_identity and len(spec.zeta_zeros):
-        zeros = spec.zeta_zeros
-        lo = np.minimum(mesh[:, None], mesh[None, :])
         hi = np.maximum(mesh[:, None], mesh[None, :])
-        has_zero = np.searchsorted(zeros, hi, side="right") > np.searchsorted(zeros, lo, side="left")
-        values = np.where(has_zero, m, values)
+        values = np.where(_min_knot_between(spec, m, hi), m, values)
     return values
 
 

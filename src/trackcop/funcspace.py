@@ -138,21 +138,13 @@ def variation(f: PLFunction, a: float, b: float) -> VariationTriple:
     return VariationTriple(vp + vm, vp, vm)
 
 
-def cumulative_variations(f: PLFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Running positive and negative variation of f at its own knots."""
-    d = np.diff(f.y)
-    vp = np.concatenate(([0.0], np.cumsum(np.maximum(d, 0.0))))
-    vm = np.concatenate(([0.0], np.cumsum(np.maximum(-d, 0.0))))
-    return vp, vm
-
-
 def positive_variation_majorant(f: PLFunction) -> PLFunction:
     """x -> running positive variation of f.
 
     This is the minimal increasing function m with m(0) = 0 such that m - f
     is increasing.
     """
-    vp, _ = cumulative_variations(f)
+    vp = np.concatenate(([0.0], np.cumsum(np.maximum(np.diff(f.y), 0.0))))
     return PLFunction(f.x, vp)
 
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .canonical import PsiCandidate, _same_spec
 from .construction import GridCopula, _validate_mesh, c_psi_grid_values, c_psi_value
-from .errors import BadMesh, SpecMismatch
-from .funcspace import INTERNAL_TOL, eval_pl
+from .errors import SpecMismatch
+from .funcspace import eval_pl
 from .trackmodel import DiagonalSpec
 
 
@@ -41,10 +41,7 @@ def splice_value(s: SplicedFunction, u: float, v: float) -> float:
 
 def splice_grid(s: SplicedFunction, mesh) -> GridCopula:
     """Grid of spliced values; the mesh must include all track knots."""
-    mesh = _validate_mesh(mesh)
-    for knot in s.spec.track.phi.x:
-        if np.min(np.abs(mesh - knot)) > INTERNAL_TOL:
-            raise BadMesh(f"mesh must include track knot {knot}")
+    mesh = _validate_mesh(mesh, s.spec.track.phi.x)
     upper = c_psi_grid_values(s.spec, s.upper, mesh)
     lower = c_psi_grid_values(s.spec, s.lower, mesh)
     phi_mesh = eval_pl(s.spec.track.phi, mesh)

@@ -1,9 +1,10 @@
-"""Validated tracks and track diagonals, plus existence criteria.
+"""Validated tracks and track diagonals, their band, and existence criteria.
 
 A track is a strictly increasing piecewise-linear bijection of [0, 1]; a
 diagonal prescribes the values a copula must take along the track. This
-module validates both and decides whether any copula can realize the
-prescription.
+module validates both, computes the band [psi_L, psi_U] of admissible
+mass functions once per diagonal, and decides from it whether any copula
+can realize the prescription.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     NotStrictlyIncreasing,
 )
 from .funcspace import (
-    INTERNAL_TOL,
     USER_TOL,
     PLFunction,
     eval_pl,
@@ -64,8 +64,8 @@ class DiagonalSpec:
     diagonal's and the track's knots, so knot-level checks are exact.
     zeta(x) = x - delta(x); delta_tilde(x) = phi(x) - delta(x).
 
-    zeta_zeros and phi_values() are computed once per spec and returned as
-    read-only arrays.
+    zeta_zeros, phi_values() and the band are computed once per spec and
+    returned as read-only arrays.
     """
 
     delta: PLFunction
@@ -89,6 +89,24 @@ class DiagonalSpec:
     def phi_values(self) -> np.ndarray:
         """phi at the spec's knots."""
         return self._phi_knots
+
+    @cached_property
+    def _band(self) -> tuple:
+        """(psi_L, psi_U, psi_U - psi_L) at the spec's knots.
+
+        psi_L accumulates the negative variation of phi - delta; psi_U is x
+        minus the accumulated positive variation of zeta. The gap is summed
+        in one pass, x - cumsum(vm + vp): psi_U - psi_L rounds differently,
+        which moves witnesses at exact-tol ties.
+        """
+        u = self.knots
+        dd = np.diff(self.delta.y)
+        vm = np.maximum(dd - np.diff(self._phi_knots), 0.0)
+        vp = np.maximum(np.diff(u) - dd, 0.0)
+        low = np.concatenate(([0.0], np.cumsum(vm)))
+        up = u - np.concatenate(([0.0], np.cumsum(vp)))
+        gap = u - np.concatenate(([0.0], np.cumsum(vm + vp)))
+        return _read_only(low), _read_only(up), _read_only(gap)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -155,19 +173,14 @@ def existence_check(spec: DiagonalSpec, tol: float = USER_TOL) -> ExistenceResul
 
     The variational criterion requires, for every knot pair x <= y, that the
     negative variation of phi - delta plus the positive variation of zeta on
-    [x, y] does not exceed y - x. The Lipschitz form requires
+    [x, y] does not exceed y - x, i.e. that the band's gap psi_U - psi_L is
+    nondecreasing. The Lipschitz form requires
     delta(y) - delta(x) <= (y - x) + (phi(y) - phi(x)); the two are
     equivalent and both are reported.
     """
     u = spec.knots
-    dd = np.diff(spec.delta.y)
-    dp = np.diff(spec.phi_values())
-    du = np.diff(u)
-    # running variations: V-(delta_tilde) and V+(zeta) per segment
-    a = np.concatenate(([0.0], np.cumsum(np.maximum(dd - dp, 0.0) + np.maximum(du - dd, 0.0))))
-    # x - a(x) must be nondecreasing at knots
-    witness_var = first_decrease(u - a, u, tol)
-    # Lipschitz form: x - delta + phi must be nondecreasing at knots
+    witness_var = first_decrease(spec._band[2], u, tol)
+    # Lipschitz form, an independent check: x - delta + phi nondecreasing
     witness_lip = first_decrease(u - spec.delta.y + spec.phi_values(), u, tol)
     variational_ok = witness_var is None
     lipschitz_ok = witness_lip is None

@@ -17,11 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .canonical import psi_bounds, quadruplet
-from .construction import CopulaCpsi, GridCopula, c_psi_value, make_cpsi
-from .errors import BadMesh, MeshMismatch, NoCopulaExists, NotACopula, \
-    IneligibleExtractedPsi, TrackSectionMismatch
+from .construction import CopulaCpsi, GridCopula, _validate_mesh, c_psi_value, make_cpsi
+from .errors import BadMesh, MeshMismatch, NotACopula, IneligibleExtractedPsi, \
+    TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, eval_pl, variation
-from .trackmodel import DiagonalSpec, Track, existence_check
+from .trackmodel import DiagonalSpec, Track
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class VerificationReport:
     two_increasing: bool
     min_cell_volume: float
     worst_cell: Optional[tuple]
-    quasi_only_boundary_ok: bool
 
     @property
     def copula_ok(self) -> bool:
@@ -41,8 +40,10 @@ class VerificationReport:
 
     @property
     def quasi_ok(self) -> bool:
-        return (self.grounded and self.margins and self.monotone
-                and self.lipschitz and self.quasi_only_boundary_ok)
+        # Positivity on boundary-touching rectangles needs no check of its
+        # own: by additivity of volumes across mesh lines the [0,x] families
+        # reduce to monotone adjacent lines and the [x,1] ones to Lipschitz.
+        return self.grounded and self.margins and self.monotone and self.lipschitz
 
     def passed(self, mode: str) -> bool:
         return self.copula_ok if mode == "copula" else self.quasi_ok
@@ -56,7 +57,6 @@ class VerificationReport:
             "two_increasing": self.two_increasing,
             "min_cell_volume": self.min_cell_volume,
             "worst_cell": list(self.worst_cell) if self.worst_cell else None,
-            "quasi_only_boundary_ok": self.quasi_only_boundary_ok,
             "copula_ok": self.copula_ok,
             "quasi_ok": self.quasi_ok,
         }
@@ -98,11 +98,8 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     i, j = np.unravel_index(np.argmin(cells), cells.shape)
     worst_cell = (float(mesh[i]), float(mesh[j]))
     two_increasing = min_cell >= -INTERNAL_TOL
-    # boundary-anchored rectangles: [0,x] and [x1,x2]x[0,y] families reduce
-    # to monotone adjacent lines, [x,1] and [...]x[y,1] to Lipschitz ones.
-    boundary_ok = monotone and lipschitz
     return VerificationReport(grounded, margins, monotone, lipschitz,
-                              two_increasing, min_cell, worst_cell, boundary_ok)
+                              two_increasing, min_cell, worst_cell)
 
 
 @dataclass(frozen=True)
@@ -149,18 +146,15 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     On the identity track this has the closed form
     min{x, y, max(x,y) - (TV + zeta(x) + zeta(y)) / 2}; in general it is the
     larger of the two extremal constructed copulas, picked by the side of
-    the track.
+    the track. Raises NoCopulaExists when no copula has this track section.
     """
-    result = existence_check(spec, tol=tol)
-    if not result.exists:
-        raise NoCopulaExists(f"no copula with this track section; witness {result.witness}")
+    bounds = psi_bounds(spec, tol=tol)
     if spec.track.is_identity:
         zx = x - eval_pl(spec.delta, x)
         zy = y - eval_pl(spec.delta, y)
         tv = variation(spec.zeta, min(x, y), max(x, y)).tv
         kappa = max(x, y) - 0.5 * (tv + zx + zy)
         return min(x, y, kappa)
-    bounds = psi_bounds(spec, tol=tol)
     low = quadruplet(spec, bounds.psi_low)
     up = quadruplet(spec, bounds.psi_up)
     return max(c_psi_value(spec, low, x, y), c_psi_value(spec, up, x, y))
@@ -192,10 +186,7 @@ def extract_psi(grid: GridCopula, track: Track, tol: float = USER_TOL) -> PLFunc
     report = check_grid(grid, mode="copula", tol=tol)
     if not report.copula_ok:
         raise NotACopula("grid fails the copula checks")
-    mesh = grid.mesh
-    for knot in track.phi.x:
-        if np.min(np.abs(mesh - knot)) > INTERNAL_TOL:
-            raise BadMesh(f"mesh must include track knot {knot}")
+    mesh = _validate_mesh(grid.mesh, track.phi.x)
     v = grid.values
     volumes = v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
     a = eval_pl(track.phi, mesh[:-1])[:, None]

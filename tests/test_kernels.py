@@ -5,6 +5,7 @@ versions in loop_reference.py.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from trackcop import (
     make_diagonal,
     make_pl,
     make_track,
+    merge_knots,
     psi_bounds,
     quadruplet,
     region_functions,
 )
+from trackcop.cli import main
 from trackcop.construction import _rightmost_level
 from trackcop.funcspace import first_decrease
 
@@ -212,3 +215,106 @@ def test_diagonal_spec_and_track_stay_frozen(w_spec):
         w_spec.phi_values()[0] = 1.0
     with pytest.raises(ValueError):
         w_spec.zeta_zeros[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the band at exact-tol ties
+
+TIE_X = [0.0, 0.55, 0.595, 0.64, 0.685, 0.73, 0.775, 0.82, 0.865, 0.91, 0.955, 1.0]
+# slope 1/0.45 on [0.55, 1]: the gap psi_U - psi_L falls by 0.01 per segment, so
+# at tol 0.02 the second segment's fall equals tol and rounding decides
+TIE_SPEC = {"track": "identity",
+            "diagonal": {"x": TIE_X, "y": [0.0, 0.0] + [(x - 0.55) / 0.45 for x in TIE_X[2:]]}}
+
+
+def test_existence_at_exact_tol_tie_matches_reference():
+    diagonal = TIE_SPEC["diagonal"]
+    spec = make_diagonal(make_pl(diagonal["x"], diagonal["y"]), identity_track(), tol=0.02)
+    result = existence_check(spec, tol=0.02)
+    w_var, _ = reference_existence(spec, 0.02)
+    assert result.witness == w_var == (0.55, 0.64)
+    # where the copula exists, psi_L and psi_U are the reference's bits
+    bounds = psi_bounds(spec, tol=0.2)
+    low, up = reference_psi_bounds(spec)
+    assert same_bits(bounds.psi_low.y, low) and same_bits(bounds.psi_up.y, up)
+
+
+def test_bounds_cli_at_exact_tol_tie_exits_1_and_writes_nothing(tmp_path, capsys):
+    spec_path = tmp_path / "tie.json"
+    spec_path.write_text(json.dumps(TIE_SPEC))
+    out = tmp_path / "out"
+    assert main(["bounds", str(spec_path), "--tol", "0.02", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(0.55, 0.64)" in err
+    assert not out.exists()
+
+
+def drops(values):
+    """How far each value falls below the running maximum before it."""
+    values = np.asarray(values, dtype=float)
+    return np.maximum.accumulate(values)[:-1] - values[1:]
+
+
+def reference_sequences(spec, psi):
+    """psi - V-(phi - delta) and x - V+(zeta) - psi on the merged knots, as the loops built them."""
+    u = merge_knots(spec.knots, psi.x)
+    psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
+    dd, dp, du = np.diff(delta_u), np.diff(phi_u), np.diff(u)
+    cum_vm = np.concatenate(([0.0], np.cumsum(np.maximum(dd - dp, 0.0))))
+    cum_vp = np.concatenate(([0.0], np.cumsum(np.maximum(du - dd, 0.0))))
+    return psi_u - cum_vm, u - cum_vp - psi_u
+
+
+def wobbly_psi(rng, spec, knots, monotone=False):
+    """psi_L + w (psi_U - psi_L) with a random weight w per knot: mostly ineligible.
+
+    A nondecreasing w keeps psi - psi_L nondecreasing, so only the upper
+    bound can fail.
+    """
+    bounds = psi_bounds(spec)
+    low, up = eval_pl(bounds.psi_low, knots), eval_pl(bounds.psi_up, knots)
+    w = np.clip(np.linspace(0.0, 1.0, len(knots)) + 0.2 * rng.standard_normal(len(knots)), 0, 1)
+    if monotone:
+        w = np.sort(w)
+    y = low + w * (up - low)
+    y[0] = 0.0
+    return PLFunction(knots, y)
+
+
+@pytest.mark.parametrize("monotone", [False, True], ids=["any-weight", "rising-weight"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "knot-track"])
+def test_spec_knot_eligibility_ties_match_reference(seed, identity, monotone):
+    rng = np.random.default_rng([seed, int(identity), 7])
+    spec = section(rng, 200, identity)
+    psi = wobbly_psi(rng, spec, spec.knots, monotone)
+    for seq in reference_sequences(spec, psi):
+        largest = float(drops(seq).max())
+        if largest <= 0.0:
+            continue
+        for tol in (largest, float(np.nextafter(largest, 0.0))):
+            result = eligibility_by_variation(spec, psi, tol=tol)
+            witness = reference_eligibility_witness(spec, psi, tol)
+            assert result.witness == witness and result.eligible == (witness is None)
+
+
+@pytest.mark.parametrize("monotone", [False, True], ids=["any-weight", "rising-weight"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "knot-track"])
+def test_foreign_knot_eligibility_matches_reference_away_from_ties(seed, identity, monotone):
+    rng = np.random.default_rng([seed, int(identity), 11])
+    spec = section(rng, 300, identity)
+    knots = jittered(rng, int(rng.integers(20, 400)))
+    psi = wobbly_psi(rng, spec, knots, monotone)
+    all_drops = np.concatenate([drops(seq) for seq in reference_sequences(spec, psi)])
+    largest = float(all_drops.max())
+    checked = 0
+    for tol in (0.0, 1e-9, 0.5 * largest, largest, 2.0 * largest, *rng.choice(all_drops, 5)):
+        # a knot whose drop is within 1e-12 of tol is a tie that rounding decides
+        if np.min(np.abs(all_drops - tol)) <= 1e-12:
+            continue
+        result = eligibility_by_variation(spec, psi, tol=tol)
+        witness = reference_eligibility_witness(spec, psi, tol)
+        assert result.witness == witness and result.eligible == (witness is None)
+        checked += 1
+    assert checked >= 3
