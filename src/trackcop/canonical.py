@@ -63,6 +63,16 @@ def _same_spec(a: DiagonalSpec, b: DiagonalSpec) -> bool:
     )
 
 
+def _on_spec_knots(spec: DiagonalSpec, psi: PLFunction) -> bool:
+    """Whether psi's knots are the spec's, so merging and interpolating can be skipped.
+
+    spec.knots is a merge_knots output, so merging it with itself gives it
+    back, and np.interp at a knot returns the stored ordinate: the fast path
+    reads the same bits the merge path computes.
+    """
+    return psi.x is spec.knots or np.array_equal(psi.x, spec.knots)
+
+
 def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> PsiCandidate:
     """Materialize the canonical quadruplet of psi and check monotonicity.
 
@@ -71,8 +81,11 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     """
     if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
-    u = merge_knots(spec.knots, psi.x)
-    psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
+    if _on_spec_knots(spec, psi):
+        u, psi_u, delta_u, phi_u = spec.knots, psi.y, spec.delta.y, spec.phi_values()
+    else:
+        u = merge_knots(spec.knots, psi.x)
+        psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
     psi_r = PLFunction(u, psi_u)
     xi = PLFunction(u, u - psi_u)
     eta = PLFunction(phi_u, delta_u - psi_u)
@@ -100,12 +113,16 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
     """
     if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
-    u = merge_knots(spec.knots, psi.x)
-    psi_u = eval_pl(psi, u)
     low, up, _ = spec._band
-    witness = first_decrease(psi_u - np.interp(u, spec.knots, low), u, tol)
+    if _on_spec_knots(spec, psi):
+        u, psi_u = spec.knots, psi.y
+    else:
+        u = merge_knots(spec.knots, psi.x)
+        psi_u = eval_pl(psi, u)
+        low, up = np.interp(u, spec.knots, low), np.interp(u, spec.knots, up)
+    witness = first_decrease(psi_u - low, u, tol)
     if witness is None:
-        witness = first_decrease(np.interp(u, spec.knots, up) - psi_u, u, tol)
+        witness = first_decrease(up - psi_u, u, tol)
     return EligibilityResult(witness is None, witness)
 
 
@@ -129,6 +146,22 @@ def psi_bounds(spec: DiagonalSpec, tol: float = USER_TOL) -> PsiBounds:
     return PsiBounds(PLFunction(spec.knots, low), PLFunction(spec.knots, up))
 
 
+def _extreme_verdicts(spec: DiagonalSpec, tol: float = USER_TOL) -> tuple:
+    """(eligible, violation) of the quadruplets of psi_L and of psi_U, memoized per spec and tol.
+
+    Only the verdicts are kept: a PsiCandidate refers to its spec, and
+    caching one on the spec would make a reference cycle. Existence is not
+    checked here.
+    """
+    verdicts = spec._band_verdicts.get(tol)
+    if verdicts is None:
+        verdicts = spec._band_verdicts[tol] = tuple(
+            (c.eligible, c.violation)
+            for c in (quadruplet(spec, PLFunction(spec.knots, bound), tol)
+                      for bound in spec._band[:2]))
+    return verdicts
+
+
 def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:
     """Convex combination of two eligible candidates for the same spec.
 
@@ -138,6 +171,10 @@ def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:
         raise ValueError(f"blend weight {t} outside [0, 1]")
     if not _same_spec(a.spec, b.spec):
         raise SpecMismatch("candidates were built for different specs")
-    u = merge_knots(a.psi.x, b.psi.x)
-    mixed = (1.0 - t) * eval_pl(a.psi, u) + t * eval_pl(b.psi, u)
-    return quadruplet(a.spec, PLFunction(u, mixed))
+    spec = a.spec
+    if _on_spec_knots(spec, a.psi) and _on_spec_knots(spec, b.psi):
+        u, a_u, b_u = spec.knots, a.psi.y, b.psi.y
+    else:
+        u = merge_knots(a.psi.x, b.psi.x)
+        a_u, b_u = eval_pl(a.psi, u), eval_pl(b.psi, u)
+    return quadruplet(spec, PLFunction(u, (1.0 - t) * a_u + t * b_u))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -402,14 +403,27 @@ def _mesh_size(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    """--tol or TRACKCOP_TOL value: a finite float >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0 (from --tol or TRACKCOP_TOL), got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trackcop",
                                      description="copulas with a prescribed track section")
-    default_tol = float(os.environ.get("TRACKCOP_TOL", USER_TOL))
+    # argparse passes a string default, here TRACKCOP_TOL, through the type
+    default_tol = os.environ.get("TRACKCOP_TOL", USER_TOL)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_out=True, grids=False, mesh=False):
-        p.add_argument("--tol", type=float, default=default_tol,
+        p.add_argument("--tol", type=_tolerance, default=default_tol,
                        help="user-facing slack (default 1e-9; env TRACKCOP_TOL)")
         if mesh:
             p.add_argument("--mesh", type=_mesh_size, default=None,

@@ -9,7 +9,9 @@ quadrature or search involved.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,15 @@ class PLFunction:
     def __len__(self):
         return len(self.x)
 
+    @cached_property
+    def _views(self) -> tuple:
+        """memoryviews of x and y for the scalar path of eval_pl: no copy, float items."""
+        return memoryview(self.x), memoryview(self.y)
+
+    def __getstate__(self):
+        # memoryviews do not pickle; the cache is rebuilt on first use
+        return {"x": self.x, "y": self.y}
+
 
 def make_pl(knots_x, knots_y) -> PLFunction:
     """Validate knot lists and build a PLFunction."""
@@ -64,17 +75,36 @@ def make_pl(knots_x, knots_y) -> PLFunction:
 def eval_pl(f: PLFunction, t):
     """Evaluate f at t (scalar or array); exact at knots.
 
-    Points outside [0, 1], and NaN, raise OutOfDomain.
+    A Python float or int, or an np.float64, takes a scalar path that returns
+    a Python float with the bits np.interp(t, f.x, f.y) returns: a binary
+    search on the knots, then np.interp's own arithmetic on the segment
+    holding t (the stored ordinate at an exact knot hit and at or beyond the
+    ends, else slope * (t - x0) + y0). Points outside [0, 1], and NaN, raise
+    OutOfDomain.
     """
     if isinstance(t, (float, int)):  # Python scalars and np.float64
         if not 0.0 <= t <= 1.0:
             raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
-        # np.interp copies read-only knot arrays on every call, O(n) for one
-        # point. On the slice around the segment holding t it reads the same
-        # knots and returns the same bits.
-        j = f.x.searchsorted(t, side="right")
-        lo = j - 1 if j else 0
-        return float(np.interp(t, f.x[lo:j + 1], f.y[lo:j + 1]))
+        # np.interp copies the read-only knot arrays on every call, O(n) for
+        # one point; the views read the knots in place.
+        xs, ys = f._views
+        t = float(t)
+        j = bisect_right(xs, t)
+        if j == 0:
+            return ys[0]
+        if j == len(xs):
+            return ys[-1]
+        x0, y0 = xs[j - 1], ys[j - 1]
+        if x0 == t:
+            return y0
+        x1, y1 = xs[j], ys[j]
+        slope = (y1 - y0) / (x1 - x0)
+        out = slope * (t - x0) + y0
+        if out != out:  # NaN from infinite ordinates: np.interp retries from the right
+            out = slope * (t - x1) + y1
+            if out != out and y0 == y1:
+                out = y0
+        return out
     t_arr = np.asarray(t, dtype=float)
     if t_arr.size and not (t_arr.min() >= 0.0 and t_arr.max() <= 1.0):
         raise OutOfDomain("evaluation point outside [0, 1]")

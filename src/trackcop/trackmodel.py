@@ -65,7 +65,14 @@ class DiagonalSpec:
     zeta(x) = x - delta(x); delta_tilde(x) = phi(x) - delta(x).
 
     zeta_zeros, phi_values() and the band are computed once per spec and
-    returned as read-only arrays.
+    returned as read-only arrays. Two memos answer repeated queries:
+    `_existence` maps tol to existence_check's ExistenceResult (witnesses
+    differ by tol), and `_band_verdicts` maps tol to the (eligible,
+    violation) pairs of the quadruplets of psi_L and psi_U. A memo holds
+    plain values only, never an object that refers back to the spec (a
+    PsiCandidate does): such a cycle would keep every spec alive until the
+    cyclic garbage collector runs, instead of freeing it with its last
+    reference.
     """
 
     delta: PLFunction
@@ -89,6 +96,14 @@ class DiagonalSpec:
     def phi_values(self) -> np.ndarray:
         """phi at the spec's knots."""
         return self._phi_knots
+
+    @cached_property
+    def _existence(self) -> dict:
+        return {}
+
+    @cached_property
+    def _band_verdicts(self) -> dict:
+        return {}
 
     @cached_property
     def _band(self) -> tuple:
@@ -176,8 +191,16 @@ def existence_check(spec: DiagonalSpec, tol: float = USER_TOL) -> ExistenceResul
     [x, y] does not exceed y - x, i.e. that the band's gap psi_U - psi_L is
     nondecreasing. The Lipschitz form requires
     delta(y) - delta(x) <= (y - x) + (phi(y) - phi(x)); the two are
-    equivalent and both are reported.
+    equivalent and both are reported. The result is memoized per spec and
+    tol.
     """
+    result = spec._existence.get(tol)
+    if result is None:
+        result = spec._existence[tol] = _existence_check(spec, tol)
+    return result
+
+
+def _existence_check(spec: DiagonalSpec, tol: float) -> ExistenceResult:
     u = spec.knots
     witness_var = first_decrease(spec._band[2], u, tol)
     # Lipschitz form, an independent check: x - delta + phi nondecreasing

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import psi_bounds, quadruplet
-from .construction import CopulaCpsi, GridCopula, _validate_mesh, c_psi_value, make_cpsi
-from .errors import BadMesh, MeshMismatch, NotACopula, IneligibleExtractedPsi, \
+from .canonical import _extreme_verdicts, psi_bounds, quadruplet
+from .construction import CopulaCpsi, GridCopula, _validate_mesh, make_cpsi
+from .errors import BadMesh, MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, eval_pl, variation
 from .trackmodel import DiagonalSpec, Track
@@ -145,8 +145,14 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
 
     On the identity track this has the closed form
     min{x, y, max(x,y) - (TV + zeta(x) + zeta(y)) / 2}; in general it is the
-    larger of the two extremal constructed copulas, picked by the side of
-    the track. Raises NoCopulaExists when no copula has this track section.
+    larger of C_{psi_L}(x, y) and C_{psi_U}(x, y), the two extremal
+    constructed copulas, read off the spec's cached band. Raises
+    NoCopulaExists when no copula has this track section, and IneligiblePsi
+    when psi_L or psi_U fails quadruplet's test (possible on a spec made
+    with validate=False). Existence and both verdicts are memoized per
+    spec, so after the first call a general-track query costs a few binary
+    searches; the closed form sums zeta's variation over the knots between
+    x and y.
     """
     bounds = psi_bounds(spec, tol=tol)
     if spec.track.is_identity:
@@ -155,9 +161,14 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
         tv = variation(spec.zeta, min(x, y), max(x, y)).tv
         kappa = max(x, y) - 0.5 * (tv + zx + zy)
         return min(x, y, kappa)
-    low = quadruplet(spec, bounds.psi_low)
-    up = quadruplet(spec, bounds.psi_up)
-    return max(c_psi_value(spec, low, x, y), c_psi_value(spec, up, x, y))
+    values = []
+    for psi, (eligible, violation) in zip((bounds.psi_low, bounds.psi_up),
+                                          _extreme_verdicts(spec)):
+        if not eligible:
+            raise IneligiblePsi(violation)
+        w = eval_pl(spec.track.phi_inv, y)
+        values.append(min(x, y, eval_pl(psi, x) - eval_pl(psi, w) + eval_pl(spec.delta, w)))
+    return max(values)
 
 
 def _below_track_area(a, b, w, y0, y1):

@@ -1,4 +1,4 @@
-"""The per-knot Python loops that the vectorized kernels replaced, kept as oracles.
+"""The code that faster kernels replaced, kept as oracles.
 
 `first_increase_violation`, `first_decrease_violation` and
 `rightmost_level` are the loop versions of the witness finders and of the
@@ -6,11 +6,17 @@ level inverse used by region_functions. The `reference_*` functions compose
 them exactly as existence_check, eligibility_by_variation, psi_bounds and
 region_functions did, so the vectorized code can be required to give
 bit-identical results.
+
+`reference_eval_scalar`, `reference_quadruplet`, `reference_blend_psi` and
+`reference_pointwise_upper_bound` are the per-point path as it was before
+the per-spec memos and the knot-aligned fast path: np.interp on the two
+knots around a point, a knot merge for every quadruplet, and existence and
+both quadruplets redone for every point.
 """
 
 import numpy as np
 
-from trackcop import PLFunction, eval_pl, merge_knots
+from trackcop import IneligiblePsi, NoCopulaExists, PLFunction, eval_pl, merge_knots
 
 
 def first_increase_violation(values, knots, tol):
@@ -104,3 +110,64 @@ def reference_region(spec, candidate):
         h_vals[i] = rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y[i])
     g_vals = np.minimum(g_vals, phi_u)
     return PLFunction(u, g_vals), PLFunction(u, h_vals)
+
+
+def reference_eval_scalar(f, t):
+    """The scalar eval_pl before the bisect kernel: np.interp on the two knots around t."""
+    j = f.x.searchsorted(t, side="right")
+    lo = j - 1 if j else 0
+    return float(np.interp(t, f.x[lo:j + 1], f.y[lo:j + 1]))
+
+
+def reference_quadruplet(spec, psi, tol):
+    """({name: (x, y)} of psi, chi, eta, xi, violation) as quadruplet built them on merged knots."""
+    u = merge_knots(spec.knots, psi.x)
+    psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
+    parts = {"psi": (u, psi_u), "chi": (phi_u, phi_u - delta_u + psi_u),
+             "eta": (phi_u, delta_u - psi_u), "xi": (u, u - psi_u)}
+    for name, (x, y) in parts.items():
+        bad = np.nonzero(np.diff(y) < -tol)[0]
+        if len(bad):
+            return parts, f"{name} decreasing at knot {x[bad[0]]:.6g}"
+    return parts, None
+
+
+def reference_blend_psi(a_psi, b_psi, t):
+    """The mass function blend built, on the merged knots of both inputs."""
+    u = merge_knots(a_psi.x, b_psi.x)
+    return PLFunction(u, (1.0 - t) * eval_pl(a_psi, u) + t * eval_pl(b_psi, u))
+
+
+def _reference_tv(f, a, b):
+    """Total variation of f on [a, b] as variation() summed it."""
+    if a == b:
+        return 0.0
+    lo = np.searchsorted(f.x, a, side="right")
+    hi = np.searchsorted(f.x, b, side="left")
+    vals = np.concatenate(([reference_eval_scalar(f, a)], f.y[lo:hi],
+                           [reference_eval_scalar(f, b)]))
+    d = np.diff(vals)
+    return float(np.sum(d[d > 0])) + float(-np.sum(d[d < 0]))
+
+
+def reference_pointwise_upper_bound(spec, x, y, tol):
+    """pointwise_upper_bound as it was: existence, then two quadruplets, for every point."""
+    witness, _ = reference_existence(spec, tol)
+    if witness is not None:
+        raise NoCopulaExists(f"no copula with this track section; witness {witness}")
+    if spec.track.is_identity:
+        zx = x - reference_eval_scalar(spec.delta, x)
+        zy = y - reference_eval_scalar(spec.delta, y)
+        tv = _reference_tv(spec.zeta, min(x, y), max(x, y))
+        return min(x, y, max(x, y) - 0.5 * (tv + zx + zy))
+    values = []
+    for bound in reference_psi_bounds(spec):
+        parts, violation = reference_quadruplet(spec, PLFunction(spec.knots, bound), 1e-9)
+        if violation is not None:
+            raise IneligiblePsi(violation)
+        psi = PLFunction(*parts["psi"])
+        w = reference_eval_scalar(spec.track.phi_inv, y)
+        kappa = (reference_eval_scalar(psi, x) - reference_eval_scalar(psi, w)
+                 + reference_eval_scalar(spec.delta, w))
+        values.append(min(x, y, kappa))
+    return max(values)

@@ -196,3 +196,30 @@ def test_mesh_option_refused_where_unused_or_invalid(tmp_path, fig2_spec_file, a
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
+def test_bad_tol_exits_2(fig2_spec_file, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", fig2_spec_file, "--tol", tol])
+    assert exc.value.code == 2
+    assert f"got {tol!r}" in capsys.readouterr().err
+
+
+def test_bad_tol_from_environment_exits_2(fig2_spec_file, monkeypatch, capsys):
+    monkeypatch.setenv("TRACKCOP_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", fig2_spec_file])
+    assert exc.value.code == 2
+    assert "TRACKCOP_TOL" in capsys.readouterr().err
+    # an explicit --tol wins over the environment
+    assert main(["validate", fig2_spec_file, "--tol", "1e-9", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("env", [None, "0", "1e-6"])
+def test_tol_zero_and_environment_accepted(fig2_spec_file, monkeypatch, env):
+    if env is not None:
+        monkeypatch.setenv("TRACKCOP_TOL", env)
+    assert main(["validate", fig2_spec_file, "--tol", "0", "--quiet"]) == 0
+    args = cli.build_parser().parse_args(["validate", fig2_spec_file])
+    assert args.tol == (1e-9 if env is None else float(env))

@@ -1,0 +1,261 @@
+"""Per-point queries against the code they replaced, and the per-spec memos.
+
+pointwise_upper_bound, quadruplet and blend on spec-knot psi, and the
+scalar eval_pl must give the bits of the oracles in loop_reference.py.
+The memos on a DiagonalSpec must hold no reference back to it, so a spec
+is freed by reference counting alone.
+"""
+
+import copy
+import gc
+import pickle
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trackcop import (
+    IneligiblePsi,
+    NoCopulaExists,
+    PLFunction,
+    blend,
+    eligibility_by_variation,
+    eval_pl,
+    existence_check,
+    identity_track,
+    make_diagonal,
+    make_pl,
+    make_track,
+    pointwise_upper_bound,
+    psi_bounds,
+    quadruplet,
+)
+
+from loop_reference import (
+    reference_blend_psi,
+    reference_eval_scalar,
+    reference_existence,
+    reference_pointwise_upper_bound,
+    reference_quadruplet,
+)
+from strategies import sections
+from test_kernels import TIE_SPEC, section, same_bits
+
+
+@st.composite
+def spec_and_points(draw, identity=None):
+    """An admissible section and points (x, y): anywhere, at knots, or y on the track."""
+    spec = draw(sections(identity))
+    coord = st.floats(0.0, 1.0) | st.sampled_from(list(spec.knots))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(coord)
+        y = float(spec.track.phi(x)) if draw(st.booleans()) else draw(coord)
+        points.append((x, y))
+    return spec, points
+
+
+def outcome(call, *args):
+    """(value bits, None) or (None, exception type and message) of a call."""
+    try:
+        value = call(*args)
+    except (NoCopulaExists, IneligiblePsi) as exc:
+        return None, (type(exc), str(exc))
+    return np.float64(value).tobytes(), None
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pointwise_upper_bound_matches_reference(identity, data):
+    spec, points = data.draw(spec_and_points(identity))
+    for x, y in points:
+        for px, py in ((x, y), (np.float64(x), np.float64(y))):
+            new = outcome(pointwise_upper_bound, spec, px, py, 1e-9)
+            assert new == outcome(reference_pointwise_upper_bound, spec, px, py, 1e-9)
+            assert new[1] is None
+
+
+@given(sections(bumped=True), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_pointwise_upper_bound_on_bumped_section_raises_like_reference(spec, x, y):
+    with pytest.raises(NoCopulaExists):
+        reference_pointwise_upper_bound(spec, x, y, 1e-9)
+    for _ in range(2):  # the second call reads the memoized verdict
+        with pytest.raises(NoCopulaExists):
+            pointwise_upper_bound(spec, x, y)
+
+
+def decreasing_delta_spec():
+    """A validate=False spec on a general track whose delta dips by 0.05.
+
+    At tol 0.1 the band's gap may fall by that much, so existence holds; but
+    the quadruplet of psi_L is tested at the default tol, and its eta falls
+    with delta.
+    """
+    track = make_track(make_pl([0.0, 0.5, 1.0], [0.0, 0.3, 1.0]))
+    delta = make_pl([0.0, 0.4, 0.5, 1.0], [0.0, 0.2, 0.15, 1.0])
+    return make_diagonal(delta, track, validate=False)
+
+
+def test_pointwise_upper_bound_raises_ineligible_on_decreasing_delta():
+    spec = decreasing_delta_spec()
+    assert existence_check(spec, tol=0.1).exists and not existence_check(spec).exists
+    assert not quadruplet(spec, psi_bounds(spec, tol=0.1).psi_low).eligible
+    with pytest.raises(IneligiblePsi) as expected:
+        reference_pointwise_upper_bound(spec, 0.45, 0.6, 0.1)
+    for x, y in ((0.45, 0.6), (0.9, 0.1)):
+        with pytest.raises(IneligiblePsi) as raised:
+            pointwise_upper_bound(spec, x, y, tol=0.1)
+        assert str(raised.value) == str(expected.value) == "eta decreasing at knot 0.24"
+    with pytest.raises(NoCopulaExists):
+        pointwise_upper_bound(spec, 0.45, 0.6)
+
+
+def assert_candidate_is_reference(spec, candidate, psi, tol=1e-9):
+    parts, violation = reference_quadruplet(spec, psi, tol)
+    for name, (x, y) in parts.items():
+        f = getattr(candidate, name)
+        assert same_bits(f.x, x) and same_bits(f.y, y), name
+    assert candidate.violation == violation
+    assert candidate.eligible == (violation is None)
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+@given(data=st.data(), t=st.floats(0.0, 1.0), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+@settings(max_examples=100, deadline=None)
+def test_spec_knot_quadruplet_and_blend_match_merge_path(identity, data, t, tol):
+    spec = data.draw(sections(identity))
+    bounds = psi_bounds(spec)
+    low, up = quadruplet(spec, bounds.psi_low, tol), quadruplet(spec, bounds.psi_up, tol)
+    assert_candidate_is_reference(spec, low, bounds.psi_low, tol)
+    assert_candidate_is_reference(spec, up, bounds.psi_up, tol)
+    mix = blend(low, up, t)
+    ref_psi = reference_blend_psi(low.psi, up.psi, t)
+    assert_candidate_is_reference(spec, mix, ref_psi)
+    # knots equal to the spec's but another array, and an ineligible spec-knot psi
+    wobbly = PLFunction(spec.knots.copy(), np.concatenate(([0.0], np.cumsum(
+        np.where(np.arange(len(spec.knots) - 1) % 2, 1.5, -0.5) * np.diff(mix.psi.y)))))
+    assert_candidate_is_reference(spec, quadruplet(spec, wobbly, tol), wobbly, tol)
+    # a psi on other knots still takes the merge path
+    foreign = PLFunction(np.linspace(0.0, 1.0, 7), eval_pl(mix.psi, np.linspace(0.0, 1.0, 7)))
+    assert_candidate_is_reference(spec, quadruplet(spec, foreign, tol), foreign, tol)
+    assert_candidate_is_reference(spec, blend(mix, quadruplet(spec, foreign), t),
+                                  reference_blend_psi(mix.psi, quadruplet(spec, foreign).psi, t))
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "knot-track"])
+def test_large_section_fast_paths_match_merge_path(identity):
+    rng = np.random.default_rng([3, int(identity)])
+    spec = section(rng, 30_000, identity)
+    bounds = psi_bounds(spec)
+    low, up = quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up)
+    mix = blend(low, up, 0.37)
+    for cand, psi in ((low, bounds.psi_low), (up, bounds.psi_up),
+                      (mix, reference_blend_psi(low.psi, up.psi, 0.37))):
+        assert_candidate_is_reference(spec, cand, psi)
+        assert eligibility_by_variation(spec, cand.psi).eligible
+    for x, y in rng.random((20, 2)):
+        assert outcome(pointwise_upper_bound, spec, x, y) == \
+            outcome(reference_pointwise_upper_bound, spec, x, y, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# scalar eval_pl
+
+
+def probe_points(x):
+    """Every knot, its two float neighbours inside [0, 1], and the ends."""
+    pts = np.concatenate((x, np.nextafter(x, 0.0), np.nextafter(x, 1.0), [0.0, 1.0]))
+    return pts[(pts >= 0.0) & (pts <= 1.0)]
+
+
+def assert_scalar_eval_is_interp(f, points):
+    x, y = f.x.copy(), f.y.copy()
+    for t in points:
+        expected = np.float64(np.interp(t, x, y)).tobytes()
+        assert np.float64(reference_eval_scalar(f, t)).tobytes() == expected
+        for arg in (float(t), np.float64(t)):
+            value = eval_pl(f, arg)
+            assert type(value) is float and np.float64(value).tobytes() == expected
+    for t in (0, 1):
+        value = eval_pl(f, t)
+        assert type(value) is float and value == np.interp(t, x, y)
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=30),
+       st.lists(st.floats(-1e3, 1e3), min_size=32, max_size=32))
+@settings(max_examples=300, deadline=None)
+def test_scalar_eval_pl_matches_interp(interior, values):
+    x = np.unique(np.concatenate(([0.0], interior, [1.0])))
+    f = PLFunction(x, values[:len(x)])
+    assert_scalar_eval_is_interp(f, np.concatenate((probe_points(x), np.linspace(0, 1, 17))))
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "knot-track"])
+def test_scalar_eval_pl_matches_interp_on_large_sections(identity):
+    rng = np.random.default_rng([5, int(identity)])
+    spec = section(rng, 30_000, identity)
+    low = psi_bounds(spec).psi_low
+    for f in (spec.delta, low, spec.track.phi_inv):
+        picks = f.x[rng.integers(0, len(f.x), 300)]
+        assert_scalar_eval_is_interp(f, np.concatenate((probe_points(picks), rng.random(300))))
+
+
+def test_scalar_eval_pl_follows_interp_on_infinite_ordinates():
+    # slope * (t - x0) + y0 is NaN here; np.interp retries from the right end
+    f = PLFunction([0.0, 0.5, 1.0], [0.0, np.inf, np.inf])
+    for t in (0.25, 0.5, 0.75, 1.0):
+        assert same_bits(eval_pl(f, t), np.interp(t, f.x.copy(), f.y.copy()))
+
+
+def test_pl_function_pickles_and_copies_after_scalar_eval():
+    f = make_pl([0.0, 0.3, 1.0], [0.0, 0.5, 1.0])
+    assert eval_pl(f, 0.2) == np.interp(0.2, f.x, f.y)
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert same_bits(g.x, f.x) and same_bits(g.y, f.y)
+        assert eval_pl(g, 0.2) == eval_pl(f, 0.2)
+
+
+# ---------------------------------------------------------------------------
+# memos
+
+
+def _use_every_memo(spec):
+    existence_check(spec)
+    bounds = psi_bounds(spec)
+    low, up = quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up)
+    eligibility_by_variation(spec, blend(low, up, 0.5).psi)
+    pointwise_upper_bound(spec, 0.3, 0.6)
+    eval_pl(spec.delta, 0.3)
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "knot-track"])
+def test_spec_is_freed_by_refcount_after_every_query(identity):
+    spec = section(np.random.default_rng(9), 500, identity)
+    ref = weakref.ref(spec)
+    gc.disable()
+    try:
+        _use_every_memo(spec)
+        assert spec._existence and (identity or spec._band_verdicts)
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def tie_spec():
+    diagonal = TIE_SPEC["diagonal"]
+    return make_diagonal(make_pl(diagonal["x"], diagonal["y"]), identity_track(), tol=0.02)
+
+
+@pytest.mark.parametrize("order", [(0.02, 1e-9), (1e-9, 0.02)], ids=["wide-first", "default-first"])
+def test_existence_memo_keeps_each_tols_witness(order):
+    expected = {0.02: (0.55, 0.64), 1e-9: reference_existence(tie_spec(), 1e-9)[0]}
+    assert expected[1e-9] != expected[0.02]
+    spec = tie_spec()
+    for tol in order + order:
+        assert existence_check(spec, tol=tol).witness == expected[tol]
+    assert existence_check(spec).witness == expected[1e-9]
