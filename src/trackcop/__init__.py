@@ -8,6 +8,7 @@ splice constructions into quasi-copulas.
 
 from .errors import (
     BadMesh,
+    BadTolerance,
     DiagonalConditionViolated,
     EndpointViolation,
     IneligibleExtractedPsi,

@@ -26,6 +26,7 @@ from .funcspace import (
     INTERNAL_TOL,
     USER_TOL,
     PLFunction,
+    check_tol,
     eval_pl,
     first_decrease,
     merge_knots,
@@ -79,6 +80,7 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     The companions of the y-variable (eta, chi) are carried on the
     track-image knots so compositions with the track inverse stay exact.
     """
+    check_tol(tol)
     if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
     if _on_spec_knots(spec, psi):
@@ -111,6 +113,7 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
     psi_L and psi_U are read from the spec's band and interpolated onto
     psi's extra knots, where they are linear.
     """
+    check_tol(tol)
     if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
     low, up, _ = spec._band

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,12 +29,11 @@ import numpy as np
 
 from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
 from .construction import GridCopula, _validate_mesh, make_cpsi, materialize_grid
-from .errors import BadMesh, IneligiblePsi, TrackcopError
-from .funcspace import USER_TOL, PLFunction, make_pl, merge_knots
+from .errors import BadMesh, BadTolerance, IneligiblePsi, TrackcopError
+from .funcspace import USER_TOL, PLFunction, check_tol, make_pl, merge_knots
 from .splice import make_splice, splice_grid
 from .trackmodel import (
     DiagonalSpec,
-    Track,
     diagonal_conditions,
     existence_check,
     identity_track,
@@ -54,7 +52,6 @@ BUILTIN_DIAGONALS = {
 
 @dataclass
 class ProblemSpec:
-    track: Track
     spec: DiagonalSpec
     psi_request: object  # "lower" | "upper" | ("blend", t) | PLFunction
     mesh_n: int
@@ -122,7 +119,7 @@ def load_problem(path, tol: float = USER_TOL, validate: bool = True) -> ProblemS
         raise SpecFileError("spec file must name a diagonal")
     spec = make_diagonal(delta, track, tol=tol, validate=validate)
     psi_request = parse_psi_request(raw.get("psi", "lower"))
-    return ProblemSpec(track, spec, psi_request, n)
+    return ProblemSpec(spec, psi_request, n)
 
 
 def resolve_candidate(problem: ProblemSpec, request=None, tol: float = USER_TOL) -> PsiCandidate:
@@ -278,7 +275,7 @@ def write_json(path, payload: dict):
 
 def cmd_validate(args) -> int:
     problem = load_problem(args.spec, tol=args.tol, validate=False)
-    conditions = diagonal_conditions(problem.spec.delta, problem.track, tol=args.tol)
+    conditions = diagonal_conditions(problem.spec.delta, problem.spec.track, tol=args.tol)
     result = existence_check(problem.spec, tol=args.tol)
     if not args.quiet:
         for cond in "abcd":
@@ -363,7 +360,7 @@ def _psi_arg(value):
 def cmd_envelope(args) -> int:
     problem = load_problem(args.spec, tol=args.tol)
     grid = read_grid(args.grid)
-    cpsi = dominating_envelope(grid, problem.track, problem.spec, tol=args.tol)
+    cpsi = dominating_envelope(grid, problem.spec.track, problem.spec, tol=args.tol)
     env = materialize_grid(problem.spec, cpsi.candidate, grid.mesh)
     gain = float((env.values - grid.values).max())
     out = _out_dir(args)
@@ -406,13 +403,10 @@ def _mesh_size(text: str) -> int:
 def _tolerance(text: str) -> float:
     """--tol or TRACKCOP_TOL value: a finite float >= 0."""
     try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
+        return check_tol(float(text))
+    except (ValueError, BadTolerance):
         raise argparse.ArgumentTypeError(
             f"expected a finite number >= 0 (from --tol or TRACKCOP_TOL), got {text!r}")
-    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,27 +49,19 @@ def _require_eligible(candidate: PsiCandidate):
         raise IneligiblePsi(candidate.violation or "candidate is not eligible")
 
 
-def _min_knot_between(spec: DiagonalSpec, lo, hi):
-    """Whether a knot with exact zero gap lies in [lo, hi] (elementwise).
-
-    On the identity track the copula equals min(x, y) whenever the diagonal
-    touches the main diagonal between the two arguments; short-circuiting on
-    exact zeros keeps that identity exact in floating point.
-    """
-    zeros = spec.zeta_zeros
-    left = np.searchsorted(zeros, lo, side="left")
-    right = np.searchsorted(zeros, hi, side="right")
-    return right > left
+def _kappa(spec: DiagonalSpec, psi: PLFunction, x: float, y: float) -> float:
+    """psi(x) - psi(w) + delta(w) at w = phi_inv(y), the third term of the case formula."""
+    w = eval_pl(spec.track.phi_inv, y)
+    return eval_pl(psi, x) - eval_pl(psi, w) + eval_pl(spec.delta, w)
 
 
 def c_psi_value(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> float:
-    """Value of the constructed copula at a single point."""
+    """Value of the constructed copula at a single point: min(x, y, kappa) on every track.
+
+    It costs a few binary searches on the knots.
+    """
     _require_eligible(candidate)
-    if spec.track.is_identity and _min_knot_between(spec, min(x, y), max(x, y)):
-        return min(x, y)
-    w = eval_pl(spec.track.phi_inv, y)
-    kappa = eval_pl(candidate.psi, x) - eval_pl(candidate.psi, w) + eval_pl(spec.delta, w)
-    return min(x, y, kappa)
+    return min(x, y, _kappa(spec, candidate.psi, x, y))
 
 
 def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> dict:
@@ -168,12 +160,7 @@ def c_psi_grid_values(spec: DiagonalSpec, candidate: PsiCandidate, mesh: np.ndar
     w = eval_pl(spec.track.phi_inv, mesh)
     col = eval_pl(spec.delta, w) - eval_pl(candidate.psi, w)
     kappa = psi_x[:, None] + col[None, :]
-    m = np.minimum(mesh[:, None], mesh[None, :])
-    values = np.minimum(m, kappa)
-    if spec.track.is_identity and len(spec.zeta_zeros):
-        hi = np.maximum(mesh[:, None], mesh[None, :])
-        values = np.where(_min_knot_between(spec, m, hi), m, values)
-    return values
+    return np.minimum(np.minimum(mesh[:, None], mesh[None, :]), kappa)
 
 
 def materialize_grid(spec: DiagonalSpec, candidate: PsiCandidate, mesh) -> GridCopula:
@@ -191,8 +178,7 @@ def min_equals_cases(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: f
     continuity.
     """
     _require_eligible(candidate)
-    w = eval_pl(spec.track.phi_inv, y)
-    kappa = eval_pl(candidate.psi, x) - eval_pl(candidate.psi, w) + eval_pl(spec.delta, w)
+    kappa = _kappa(spec, candidate.psi, x, y)
     if kappa <= min(x, y) + tol:
         branch = "kappa"
     elif x <= y:

@@ -17,6 +17,10 @@ class OutOfDomain(TrackcopError):
     """An evaluation point or interval lies outside [0, 1]."""
 
 
+class BadTolerance(TrackcopError):
+    """A tolerance is not a finite number >= 0."""
+
+
 class NotStrictlyIncreasing(TrackcopError):
     """A track function has a non-increasing segment, so no inverse exists."""
 

@@ -9,17 +9,33 @@ quadrature or search involved.
 
 from __future__ import annotations
 
+import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import MalformedKnots, OutOfDomain
+from .errors import BadTolerance, MalformedKnots, OutOfDomain
 
 # Slack for internal float identities vs. validation of user-supplied data.
 INTERNAL_TOL = 1e-12
 USER_TOL = 1e-9
+
+
+def check_tol(tol):
+    """tol itself if it is a finite real number >= 0; raises BadTolerance otherwise.
+
+    Every public function that takes a user `tol` checks it here before
+    using it, itself or through the first library call it makes. A memo
+    keyed on tol checks only on a miss: an invalid tol is never stored, so
+    it always misses. NaN must not get through: every comparison against it
+    is false, so each test it slackens would pass.
+    """
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise BadTolerance(f"tol must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)

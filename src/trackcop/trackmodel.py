@@ -23,6 +23,7 @@ from .errors import (
 from .funcspace import (
     USER_TOL,
     PLFunction,
+    check_tol,
     eval_pl,
     first_decrease,
     merge_knots,
@@ -36,10 +37,6 @@ class Track:
 
     phi: PLFunction
     phi_inv: PLFunction
-
-    @cached_property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.phi.x, self.phi.y))
 
 
 def make_track(phi: PLFunction) -> Track:
@@ -64,8 +61,8 @@ class DiagonalSpec:
     diagonal's and the track's knots, so knot-level checks are exact.
     zeta(x) = x - delta(x); delta_tilde(x) = phi(x) - delta(x).
 
-    zeta_zeros, phi_values() and the band are computed once per spec and
-    returned as read-only arrays. Two memos answer repeated queries:
+    phi_values() and the band are computed once per spec and returned as
+    read-only arrays. Two memos answer repeated queries:
     `_existence` maps tol to existence_check's ExistenceResult (witnesses
     differ by tol), and `_band_verdicts` maps tol to the (eligible,
     violation) pairs of the quadruplets of psi_L and psi_U. A memo holds
@@ -83,11 +80,6 @@ class DiagonalSpec:
     @property
     def knots(self) -> np.ndarray:
         return self.delta.x
-
-    @cached_property
-    def zeta_zeros(self) -> np.ndarray:
-        """Knots at which the diagonal touches min(x, phi(x)) gap zero."""
-        return _read_only(self.delta.x[self.zeta.y == 0.0])
 
     @cached_property
     def _phi_knots(self) -> np.ndarray:
@@ -135,6 +127,7 @@ def diagonal_conditions(delta: PLFunction, track: Track, tol: float = USER_TOL) 
     Returns a dict mapping "a".."d" to (ok, where); where is the first
     offending knot (segment start for the slope condition "d").
     """
+    check_tol(tol)
     u = merge_knots(delta.x, track.phi.x)
     d = eval_pl(delta, u)
     p = eval_pl(track.phi, u)
@@ -161,6 +154,7 @@ def make_diagonal(delta: PLFunction, track: Track, tol: float = USER_TOL,
     With validate=False the admissibility checks are skipped, which allows
     existence_check to diagnose prescriptions that are not realizable.
     """
+    check_tol(tol)
     if validate:
         results = diagonal_conditions(delta, track, tol=tol)
         for cond in "abcd":
@@ -196,7 +190,7 @@ def existence_check(spec: DiagonalSpec, tol: float = USER_TOL) -> ExistenceResul
     """
     result = spec._existence.get(tol)
     if result is None:
-        result = spec._existence[tol] = _existence_check(spec, tol)
+        result = spec._existence[tol] = _existence_check(spec, check_tol(tol))
     return result
 
 

@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .canonical import _extreme_verdicts, psi_bounds, quadruplet
-from .construction import CopulaCpsi, GridCopula, _validate_mesh, make_cpsi
+from .construction import CopulaCpsi, GridCopula, _kappa, _validate_mesh, make_cpsi
 from .errors import BadMesh, MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
-from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, eval_pl, variation
+from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, check_tol, eval_pl
 from .trackmodel import DiagonalSpec, Track
 
 
@@ -77,6 +77,7 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     dx * tol is below an ulp (a knot ~1e-7 from a mesh line); the absolute
     INTERNAL_TOL covers that rounding.
     """
+    check_tol(tol)
     mesh, v = grid.mesh, grid.values
     if v.shape != (len(mesh), len(mesh)):
         raise BadMesh("values must be square and match the mesh")
@@ -122,6 +123,7 @@ def compare(grid1: GridCopula, grid2: GridCopula, tol: float = USER_TOL) -> Comp
     When neither dominates, the witness is the mirror pair (u, v), (v, u)
     with the most negative product of signed differences.
     """
+    check_tol(tol)
     if not np.array_equal(grid1.mesh, grid2.mesh):
         raise MeshMismatch("grids are on different meshes")
     d = grid1.values - grid2.values
@@ -143,31 +145,22 @@ def compare(grid1: GridCopula, grid2: GridCopula, tol: float = USER_TOL) -> Comp
 def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = USER_TOL) -> float:
     """Largest value any copula with this track section can take at (x, y).
 
-    On the identity track this has the closed form
-    min{x, y, max(x,y) - (TV + zeta(x) + zeta(y)) / 2}; in general it is the
-    larger of C_{psi_L}(x, y) and C_{psi_U}(x, y), the two extremal
-    constructed copulas, read off the spec's cached band. Raises
-    NoCopulaExists when no copula has this track section, and IneligiblePsi
-    when psi_L or psi_U fails quadruplet's test (possible on a spec made
-    with validate=False). Existence and both verdicts are memoized per
-    spec, so after the first call a general-track query costs a few binary
-    searches; the closed form sums zeta's variation over the knots between
-    x and y.
+    One formula serves every track: the larger of C_{psi_L}(x, y) and
+    C_{psi_U}(x, y), the two extremal constructed copulas, read off the
+    spec's cached band. On the identity track it equals the closed form of
+    Nelsen et al. (JMVA 2004) up to rounding. Raises NoCopulaExists when no
+    copula has this track section, and IneligiblePsi when psi_L or psi_U
+    fails quadruplet's test (possible on a spec made with validate=False).
+    Existence and both verdicts are memoized per spec, so after the first
+    call a query costs a few binary searches on any track.
     """
     bounds = psi_bounds(spec, tol=tol)
-    if spec.track.is_identity:
-        zx = x - eval_pl(spec.delta, x)
-        zy = y - eval_pl(spec.delta, y)
-        tv = variation(spec.zeta, min(x, y), max(x, y)).tv
-        kappa = max(x, y) - 0.5 * (tv + zx + zy)
-        return min(x, y, kappa)
     values = []
     for psi, (eligible, violation) in zip((bounds.psi_low, bounds.psi_up),
                                           _extreme_verdicts(spec)):
         if not eligible:
             raise IneligiblePsi(violation)
-        w = eval_pl(spec.track.phi_inv, y)
-        values.append(min(x, y, eval_pl(psi, x) - eval_pl(psi, w) + eval_pl(spec.delta, w)))
+        values.append(min(x, y, _kappa(spec, psi, x, y)))
     return max(values)
 
 
@@ -221,6 +214,7 @@ def dominating_envelope(grid: GridCopula, track: Track, spec: DiagonalSpec,
     discretization tolerance 2/n; the extracted mass function must come out
     eligible, otherwise the mesh is too coarse.
     """
+    check_tol(tol)
     mesh = grid.mesh
     n = len(mesh)
     mesh_tol = 2.0 / n

@@ -62,3 +62,15 @@ def sections(draw, identity=None, bumped=False, max_knots=60):
         d[k] += (u[k] - u[k - 1]) + (p[k] - p[k - 1]) - (d[k] - d[k - 1]) + 1e-3
     return make_diagonal(make_pl(u, d), track, validate=not bumped)
 
+
+@st.composite
+def sections_with_points(draw, identity=None):
+    """An admissible section and 1-6 points (x, y): anywhere, at knots, or with y on the track."""
+    spec = draw(sections(identity))
+    coord = st.floats(0.0, 1.0) | st.sampled_from(list(spec.knots))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(coord)
+        y = float(spec.track.phi(x)) if draw(st.booleans()) else draw(coord)
+        points.append((x, y))
+    return spec, points

@@ -205,16 +205,11 @@ def test_diagonal_spec_and_track_stay_frozen(w_spec):
     with pytest.raises(dataclasses.FrozenInstanceError):
         w_spec.delta = w_spec.zeta
     with pytest.raises(dataclasses.FrozenInstanceError):
-        w_spec.zeta_zeros = np.array([0.0])
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        w_spec.track.is_identity = False
+        w_spec.track.phi = w_spec.track.phi_inv
     # the cached arrays are computed once and cannot be written through
     assert w_spec.phi_values() is w_spec.phi_values()
-    assert w_spec.zeta_zeros is w_spec.zeta_zeros
     with pytest.raises(ValueError):
         w_spec.phi_values()[0] = 1.0
-    with pytest.raises(ValueError):
-        w_spec.zeta_zeros[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,11 @@ from trackcop import (
 
 def test_identity_track():
     t = identity_track()
-    assert t.is_identity
     assert t.phi(0.3) == 0.3 and t.phi_inv(0.3) == 0.3
 
 
 def test_make_track_inverse_roundtrip():
     t = make_track(make_pl([0, 0.5, 1], [0, 0.25, 1]))
-    assert not t.is_identity
     assert t.phi(0.5) == 0.25
     assert t.phi_inv(0.25) == 0.5
     for x in np.linspace(0, 1, 17):
@@ -89,12 +87,6 @@ def test_make_diagonal_refines_against_track_knots():
     track = make_track(make_pl([0, 0.3, 1], [0, 0.7, 1]))
     spec = make_diagonal(make_pl([0, 1], [0, 1]), track, validate=False)
     assert 0.3 in spec.knots
-
-
-def test_zeta_zeros_exact():
-    d = make_pl([0, 0.5, 1], [0, 0.5, 1])
-    spec = make_diagonal(d, identity_track())
-    assert list(spec.zeta_zeros) == [0.0, 0.5, 1.0]
 
 
 def test_existence_holds_for_valid_diagonals(fig2_spec, w_spec, indep_spec):
