@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
-from .construction import GridCopula, _validate_mesh, make_cpsi, materialize_grid
+from .construction import GridCopula, _BLOCK_BYTES, _row_blocks, _validate_mesh, make_cpsi, \
+    materialize_grid
 from .errors import BadMesh, BadTolerance, IneligiblePsi, TrackcopError
 from .funcspace import USER_TOL, PLFunction, check_tol, make_pl, merge_knots
 from .splice import make_splice, splice_grid
@@ -59,6 +60,10 @@ class ProblemSpec:
 
 class SpecFileError(TrackcopError):
     """The problem spec file is unreadable or malformed."""
+
+
+class MeshTooLarge(SpecFileError):
+    """The mesh asked for needs more grid memory than MESH_BUDGET_BYTES."""
 
 
 def _knot_function(obj) -> PLFunction:
@@ -145,14 +150,33 @@ def _eligible_candidates(problem: ProblemSpec, requests, tol: float) -> list:
     return candidates
 
 
+# Grid memory a command may use. A grid command holds at most two n x n
+# float grids (compare's two) plus one row block, so a mesh whose estimate
+# exceeds this is refused before any grid is allocated: about 8 190 points.
+# The budget is one fixed number, not a probe of the machine, so a spec is
+# accepted or refused the same way everywhere.
+MESH_BUDGET_BYTES = 1 << 30
+
+
+def _check_mesh_budget(n: int):
+    need = 2 * n * n * 8 + _BLOCK_BYTES
+    if need > MESH_BUDGET_BYTES:
+        raise MeshTooLarge(f"a mesh of {n} points needs about {need / 2**30:.3g} GiB for its"
+                           f" grids, over the {MESH_BUDGET_BYTES / 2**30:.3g} GiB budget")
+
+
 def default_mesh(problem: ProblemSpec, n: int | None = None) -> np.ndarray:
     """Uniform n-point mesh plus all spec knots and their track images.
 
-    n defaults to the spec's mesh; `--mesh` on build, compare and splice sets it.
+    n defaults to the spec's mesh; `--mesh` on build, compare and splice sets
+    it. A mesh over MESH_BUDGET_BYTES raises MeshTooLarge, checked on n
+    before the uniform points are made and again on the merged mesh.
     """
-    uniform = np.linspace(0.0, 1.0, problem.mesh_n if n is None else n)
-    knots = problem.spec.knots
-    return merge_knots(uniform, knots, problem.spec.phi_values())
+    n = problem.mesh_n if n is None else n
+    _check_mesh_budget(n)
+    mesh = merge_knots(np.linspace(0.0, 1.0, n), problem.spec.knots, problem.spec.phi_values())
+    _check_mesh_budget(len(mesh))
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +206,6 @@ def write_function_csv(path, f: PLFunction):
     _write_columns_csv(path, "x,value", f.x, f.y)
 
 
-def _grid_table(grid: GridCopula) -> np.ndarray:
-    n = len(grid.mesh)
-    table = np.empty((n + 1, n + 1))
-    table[0, 0] = np.nan
-    table[0, 1:] = grid.mesh
-    table[1:, 0] = grid.mesh
-    table[1:, 1:] = grid.values
-    return table
-
-
 def _grid_from_table(table: np.ndarray, path) -> GridCopula:
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise SpecFileError(f"grid file {path}: expected a square (n+1) x (n+1) table,"
@@ -213,6 +227,19 @@ def write_grid_csv(path, grid: GridCopula):
         for start in range(0, len(mesh), CSV_CHUNK_ROWS):
             rows = slice(start, start + CSV_CHUNK_ROWS)
             fh.write(_csv_text(np.column_stack((mesh[rows], values[rows]))))
+
+
+def write_grid_npy(path, grid: GridCopula):
+    """The grid table as np.save writes it, header first, then a row block at a time."""
+    mesh, values = grid.mesh, grid.values
+    n = len(mesh)
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+              "fortran_order": False, "shape": (n + 1, n + 1)}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        fh.write(np.concatenate(([np.nan], mesh)).tobytes())
+        for rows in _row_blocks(n, n + 1):
+            fh.write(np.column_stack((mesh[rows], values[rows])).tobytes())
 
 
 def read_grid_csv(path) -> GridCopula:
@@ -240,8 +267,7 @@ def write_grid(path, grid: GridCopula, fmt: str) -> Path:
     if fmt == "csv":
         write_grid_csv(path, grid)
     else:
-        with open(path, "wb") as fh:
-            np.save(fh, _grid_table(grid))
+        write_grid_npy(path, grid)
     return path
 
 
@@ -362,7 +388,8 @@ def cmd_envelope(args) -> int:
     grid = read_grid(args.grid)
     cpsi = dominating_envelope(grid, problem.spec.track, problem.spec, tol=args.tol)
     env = materialize_grid(problem.spec, cpsi.candidate, grid.mesh)
-    gain = float((env.values - grid.values).max())
+    gain = float(np.max([(env.values[rows] - grid.values[rows]).max()
+                         for rows in _row_blocks(len(grid.mesh), len(grid.mesh))]))
     out = _out_dir(args)
     write_function_csv(out / "psi_extracted.csv", cpsi.candidate.psi)
     write_grid(out / "envelope_grid", env, args.format)

@@ -154,13 +154,32 @@ def _validate_mesh(mesh, knots=()) -> np.ndarray:
     return mesh
 
 
-def c_psi_grid_values(spec: DiagonalSpec, candidate: PsiCandidate, mesh: np.ndarray) -> np.ndarray:
-    """Vectorized grid of copula values; rows index the x-argument."""
-    psi_x = eval_pl(candidate.psi, mesh)
+# Bytes of one row block of an n x n float grid. The grid kernels build
+# their output once and take every other n x n quantity a block at a time,
+# so a kernel's temporaries stay a few blocks however large the mesh.
+_BLOCK_BYTES = 192 * 1024
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row slices covering range(n_rows), each about _BLOCK_BYTES of floats."""
+    step = max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def c_psi_grid_values(spec: DiagonalSpec, candidate: PsiCandidate, mesh: np.ndarray,
+                      rows: slice = slice(None)) -> np.ndarray:
+    """Vectorized grid of copula values on mesh[rows] x mesh; rows index the x-argument.
+
+    min(x, y, kappa) is taken in place on kappa: min is exact, so the
+    order of the two clamps does not change a bit.
+    """
+    psi_x = eval_pl(candidate.psi, mesh[rows])
     w = eval_pl(spec.track.phi_inv, mesh)
     col = eval_pl(spec.delta, w) - eval_pl(candidate.psi, w)
     kappa = psi_x[:, None] + col[None, :]
-    return np.minimum(np.minimum(mesh[:, None], mesh[None, :]), kappa)
+    np.minimum(kappa, mesh[rows, None], out=kappa)
+    return np.minimum(kappa, mesh[None, :], out=kappa)
 
 
 def materialize_grid(spec: DiagonalSpec, candidate: PsiCandidate, mesh) -> GridCopula:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import PsiCandidate, _same_spec
-from .construction import GridCopula, _validate_mesh, c_psi_grid_values, c_psi_value
+from .construction import GridCopula, _row_blocks, _validate_mesh, c_psi_grid_values, c_psi_value
 from .errors import SpecMismatch
 from .funcspace import eval_pl
 from .trackmodel import DiagonalSpec
@@ -42,8 +42,9 @@ def splice_value(s: SplicedFunction, u: float, v: float) -> float:
 def splice_grid(s: SplicedFunction, mesh) -> GridCopula:
     """Grid of spliced values; the mesh must include all track knots."""
     mesh = _validate_mesh(mesh, s.spec.track.phi.x)
-    upper = c_psi_grid_values(s.spec, s.upper, mesh)
-    lower = c_psi_grid_values(s.spec, s.lower, mesh)
     phi_mesh = eval_pl(s.spec.track.phi, mesh)
-    above = mesh[None, :] >= phi_mesh[:, None]
-    return GridCopula(mesh, np.where(above, upper, lower))
+    values = c_psi_grid_values(s.spec, s.upper, mesh)
+    for rows in _row_blocks(len(mesh), len(mesh)):
+        below = mesh[None, :] < phi_mesh[rows, None]
+        np.copyto(values[rows], c_psi_grid_values(s.spec, s.lower, mesh, rows), where=below)
+    return GridCopula(mesh, values)

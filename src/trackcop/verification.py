@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .canonical import _extreme_verdicts, psi_bounds, quadruplet
-from .construction import CopulaCpsi, GridCopula, _kappa, _validate_mesh, make_cpsi
+from .construction import CopulaCpsi, GridCopula, _kappa, _row_blocks, _validate_mesh, \
+    make_cpsi
 from .errors import BadMesh, MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, check_tol, eval_pl
@@ -87,17 +88,28 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
                     and np.all(np.abs(v[:, 0]) <= INTERNAL_TOL))
     margins = bool(np.all(np.abs(v[-1, :] - mesh) <= INTERNAL_TOL)
                    and np.all(np.abs(v[:, -1] - mesh) <= INTERNAL_TOL))
-    dx = np.diff(mesh)
-    diff_x = np.diff(v, axis=0)
-    diff_y = np.diff(v, axis=1)
-    monotone = bool(np.all(diff_x >= -tol) and np.all(diff_y >= -tol))
-    lip_bound = dx * (1.0 + tol) + INTERNAL_TOL
-    lipschitz = bool(np.all(diff_x <= lip_bound[:, None])
-                     and np.all(diff_y <= lip_bound[None, :]))
-    cells = diff_x[:, 1:] - diff_x[:, :-1]
-    min_cell = float(cells.min())
-    i, j = np.unravel_index(np.argmin(cells), cells.shape)
-    worst_cell = (float(mesh[i]), float(mesh[j]))
+    n = len(mesh)
+    lip_bound = np.diff(mesh) * (1.0 + tol) + INTERNAL_TOL
+    monotone = lipschitz = True
+    min_cell, worst = None, None
+    for rows in _row_blocks(n, n):
+        # rows of v plus the next one, for the differences in x
+        diff_x = np.diff(v[rows.start:rows.stop + 1], axis=0)
+        diff_y = np.diff(v[rows], axis=1)
+        monotone = monotone and bool(np.all(diff_x >= -tol) and np.all(diff_y >= -tol))
+        lipschitz = lipschitz and bool(
+            np.all(diff_x <= lip_bound[rows.start:rows.start + len(diff_x), None])
+            and np.all(diff_y <= lip_bound[None, :]))
+        if not len(diff_x):
+            continue
+        cells = diff_x[:, 1:] - diff_x[:, :-1]
+        k = int(np.argmin(cells))
+        value = float(cells.flat[k])
+        # the first occurrence of the least volume, as np.argmin over all cells
+        if min_cell is None or value < min_cell or (value != value and min_cell == min_cell):
+            min_cell = value
+            worst = (rows.start + k // cells.shape[1], k % cells.shape[1])
+    worst_cell = (float(mesh[worst[0]]), float(mesh[worst[1]]))
     two_increasing = min_cell >= -INTERNAL_TOL
     return VerificationReport(grounded, margins, monotone, lipschitz,
                               two_increasing, min_cell, worst_cell)
@@ -126,20 +138,36 @@ def compare(grid1: GridCopula, grid2: GridCopula, tol: float = USER_TOL) -> Comp
     check_tol(tol)
     if not np.array_equal(grid1.mesh, grid2.mesh):
         raise MeshMismatch("grids are on different meshes")
-    d = grid1.values - grid2.values
-    if float(np.abs(d).max()) <= tol:
+    v1, v2 = grid1.values, grid2.values
+    n = len(grid1.mesh)
+    equal = first = second = True
+    for rows in _row_blocks(n, n):
+        d = v1[rows] - v2[rows]
+        equal = equal and float(np.abs(d).max()) <= tol
+        first = first and bool(np.all(d >= -tol))
+        second = second and bool(np.all(d <= tol))
+        if not (equal or first or second):
+            break
+    if equal:
         return ComparisonResult("equal", None, None)
-    if bool(np.all(d >= -tol)):
+    if first:
         return ComparisonResult("first-dominates", None, None)
-    if bool(np.all(d <= tol)):
+    if second:
         return ComparisonResult("second-dominates", None, None)
-    prod = d * d.T
-    masked = np.where(prod < 0.0, prod, 0.0)
-    if masked.min() < 0.0:
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        witness = (float(grid1.mesh[i]), float(grid1.mesh[j]))
-        return ComparisonResult("incomparable", witness, float(prod[i, j]))
-    return ComparisonResult("incomparable", None, None)
+    # The mirror products d[i, j] * d[j, i], a row block at a time; the
+    # first occurrence of the most negative one, as np.argmin over the grid.
+    best, witness = 0.0, None
+    for rows in _row_blocks(n, n):
+        prod = (v1[rows] - v2[rows]) * (v1[:, rows] - v2[:, rows]).T
+        masked = np.where(prod < 0.0, prod, 0.0)
+        k = int(np.argmin(masked))
+        if masked.flat[k] < best:
+            best = float(masked.flat[k])
+            witness = (rows.start + k // n, k % n)
+    if witness is None:
+        return ComparisonResult("incomparable", None, None)
+    i, j = witness
+    return ComparisonResult("incomparable", (float(grid1.mesh[i]), float(grid1.mesh[j])), best)
 
 
 def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = USER_TOL) -> float:
@@ -192,16 +220,20 @@ def extract_psi(grid: GridCopula, track: Track, tol: float = USER_TOL) -> PLFunc
         raise NotACopula("grid fails the copula checks")
     mesh = _validate_mesh(grid.mesh, track.phi.x)
     v = grid.values
-    volumes = v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
+    n = len(mesh)
     a = eval_pl(track.phi, mesh[:-1])[:, None]
     b = eval_pl(track.phi, mesh[1:])[:, None]
     w = np.diff(mesh)[:, None]
     y0 = mesh[None, :-1]
     y1 = mesh[None, 1:]
-    area = _below_track_area(a, b, w, y0, y1)
-    frac = area / (w * (y1 - y0))
-    frac = np.clip(frac, 0.0, 1.0)
-    col_mass = np.sum(volumes * frac, axis=1)
+    col_mass = np.empty(n - 1)
+    for rows in _row_blocks(n - 1, n):
+        area = _below_track_area(a[rows], b[rows], w[rows], y0, y1)
+        frac = area / (w[rows] * (y1 - y0))
+        frac = np.clip(frac, 0.0, 1.0)
+        vb = v[rows.start:rows.stop + 1]
+        volumes = vb[1:, 1:] - vb[:-1, 1:] - vb[1:, :-1] + vb[:-1, :-1]
+        col_mass[rows] = np.sum(volumes * frac, axis=1)
     psi_vals = np.concatenate(([0.0], np.cumsum(col_mass)))
     return PLFunction(mesh, psi_vals)
 

@@ -13,6 +13,12 @@ the per-spec memos and the knot-aligned fast path: np.interp on the two
 knots around a point, a knot merge for every quadruplet, and existence and
 both quadruplets redone for every point.
 
+`whole_grid_values`, `whole_splice_grid`, `whole_check_grid`,
+`whole_compare`, `whole_extract_psi` and `whole_npy_bytes` are the grid
+kernels as they were before they took their grids a row block at a time:
+each holds several n x n temporaries at once. The blocked kernels must give
+the same bits.
+
 The library once treated the identity track apart. `is_identity_track`,
 `reference_c_psi_value`, `reference_c_psi_grid_values` and the closed form
 in `reference_pointwise_upper_bound` keep that path: the bound of Nelsen et
@@ -21,9 +27,24 @@ x and y. The library now reads every value off the band with one formula,
 which agrees with these to rounding, not bit for bit.
 """
 
+import io
+
 import numpy as np
 
-from trackcop import IneligiblePsi, NoCopulaExists, PLFunction, eval_pl, merge_knots
+from trackcop import (
+    ComparisonResult,
+    GridCopula,
+    IneligiblePsi,
+    NoCopulaExists,
+    NotACopula,
+    PLFunction,
+    VerificationReport,
+    eval_pl,
+    merge_knots,
+)
+from trackcop.construction import _validate_mesh
+from trackcop.funcspace import INTERNAL_TOL
+from trackcop.verification import _below_track_area
 
 
 def first_increase_violation(values, knots, tol):
@@ -216,3 +237,96 @@ def reference_c_psi_grid_values(spec, candidate, mesh):
         hi = np.maximum(mesh[:, None], mesh[None, :])
         values = np.where(_zero_between(spec, m, hi), m, values)
     return values
+
+
+def whole_grid_values(spec, candidate, mesh):
+    """c_psi_grid_values on the whole grid, with an n x n min(x, y) temporary."""
+    psi_x = eval_pl(candidate.psi, mesh)
+    w = eval_pl(spec.track.phi_inv, mesh)
+    col = eval_pl(spec.delta, w) - eval_pl(candidate.psi, w)
+    kappa = psi_x[:, None] + col[None, :]
+    return np.minimum(np.minimum(mesh[:, None], mesh[None, :]), kappa)
+
+
+def whole_splice_grid(s, mesh):
+    """splice_grid from two whole grids and a boolean mask."""
+    mesh = _validate_mesh(mesh, s.spec.track.phi.x)
+    upper = whole_grid_values(s.spec, s.upper, mesh)
+    lower = whole_grid_values(s.spec, s.lower, mesh)
+    phi_mesh = eval_pl(s.spec.track.phi, mesh)
+    above = mesh[None, :] >= phi_mesh[:, None]
+    return GridCopula(mesh, np.where(above, upper, lower))
+
+
+def whole_check_grid(grid, mode="copula", tol=1e-9):
+    """check_grid on whole-grid differences (mode is not read, as in check_grid)."""
+    mesh, v = grid.mesh, grid.values
+    grounded = bool(np.all(np.abs(v[0, :]) <= INTERNAL_TOL)
+                    and np.all(np.abs(v[:, 0]) <= INTERNAL_TOL))
+    margins = bool(np.all(np.abs(v[-1, :] - mesh) <= INTERNAL_TOL)
+                   and np.all(np.abs(v[:, -1] - mesh) <= INTERNAL_TOL))
+    dx = np.diff(mesh)
+    diff_x = np.diff(v, axis=0)
+    diff_y = np.diff(v, axis=1)
+    monotone = bool(np.all(diff_x >= -tol) and np.all(diff_y >= -tol))
+    lip_bound = dx * (1.0 + tol) + INTERNAL_TOL
+    lipschitz = bool(np.all(diff_x <= lip_bound[:, None])
+                     and np.all(diff_y <= lip_bound[None, :]))
+    cells = diff_x[:, 1:] - diff_x[:, :-1]
+    min_cell = float(cells.min())
+    i, j = np.unravel_index(np.argmin(cells), cells.shape)
+    worst_cell = (float(mesh[i]), float(mesh[j]))
+    two_increasing = min_cell >= -INTERNAL_TOL
+    return VerificationReport(grounded, margins, monotone, lipschitz,
+                              two_increasing, min_cell, worst_cell)
+
+
+def whole_compare(grid1, grid2, tol=1e-9):
+    """compare on the whole difference grid and its transpose."""
+    d = grid1.values - grid2.values
+    if float(np.abs(d).max()) <= tol:
+        return ComparisonResult("equal", None, None)
+    if bool(np.all(d >= -tol)):
+        return ComparisonResult("first-dominates", None, None)
+    if bool(np.all(d <= tol)):
+        return ComparisonResult("second-dominates", None, None)
+    prod = d * d.T
+    masked = np.where(prod < 0.0, prod, 0.0)
+    if masked.min() < 0.0:
+        i, j = np.unravel_index(np.argmin(masked), masked.shape)
+        witness = (float(grid1.mesh[i]), float(grid1.mesh[j]))
+        return ComparisonResult("incomparable", witness, float(prod[i, j]))
+    return ComparisonResult("incomparable", None, None)
+
+
+def whole_extract_psi(grid, track, tol=1e-9):
+    """extract_psi on whole-grid cell volumes and area fractions."""
+    if not whole_check_grid(grid, "copula", tol).copula_ok:
+        raise NotACopula("grid fails the copula checks")
+    mesh = _validate_mesh(grid.mesh, track.phi.x)
+    v = grid.values
+    volumes = v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
+    a = eval_pl(track.phi, mesh[:-1])[:, None]
+    b = eval_pl(track.phi, mesh[1:])[:, None]
+    w = np.diff(mesh)[:, None]
+    y0 = mesh[None, :-1]
+    y1 = mesh[None, 1:]
+    area = _below_track_area(a, b, w, y0, y1)
+    frac = area / (w * (y1 - y0))
+    frac = np.clip(frac, 0.0, 1.0)
+    col_mass = np.sum(volumes * frac, axis=1)
+    psi_vals = np.concatenate(([0.0], np.cumsum(col_mass)))
+    return PLFunction(mesh, psi_vals)
+
+
+def whole_npy_bytes(grid):
+    """The bytes of a .npy grid file as np.save wrote the whole (n+1) x (n+1) table."""
+    n = len(grid.mesh)
+    table = np.empty((n + 1, n + 1))
+    table[0, 0] = np.nan
+    table[0, 1:] = grid.mesh
+    table[1:, 0] = grid.mesh
+    table[1:, 1:] = grid.values
+    buf = io.BytesIO()
+    np.save(buf, table)
+    return buf.getvalue()

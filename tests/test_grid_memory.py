@@ -1,0 +1,116 @@
+"""Memory ceilings of the n x n grid kernels, measured with tracemalloc.
+
+A kernel that builds a grid holds that grid plus about one row block, so
+materialize_grid and splice_grid peak at no more than 1.25 times the grid's
+n * n * 8 bytes. check_grid, compare, extract_psi and write_grid only read
+their grids and add at most 0.25 times that on top of them. numpy reports
+its array buffers to tracemalloc, so the peak counts every temporary.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from trackcop import (
+    check_grid,
+    compare,
+    extract_psi,
+    make_splice,
+    materialize_grid,
+    merge_knots,
+    psi_bounds,
+    quadruplet,
+    splice_grid,
+)
+from trackcop.cli import MESH_BUDGET_BYTES, MeshTooLarge, default_mesh, load_problem, main, \
+    write_grid
+
+from conftest import diagonal_spec
+from test_grid_blocks import knot_track_spec
+
+BUILD_CEILING = 1.25
+READ_CEILING = 0.25
+
+
+def added_peak(call, *args):
+    """(result, peak bytes the call allocated beyond what was live when it started)."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    result = call(*args)
+    return result, tracemalloc.get_traced_memory()[1] - base
+
+
+@pytest.fixture
+def traced():
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1001, 2001])
+@pytest.mark.parametrize("track", ["identity", "knot"])
+def test_grid_kernel_peaks(track, n, traced, tmp_path):
+    spec = diagonal_spec("fig2", 1001) if track == "identity" else knot_track_spec()
+    bounds = psi_bounds(spec)
+    low, up = quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up)
+    mesh = merge_knots(np.linspace(0.0, 1.0, n), spec.knots, spec.phi_values())
+    grid_bytes = len(mesh) ** 2 * 8.0
+
+    ratios = {}
+    grid, peak = added_peak(materialize_grid, spec, low, mesh)
+    ratios["materialize_grid"] = peak / grid_bytes
+    other = materialize_grid(spec, up, mesh)
+    spliced, peak = added_peak(splice_grid, make_splice(up, low), mesh)
+    ratios["splice_grid"] = peak / grid_bytes
+    del spliced
+    for name, call, args in [("check_grid", check_grid, (grid,)),
+                             ("compare", compare, (grid, other)),
+                             ("extract_psi", extract_psi, (grid, spec.track)),
+                             ("write_grid", write_grid, (tmp_path / "grid", grid, "npy"))]:
+        _, peak = added_peak(call, *args)
+        ratios[name] = peak / grid_bytes
+
+    builders = ("materialize_grid", "splice_grid")
+    over = {k: r for k, r in ratios.items()
+            if r > (BUILD_CEILING if k in builders else READ_CEILING)}
+    assert not over, f"peaks over their ceilings (x grid bytes): {over}"
+
+
+# ---------------------------------------------------------------------------
+# the CLI's mesh budget
+
+HUGE = "100000"  # two grids of 80 GB each
+
+
+def spec_file(tmp_path, **fields):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"diagonal": "w-diag", "psi": "lower", "mesh": 51, **fields}))
+    return str(path)
+
+
+@pytest.mark.parametrize("how", ["--mesh", "spec"])
+@pytest.mark.parametrize("command", [["build"], ["compare", "lower", "upper"],
+                                     ["splice", "upper", "lower"]],
+                         ids=lambda c: c[0])
+def test_mesh_over_budget_exits_2_before_any_grid(command, how, tmp_path, capsys, traced):
+    spec = spec_file(tmp_path, mesh=int(HUGE)) if how == "spec" else spec_file(tmp_path)
+    out = tmp_path / "out"
+    argv = [command[0], spec, *command[1:], "--out", str(out)]
+    if how == "--mesh":
+        argv += ["--mesh", HUGE]
+    code, peak = added_peak(main, argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a mesh of {HUGE} points needs") and "budget" in err
+    assert not out.exists()
+    assert peak < 16 * 2**20  # refused before any grid was allocated
+
+
+def test_mesh_budget_admits_4001_points(tmp_path):
+    problem = load_problem(spec_file(tmp_path, diagonal="fig2"))
+    assert len(default_mesh(problem, 4001)) >= 4001
+    side = int((MESH_BUDGET_BYTES / 16) ** 0.5)  # two grids of this side fill the budget
+    with pytest.raises(MeshTooLarge):
+        default_mesh(problem, side + 1)
