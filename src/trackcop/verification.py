@@ -71,12 +71,13 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     lines those reduce to adjacent-line monotonicity and Lipschitz checks.
 
     Tolerances: grounding, margins and 2-increasingness allow an absolute
-    INTERNAL_TOL; monotonicity allows an absolute `tol`. The Lipschitz bound
-    between adjacent mesh lines a distance dx apart is
-    ``diff <= dx * (1 + tol) + INTERNAL_TOL``. The relative slack alone
-    fails on the few-ulp rounding of the values in cells so thin that
-    dx * tol is below an ulp (a knot ~1e-7 from a mesh line); the absolute
-    INTERNAL_TOL covers that rounding.
+    INTERNAL_TOL. Between adjacent mesh lines a distance dx apart, the
+    monotone and Lipschitz checks take `tol` plus the same absolute
+    INTERNAL_TOL: ``diff >= -(tol + INTERNAL_TOL)`` and
+    ``diff <= dx * (1 + tol) + INTERNAL_TOL``. INTERNAL_TOL covers the
+    few-ulp rounding of the values, which `tol` alone does not at tol 0
+    (a step of -5.6e-17 on an exact copula) nor, relative to dx, in cells
+    so thin that dx * tol is below an ulp (a knot ~1e-7 from a mesh line).
     """
     check_tol(tol)
     mesh, v = grid.mesh, grid.values
@@ -89,6 +90,7 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     margins = bool(np.all(np.abs(v[-1, :] - mesh) <= INTERNAL_TOL)
                    and np.all(np.abs(v[:, -1] - mesh) <= INTERNAL_TOL))
     n = len(mesh)
+    step_floor = -(tol + INTERNAL_TOL)
     lip_bound = np.diff(mesh) * (1.0 + tol) + INTERNAL_TOL
     monotone = lipschitz = True
     min_cell, worst = None, None
@@ -96,7 +98,8 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
         # rows of v plus the next one, for the differences in x
         diff_x = np.diff(v[rows.start:rows.stop + 1], axis=0)
         diff_y = np.diff(v[rows], axis=1)
-        monotone = monotone and bool(np.all(diff_x >= -tol) and np.all(diff_y >= -tol))
+        monotone = monotone and bool(np.all(diff_x >= step_floor)
+                                     and np.all(diff_y >= step_floor))
         lipschitz = lipschitz and bool(
             np.all(diff_x <= lip_bound[rows.start:rows.start + len(diff_x), None])
             and np.all(diff_y <= lip_bound[None, :]))

@@ -259,7 +259,11 @@ def whole_splice_grid(s, mesh):
 
 
 def whole_check_grid(grid, mode="copula", tol=1e-9):
-    """check_grid on whole-grid differences (mode is not read, as in check_grid)."""
+    """check_grid on whole-grid differences (mode is not read, as in check_grid).
+
+    Its monotone floor is -(tol + INTERNAL_TOL), the rule check_grid adopted
+    after the blocked kernels; the rest is as the whole-grid kernel was.
+    """
     mesh, v = grid.mesh, grid.values
     grounded = bool(np.all(np.abs(v[0, :]) <= INTERNAL_TOL)
                     and np.all(np.abs(v[:, 0]) <= INTERNAL_TOL))
@@ -268,7 +272,8 @@ def whole_check_grid(grid, mode="copula", tol=1e-9):
     dx = np.diff(mesh)
     diff_x = np.diff(v, axis=0)
     diff_y = np.diff(v, axis=1)
-    monotone = bool(np.all(diff_x >= -tol) and np.all(diff_y >= -tol))
+    monotone = bool(np.all(diff_x >= -(tol + INTERNAL_TOL))
+                    and np.all(diff_y >= -(tol + INTERNAL_TOL)))
     lip_bound = dx * (1.0 + tol) + INTERNAL_TOL
     lipschitz = bool(np.all(diff_x <= lip_bound[:, None])
                      and np.all(diff_y <= lip_bound[None, :]))

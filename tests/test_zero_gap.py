@@ -8,6 +8,7 @@ and at the default tol, and the values must agree to rounding.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -28,13 +29,17 @@ from trackcop import (
     psi_bounds,
     quadruplet,
 )
-from trackcop.cli import builtin_diagonal
-from trackcop.funcspace import USER_TOL
+from trackcop.cli import builtin_diagonal, main
+from trackcop.funcspace import INTERNAL_TOL, USER_TOL
 
 from loop_reference import reference_c_psi_grid_values, reference_c_psi_value
 
 VALUE_BOUND = 1e-15
 EPS = np.finfo(float).eps
+
+
+# the hand-made section: zeta vanishes at 0.3 and 0.6 between the ends
+INTERIOR = {"x": [0, 0.15, 0.3, 0.45, 0.6, 0.8, 1], "y": [0, 0.1, 0.3, 0.4, 0.6, 0.7, 1]}
 
 
 def zero_gap_spec(name):
@@ -45,7 +50,7 @@ def zero_gap_spec(name):
     hand-made section with zeros at 0.3 and 0.6 between the ends.
     """
     if name == "interior":
-        delta = make_pl([0, 0.15, 0.3, 0.45, 0.6, 0.8, 1], [0, 0.1, 0.3, 0.4, 0.6, 0.7, 1])
+        delta = make_pl(INTERIOR["x"], INTERIOR["y"])
     else:
         delta = builtin_diagonal(name, 201)
     return make_diagonal(delta, identity_track())
@@ -115,3 +120,28 @@ def test_zero_gap_verdicts_match_short_circuit(name, tol):
         # The extracted psi is a cumulative sum over the mesh, and the short
         # circuit hid its rounding at zero gaps; that rounding is n ulps at most.
         assert np.abs(grid_a - grid_b).max() <= len(mesh) * EPS
+
+
+def test_tol0_monotone_check_allows_rounding_only():
+    # psi_U's grid on the hand-made section steps down by -5.55e-17 in
+    # places: rounding, which check_grid's INTERNAL_TOL covers at tol 0
+    spec = zero_gap_spec("interior")
+    mesh = merge_knots(np.linspace(0.0, 1.0, 101), spec.knots)
+    grid = materialize_grid(spec, quadruplet(spec, psi_bounds(spec).psi_up), mesh)
+    assert min(np.diff(grid.values, axis=0).min(), np.diff(grid.values, axis=1).min()) < 0.0
+    report = check_grid(grid, "quasi", 0.0)
+    assert report.monotone and report.copula_ok and report.quasi_ok
+
+    values = grid.values.copy()
+    values[50, 61] = values[50, 60] - 2 * INTERNAL_TOL  # a decrease twice that slack
+    report = check_grid(GridCopula(mesh, values), "quasi", 0.0)
+    assert not report.monotone and not report.quasi_ok
+
+
+def test_tol0_splice_of_the_hand_made_section_passes(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"diagonal": INTERIOR, "mesh": 101}))
+    out = tmp_path / "out"
+    assert main(["splice", str(spec), "upper", "lower", "--tol", "0",
+                 "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "report.json").read_text())["quasi_ok"] is True
