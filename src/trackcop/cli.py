@@ -188,7 +188,6 @@ def default_mesh(problem: ProblemSpec, n: int | None = None) -> np.ndarray:
 # an empty corner. Both round-trip bit-exactly.
 
 GRID_FORMATS = ("npy", "csv")
-CSV_CHUNK_ROWS = 64  # grid CSV rows formatted per write, to bound memory
 
 
 def _csv_text(table) -> str:
@@ -220,26 +219,30 @@ def _grid_from_table(table: np.ndarray, path) -> GridCopula:
     return GridCopula(mesh, table[1:, 1:])
 
 
+def _table_body(grid: GridCopula):
+    """The grid table below its mesh row, rows [mesh[i], values[i]], a row block at a time."""
+    n = len(grid.mesh)
+    for rows in _row_blocks(n, n + 1):
+        yield np.column_stack((grid.mesh[rows], grid.values[rows]))
+
+
 def write_grid_csv(path, grid: GridCopula):
-    mesh, values = grid.mesh, grid.values
     with open(path, "w") as fh:
-        fh.write("," + _csv_text(mesh[None, :]))
-        for start in range(0, len(mesh), CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
-            fh.write(_csv_text(np.column_stack((mesh[rows], values[rows]))))
+        fh.write("," + _csv_text(grid.mesh[None, :]))
+        for block in _table_body(grid):
+            fh.write(_csv_text(block))
 
 
 def write_grid_npy(path, grid: GridCopula):
-    """The grid table as np.save writes it, header first, then a row block at a time."""
-    mesh, values = grid.mesh, grid.values
-    n = len(mesh)
+    """The grid table with the bytes np.save gives it, written a row block at a time."""
+    n = len(grid.mesh)
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
               "fortran_order": False, "shape": (n + 1, n + 1)}
     with open(path, "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        fh.write(np.concatenate(([np.nan], mesh)).tobytes())
-        for rows in _row_blocks(n, n + 1):
-            fh.write(np.column_stack((mesh[rows], values[rows])).tobytes())
+        fh.write(np.concatenate(([np.nan], grid.mesh)).tobytes())
+        for block in _table_body(grid):
+            fh.write(block.tobytes())
 
 
 def read_grid_csv(path) -> GridCopula:

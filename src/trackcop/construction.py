@@ -162,7 +162,7 @@ _BLOCK_BYTES = 192 * 1024
 
 def _row_blocks(n_rows: int, n_cols: int):
     """Consecutive row slices covering range(n_rows), each about _BLOCK_BYTES of floats."""
-    step = max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
+    step = max(1, _BLOCK_BYTES // (8 * n_cols))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 

@@ -94,22 +94,22 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     lip_bound = np.diff(mesh) * (1.0 + tol) + INTERNAL_TOL
     monotone = lipschitz = True
     min_cell, worst = None, None
-    for rows in _row_blocks(n, n):
-        # rows of v plus the next one, for the differences in x
-        diff_x = np.diff(v[rows.start:rows.stop + 1], axis=0)
-        diff_y = np.diff(v[rows], axis=1)
+    for rows in _row_blocks(n - 1, n):
+        # the block's rows of v and the next one, which the x-differences need;
+        # that row's y-differences are checked twice, to the same verdict
+        vb = v[rows.start:rows.stop + 1]
+        diff_x = np.diff(vb, axis=0)
+        diff_y = np.diff(vb, axis=1)
         monotone = monotone and bool(np.all(diff_x >= step_floor)
                                      and np.all(diff_y >= step_floor))
-        lipschitz = lipschitz and bool(
-            np.all(diff_x <= lip_bound[rows.start:rows.start + len(diff_x), None])
-            and np.all(diff_y <= lip_bound[None, :]))
-        if not len(diff_x):
-            continue
+        lipschitz = lipschitz and bool(np.all(diff_x <= lip_bound[rows, None])
+                                       and np.all(diff_y <= lip_bound[None, :]))
         cells = diff_x[:, 1:] - diff_x[:, :-1]
         k = int(np.argmin(cells))
         value = float(cells.flat[k])
-        # the first occurrence of the least volume, as np.argmin over all cells
-        if min_cell is None or value < min_cell or (value != value and min_cell == min_cell):
+        # the first occurrence of the least volume (or of a NaN), as np.argmin
+        # over all cells would find it
+        if min_cell is None or value < min_cell or (np.isnan(value) and not np.isnan(min_cell)):
             min_cell = value
             worst = (rows.start + k // cells.shape[1], k % cells.shape[1])
     worst_cell = (float(mesh[worst[0]]), float(mesh[worst[1]]))
@@ -231,11 +231,11 @@ def extract_psi(grid: GridCopula, track: Track, tol: float = USER_TOL) -> PLFunc
     y1 = mesh[None, 1:]
     col_mass = np.empty(n - 1)
     for rows in _row_blocks(n - 1, n):
+        vb = v[rows.start:rows.stop + 1]
+        volumes = vb[1:, 1:] - vb[:-1, 1:] - vb[1:, :-1] + vb[:-1, :-1]
         area = _below_track_area(a[rows], b[rows], w[rows], y0, y1)
         frac = area / (w[rows] * (y1 - y0))
         frac = np.clip(frac, 0.0, 1.0)
-        vb = v[rows.start:rows.stop + 1]
-        volumes = vb[1:, 1:] - vb[:-1, 1:] - vb[1:, :-1] + vb[:-1, :-1]
         col_mass[rows] = np.sum(volumes * frac, axis=1)
     psi_vals = np.concatenate(([0.0], np.cumsum(col_mass)))
     return PLFunction(mesh, psi_vals)

@@ -14,8 +14,9 @@ knots around a point, a knot merge for every quadruplet, and existence and
 both quadruplets redone for every point.
 
 `whole_grid_values`, `whole_splice_grid`, `whole_check_grid`,
-`whole_compare`, `whole_extract_psi` and `whole_npy_bytes` are the grid
-kernels as they were before they took their grids a row block at a time:
+`whole_compare`, `whole_extract_psi`, `whole_npy_bytes` and
+`whole_csv_bytes` are the grid kernels and writers as they were before they
+took their grids a row block at a time:
 each holds several n x n temporaries at once. The blocked kernels must give
 the same bits.
 
@@ -42,6 +43,7 @@ from trackcop import (
     eval_pl,
     merge_knots,
 )
+from trackcop.cli import _csv_text
 from trackcop.construction import _validate_mesh
 from trackcop.funcspace import INTERNAL_TOL
 from trackcop.verification import _below_track_area
@@ -335,3 +337,9 @@ def whole_npy_bytes(grid):
     buf = io.BytesIO()
     np.save(buf, table)
     return buf.getvalue()
+
+
+def whole_csv_bytes(grid):
+    """The bytes of a .csv grid file, its body formatted as one table."""
+    body = np.column_stack((grid.mesh, grid.values))
+    return ("," + _csv_text(grid.mesh[None, :]) + _csv_text(body)).encode()

@@ -1,7 +1,7 @@
 """Differential tests: the row-blocked grid kernels against the whole-grid kernels they replaced.
 
 Grids, verification reports (worst_cell and min_cell_volume included),
-comparison results, extracted psi and .npy bytes must be bit-identical to
+comparison results, extracted psi and grid file bytes must be bit-identical to
 the versions in loop_reference.py. The block budget is patched down to 1,
 2 and 7 rows, so that block edges fall everywhere, and also left at the
 library's own size.
@@ -38,6 +38,7 @@ from conftest import diagonal_spec
 from loop_reference import (
     whole_check_grid,
     whole_compare,
+    whole_csv_bytes,
     whole_extract_psi,
     whole_grid_values,
     whole_npy_bytes,
@@ -116,8 +117,12 @@ def assert_kernels_match(spec, mesh, tmp_path):
             for b in grids:
                 assert same(compare(a, b, tol), whole_compare(a, b, tol))
     for grid in grids:
-        path = write_grid(tmp_path / "grid", grid, "npy")
-        assert path.read_bytes() == whole_npy_bytes(grid)
+        assert_files_match(grid, tmp_path)
+
+
+def assert_files_match(grid, tmp_path):
+    assert write_grid(tmp_path / "grid", grid, "npy").read_bytes() == whole_npy_bytes(grid)
+    assert write_grid(tmp_path / "grid", grid, "csv").read_bytes() == whole_csv_bytes(grid)
 
 
 @pytest.mark.parametrize("rows", BLOCK_ROWS, ids=lambda r: f"rows{r}")
@@ -200,4 +205,4 @@ def test_grid_holding_a_nan(rows, monkeypatch, tmp_path):
             assert same(compare(a, b, tol), whole_compare(a, b, tol))
         with pytest.raises(NotACopula):
             extract_psi(grid, identity_track(), tol)
-    assert write_grid(tmp_path / "out", grid, "npy").read_bytes() == whole_npy_bytes(grid)
+    assert_files_match(grid, tmp_path)
