@@ -233,7 +233,7 @@ def write_grid_csv(path, grid: GridCopula):
             fh.write(_csv_text(block))
 
 
-def write_grid_npy(path, grid: GridCopula):
+def _write_grid_npy(path, grid: GridCopula):
     """The grid table with the bytes np.save gives it, written a row block at a time."""
     n = len(grid.mesh)
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
@@ -270,7 +270,7 @@ def write_grid(path, grid: GridCopula, fmt: str) -> Path:
     if fmt == "csv":
         write_grid_csv(path, grid)
     else:
-        write_grid_npy(path, grid)
+        _write_grid_npy(path, grid)
     return path
 
 

@@ -7,6 +7,8 @@ the versions in loop_reference.py. The block budget is patched down to 1,
 library's own size.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,7 @@ from trackcop import (
     compare,
     extract_psi,
     identity_track,
-    make_diagonal,
-    make_pl,
     make_splice,
-    make_track,
     materialize_grid,
     merge_knots,
     psi_bounds,
@@ -31,7 +30,7 @@ from trackcop import (
     splice_grid,
 )
 from trackcop import construction
-from trackcop.cli import read_grid, write_grid
+from trackcop.cli import load_problem, read_grid, write_grid
 from trackcop.construction import c_psi_grid_values
 
 from conftest import diagonal_spec
@@ -76,14 +75,8 @@ def candidates(spec):
 
 
 def knot_track_spec():
-    """The four-knot track and section of tests/data/csv_v0/knot_spec.json."""
-    track = make_track(make_pl([0.0, 0.4146674463321014, 0.7487842105963983, 1.0],
-                               [0.0, 0.3374201496112379, 0.6095470346901711, 1.0]))
-    delta = make_pl([0.0, 0.12862891238106502, 0.38133902092568295, 0.4146674463321014,
-                     0.5853557128671998, 0.7272440310243912, 0.7487842105963983, 1.0],
-                    [0.0, 0.00964698265286924, 0.0683813263092446, 0.08006282248118493,
-                     0.18308825018095257, 0.3830436170007884, 0.4148535428997244, 1.0])
-    return make_diagonal(delta, track)
+    """The four-knot track and eight-knot section of tests/data/csv_v0/knot_spec.json."""
+    return load_problem(Path(__file__).parent / "data" / "csv_v0" / "knot_spec.json").spec
 
 
 SPECS = {
