@@ -145,8 +145,7 @@ def psi_bounds(spec: DiagonalSpec, tol: float = USER_TOL) -> PsiBounds:
     result = existence_check(spec, tol=tol)
     if not result.exists:
         raise NoCopulaExists(f"no copula with this track section; witness {result.witness}")
-    low, up, _ = spec._band
-    return PsiBounds(PLFunction(spec.knots, low), PLFunction(spec.knots, up))
+    return PsiBounds(*spec._band_functions)
 
 
 def _extreme_verdicts(spec: DiagonalSpec, tol: float = USER_TOL) -> tuple:
@@ -160,8 +159,7 @@ def _extreme_verdicts(spec: DiagonalSpec, tol: float = USER_TOL) -> tuple:
     if verdicts is None:
         verdicts = spec._band_verdicts[tol] = tuple(
             (c.eligible, c.violation)
-            for c in (quadruplet(spec, PLFunction(spec.knots, bound), tol)
-                      for bound in spec._band[:2]))
+            for c in (quadruplet(spec, bound, tol) for bound in spec._band_functions))
     return verdicts
 
 

@@ -246,22 +246,39 @@ def _write_grid_npy(path, grid: GridCopula):
 
 
 def read_grid_csv(path) -> GridCopula:
+    """Parse a CSV grid a row at a time into one preallocated (n+1) x (n+1) table.
+
+    Only the current row is held as text, so reading costs the table plus
+    one row. The table's side is the first row's width; a file too small to
+    hold that many rows is refused before anything is allocated.
+    """
     try:
         with open(path) as fh:
-            rows = [line.split(",") for line in map(str.strip, fh) if line]
+            rows = (line.split(",") for line in map(str.strip, fh) if line)
+            first = next(rows, None)
+            if first is None:
+                raise SpecFileError(f"grid file {path} is empty")
+            width, size = len(first), os.fstat(fh.fileno()).st_size
+            if width * width > size:  # every cell takes a byte or more
+                raise SpecFileError(f"grid file {path}: {width} columns cannot form a square"
+                                    f" table in {size} bytes")
+            first[0] = "nan"  # the empty corner
+            table = np.empty((width, width))
+            n_rows = 0
+            for row in itertools.chain([first], rows):
+                if len(row) != width:
+                    raise SpecFileError(f"grid file {path}: rows have different lengths")
+                if n_rows < width:
+                    table[n_rows] = list(map(float, row))
+                n_rows += 1
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read grid file {path}: {exc}")
-    if not rows:
-        raise SpecFileError(f"grid file {path} is empty")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise SpecFileError(f"grid file {path}: rows have different lengths")
-    rows[0][0] = "nan"  # the empty corner
-    try:
-        cells = np.array(list(map(float, itertools.chain.from_iterable(rows))))
-    except ValueError as exc:
+    except ValueError as exc:  # a cell that is not a number
         raise SpecFileError(f"grid file {path}: {exc}")
-    return _grid_from_table(cells.reshape(len(rows), width), path)
+    if n_rows != width:
+        raise SpecFileError(f"grid file {path}: expected a square (n+1) x (n+1) table,"
+                            f" got shape {(n_rows, width)}")
+    return _grid_from_table(table, path)
 
 
 def write_grid(path, grid: GridCopula, fmt: str) -> Path:

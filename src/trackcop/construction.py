@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import PsiCandidate
+from .canonical import PsiCandidate, _on_spec_knots
 from .errors import BadMesh, IneligiblePsi
-from .funcspace import INTERNAL_TOL, PLFunction, eval_pl
+from .funcspace import INTERNAL_TOL, PLFunction, _eval_pair, eval_pl
 from .trackmodel import DiagonalSpec
 
 
@@ -50,9 +50,27 @@ def _require_eligible(candidate: PsiCandidate):
 
 
 def _kappa(spec: DiagonalSpec, psi: PLFunction, x: float, y: float) -> float:
-    """psi(x) - psi(w) + delta(w) at w = phi_inv(y), the third term of the case formula."""
+    """psi(x) - psi(w) + delta(w) at w = phi_inv(y), the third term of the case formula.
+
+    A psi on the spec's knots shares delta's knot array, so one binary
+    search finds both values at w.
+    """
     w = eval_pl(spec.track.phi_inv, y)
-    return eval_pl(psi, x) - eval_pl(psi, w) + eval_pl(spec.delta, w)
+    psi_w, delta_w = _eval_pair(psi, spec.delta, w)
+    return eval_pl(psi, x) - psi_w + delta_w
+
+
+def _kappa_pair(spec: DiagonalSpec, f: PLFunction, g: PLFunction, x: float, y: float) -> tuple:
+    """(_kappa(spec, f, x, y), _kappa(spec, g, x, y)), bit for bit.
+
+    For f and g on one knot array this takes four binary searches, not six:
+    phi_inv at y, f and g at x, f and g at w, and delta at w.
+    """
+    w = eval_pl(spec.track.phi_inv, y)
+    f_x, g_x = _eval_pair(f, g, x)
+    f_w, g_w = _eval_pair(f, g, w)
+    delta_w = eval_pl(spec.delta, w)
+    return f_x - f_w + delta_w, g_x - g_w + delta_w
 
 
 def c_psi_value(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> float:
@@ -70,9 +88,9 @@ def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -
     s + t equals the copula value everywhere.
     """
     _require_eligible(candidate)
-    s = min(eval_pl(candidate.psi, x), eval_pl(candidate.chi, y))
-    t = min(eval_pl(candidate.xi, x), eval_pl(candidate.eta, y))
-    return {"s": s, "t": t}
+    psi_x, xi_x = _eval_pair(candidate.psi, candidate.xi, x)
+    chi_y, eta_y = _eval_pair(candidate.chi, candidate.eta, y)
+    return {"s": min(psi_x, chi_y), "t": min(xi_x, eta_y)}
 
 
 def _search_right(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -125,7 +143,7 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
     """
     _require_eligible(candidate)
     u = candidate.psi.x
-    phi_u = eval_pl(spec.track.phi, u)
+    phi_u = spec.phi_values() if _on_spec_knots(spec, candidate.psi) else eval_pl(spec.track.phi, u)
     g_vals = _rightmost_level(candidate.chi.x, candidate.chi.y, candidate.psi.y)
     h_vals = _rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y)
     g_vals = np.minimum(g_vals, phi_u)

@@ -99,33 +99,60 @@ def eval_pl(f: PLFunction, t):
     OutOfDomain.
     """
     if isinstance(t, (float, int)):  # Python scalars and np.float64
-        if not 0.0 <= t <= 1.0:
-            raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
+        t = _unit_point(t)
         # np.interp copies the read-only knot arrays on every call, O(n) for
         # one point; the views read the knots in place.
         xs, ys = f._views
-        t = float(t)
-        j = bisect_right(xs, t)
-        if j == 0:
-            return ys[0]
-        if j == len(xs):
-            return ys[-1]
-        x0, y0 = xs[j - 1], ys[j - 1]
-        if x0 == t:
-            return y0
-        x1, y1 = xs[j], ys[j]
-        slope = (y1 - y0) / (x1 - x0)
-        out = slope * (t - x0) + y0
-        if out != out:  # NaN from infinite ordinates: np.interp retries from the right
-            out = slope * (t - x1) + y1
-            if out != out and y0 == y1:
-                out = y0
-        return out
+        return _on_segment(xs, ys, bisect_right(xs, t), t)
     t_arr = np.asarray(t, dtype=float)
     if t_arr.size and not (t_arr.min() >= 0.0 and t_arr.max() <= 1.0):
         raise OutOfDomain("evaluation point outside [0, 1]")
     out = np.interp(t_arr, f.x, f.y)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def _unit_point(t) -> float:
+    """t as a Python float; raises OutOfDomain outside [0, 1] and for NaN."""
+    try:
+        t = float(t)  # compared as a float, an np.float64 is several times faster
+    except OverflowError:  # an int beyond the float range
+        raise OutOfDomain(f"evaluation point {t} outside [0, 1]") from None
+    if not 0.0 <= t <= 1.0:
+        raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
+    return t
+
+
+def _on_segment(xs, ys, j: int, t: float) -> float:
+    """np.interp's value at t, given j = bisect_right(xs, t): its arithmetic on segment j - 1."""
+    if j == 0:
+        return ys[0]
+    if j == len(xs):
+        return ys[-1]
+    x0, y0 = xs[j - 1], ys[j - 1]
+    if x0 == t:
+        return y0
+    x1, y1 = xs[j], ys[j]
+    slope = (y1 - y0) / (x1 - x0)
+    out = slope * (t - x0) + y0
+    if out != out:  # NaN from infinite ordinates: np.interp retries from the right
+        out = slope * (t - x1) + y1
+        if out != out and y0 == y1:
+            out = y0
+    return out
+
+
+def _eval_pair(f: PLFunction, g: PLFunction, t) -> tuple:
+    """(f(t), g(t)) at a scalar point, with the bits of eval_pl.
+
+    When f and g share their knot array (`f.x is g.x`) one binary search
+    serves both; otherwise each takes its own.
+    """
+    if f.x is not g.x:
+        return eval_pl(f, t), eval_pl(g, t)
+    t = _unit_point(t)
+    xs, fy = f._views
+    j = bisect_right(xs, t)
+    return _on_segment(xs, fy, j, t), _on_segment(xs, g._views[1], j, t)
 
 
 def identity_pl(knots=None) -> PLFunction:

@@ -21,13 +21,13 @@ from .errors import (
     NotStrictlyIncreasing,
 )
 from .funcspace import (
+    INTERNAL_TOL,
     USER_TOL,
     PLFunction,
     check_tol,
     eval_pl,
     first_decrease,
     merge_knots,
-    resample,
 )
 
 
@@ -62,7 +62,8 @@ class DiagonalSpec:
     zeta(x) = x - delta(x); delta_tilde(x) = phi(x) - delta(x).
 
     phi_values() and the band are computed once per spec and returned as
-    read-only arrays. Two memos answer repeated queries:
+    read-only arrays; make_diagonal hands the spec the phi values it has
+    already computed on the knots. Two memos answer repeated queries:
     `_existence` maps tol to existence_check's ExistenceResult (witnesses
     differ by tol), and `_band_verdicts` maps tol to the (eligible,
     violation) pairs of the quadruplets of psi_L and psi_U. A memo holds
@@ -98,6 +99,12 @@ class DiagonalSpec:
         return {}
 
     @cached_property
+    def _band_functions(self) -> tuple:
+        """psi_L and psi_U as PLFunctions on the spec's knots, shared by every caller."""
+        low, up, _ = self._band
+        return PLFunction(self.knots, low), PLFunction(self.knots, up)
+
+    @cached_property
     def _band(self) -> tuple:
         """(psi_L, psi_U, psi_U - psi_L) at the spec's knots.
 
@@ -121,16 +128,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def diagonal_conditions(delta: PLFunction, track: Track, tol: float = USER_TOL) -> dict:
-    """Check the four admissibility conditions of a track diagonal.
+def _common_knots(delta: PLFunction, track: Track) -> tuple:
+    """(u, delta(u), phi(u)) on u = merge_knots(delta.x, track.phi.x).
 
-    Returns a dict mapping "a".."d" to (ok, where); where is the first
-    offending knot (segment start for the slope condition "d").
+    When delta's knots already hold the track's, run from +0.0 to 1.0 and
+    have no gap <= INTERNAL_TOL, merge_knots would give them back
+    bit for bit, and np.interp at a knot returns the stored ordinate; so u
+    is delta.x and delta(u) is delta.y, with no merge and no interpolation.
     """
-    check_tol(tol)
-    u = merge_knots(delta.x, track.phi.x)
-    d = eval_pl(delta, u)
-    p = eval_pl(track.phi, u)
+    x, tx = delta.x, track.phi.x
+    at = np.minimum(np.searchsorted(x, tx), len(x) - 1)
+    if (x[0] == 0.0 and not np.signbit(x[0]) and x[-1] == 1.0
+            and np.all(x[at] == tx) and np.all(np.diff(x) > INTERNAL_TOL)):
+        return x, delta.y, eval_pl(track.phi, x)
+    u = merge_knots(x, tx)
+    return u, eval_pl(delta, u), eval_pl(track.phi, u)
+
+
+def _conditions(u: np.ndarray, d: np.ndarray, p: np.ndarray, tol: float) -> dict:
+    """The four admissibility conditions of diagonal_conditions on common knots u."""
     results = {}
     # (a) delta(1) = 1
     results["a"] = (abs(d[-1] - 1.0) <= tol, 1.0)
@@ -147,6 +163,16 @@ def diagonal_conditions(delta: PLFunction, track: Track, tol: float = USER_TOL) 
     return results
 
 
+def diagonal_conditions(delta: PLFunction, track: Track, tol: float = USER_TOL) -> dict:
+    """Check the four admissibility conditions of a track diagonal.
+
+    Returns a dict mapping "a".."d" to (ok, where); where is the first
+    offending knot (segment start for the slope condition "d").
+    """
+    check_tol(tol)
+    return _conditions(*_common_knots(delta, track), tol)
+
+
 def make_diagonal(delta: PLFunction, track: Track, tol: float = USER_TOL,
                   validate: bool = True) -> DiagonalSpec:
     """Validate a diagonal against a track and materialize the gap functions.
@@ -155,18 +181,14 @@ def make_diagonal(delta: PLFunction, track: Track, tol: float = USER_TOL,
     existence_check to diagnose prescriptions that are not realizable.
     """
     check_tol(tol)
+    u, d, p = _common_knots(delta, track)
     if validate:
-        results = diagonal_conditions(delta, track, tol=tol)
-        for cond in "abcd":
-            ok, where = results[cond]
+        for cond, (ok, where) in _conditions(u, d, p, tol).items():
             if not ok:
                 raise DiagonalConditionViolated(cond, where)
-    u = merge_knots(delta.x, track.phi.x)
-    d = resample(delta, u)
-    p = eval_pl(track.phi, u)
-    zeta = PLFunction(u, u - d.y)
-    delta_tilde = PLFunction(u, p - d.y)
-    return DiagonalSpec(d, zeta, delta_tilde, track)
+    spec = DiagonalSpec(PLFunction(u, d), PLFunction(u, u - d), PLFunction(u, p - d), track)
+    spec.__dict__["_phi_knots"] = _read_only(p)  # seeds the cached_property behind phi_values()
+    return spec
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import _extreme_verdicts, psi_bounds, quadruplet
-from .construction import CopulaCpsi, GridCopula, _kappa, _row_blocks, _validate_mesh, \
+from .construction import CopulaCpsi, GridCopula, _kappa_pair, _row_blocks, _validate_mesh, \
     make_cpsi
 from .errors import BadMesh, MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
@@ -186,13 +186,11 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     call a query costs a few binary searches on any track.
     """
     bounds = psi_bounds(spec, tol=tol)
-    values = []
-    for psi, (eligible, violation) in zip((bounds.psi_low, bounds.psi_up),
-                                          _extreme_verdicts(spec)):
+    for eligible, violation in _extreme_verdicts(spec):
         if not eligible:
             raise IneligiblePsi(violation)
-        values.append(min(x, y, _kappa(spec, psi, x, y)))
-    return max(values)
+    kappa_low, kappa_up = _kappa_pair(spec, bounds.psi_low, bounds.psi_up, x, y)
+    return max(min(x, y, kappa_low), min(x, y, kappa_up))
 
 
 def _below_track_area(a, b, w, y0, y1):

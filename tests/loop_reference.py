@@ -7,6 +7,11 @@ them exactly as existence_check, eligibility_by_variation, psi_bounds and
 region_functions did, so the vectorized code can be required to give
 bit-identical results.
 
+`reference_common_knots`, `reference_diagonal_conditions` and
+`reference_make_diagonal` build a section's common knots as they were
+before the knot-aligned path: a knot merge and np.interp of delta and phi
+onto the merged knots, every time.
+
 `reference_eval_scalar`, `reference_quadruplet`, `reference_blend_psi` and
 `reference_pointwise_upper_bound` are the per-point path as it was before
 the per-spec memos and the knot-aligned fast path: np.interp on the two
@@ -34,6 +39,7 @@ import numpy as np
 
 from trackcop import (
     ComparisonResult,
+    DiagonalSpec,
     GridCopula,
     IneligiblePsi,
     NoCopulaExists,
@@ -140,6 +146,30 @@ def reference_region(spec, candidate):
         h_vals[i] = rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y[i])
     g_vals = np.minimum(g_vals, phi_u)
     return PLFunction(u, g_vals), PLFunction(u, h_vals)
+
+
+def reference_common_knots(delta, track):
+    """(u, delta(u), phi(u)) on the merged knots of delta and the track."""
+    u = merge_knots(delta.x, track.phi.x)
+    return u, np.interp(u, delta.x, delta.y), np.interp(u, track.phi.x, track.phi.y)
+
+
+def reference_diagonal_conditions(delta, track, tol):
+    """diagonal_conditions as it was: {"a".."d": (ok, first offending knot)}."""
+    u, d, p = reference_common_knots(delta, track)
+    results = {"a": (abs(d[-1] - 1.0) <= tol, 1.0)}
+    for name, bad in (("b", d > np.minimum(u, p) + tol),
+                      ("c", np.diff(d) < -tol),
+                      ("d", np.diff(d) > np.diff(u) + np.diff(p) + tol)):
+        idx = np.nonzero(bad)[0]
+        results[name] = (len(idx) == 0, u[idx[0]] if len(idx) else None)
+    return results
+
+
+def reference_make_diagonal(delta, track):
+    """The DiagonalSpec make_diagonal built, with phi_values() left to interpolate."""
+    u, d, p = reference_common_knots(delta, track)
+    return DiagonalSpec(PLFunction(u, d), PLFunction(u, u - d), PLFunction(u, p - d), track)
 
 
 def reference_eval_scalar(f, t):

@@ -3,7 +3,8 @@
 A kernel that builds a grid holds that grid plus about one row block, so
 materialize_grid and splice_grid peak at no more than 1.25 times the grid's
 n * n * 8 bytes. check_grid, compare, extract_psi and write_grid only read
-their grids and add at most 0.25 times that on top of them. numpy reports
+their grids and add at most 0.25 times that on top of them. read_grid of a
+CSV file builds its grid the same way, one text row at a time. numpy reports
 its array buffers to tracemalloc, so the peak counts every temporary.
 """
 
@@ -25,7 +26,7 @@ from trackcop import (
     splice_grid,
 )
 from trackcop.cli import MESH_BUDGET_BYTES, MeshTooLarge, default_mesh, load_problem, main, \
-    write_grid
+    read_grid, write_grid
 
 from conftest import diagonal_spec
 from test_grid_blocks import knot_track_spec
@@ -76,6 +77,17 @@ def test_grid_kernel_peaks(track, n, traced, tmp_path):
     over = {k: r for k, r in ratios.items()
             if r > (BUILD_CEILING if k in builders else READ_CEILING)}
     assert not over, f"peaks over their ceilings (x grid bytes): {over}"
+
+
+def test_csv_grid_read_peak(traced, tmp_path):
+    spec = diagonal_spec("fig2", 1001)
+    mesh = merge_knots(np.linspace(0.0, 1.0, 1001), spec.knots)
+    grid = materialize_grid(spec, quadruplet(spec, psi_bounds(spec).psi_low), mesh)
+    path = write_grid(tmp_path / "grid", grid, "csv")
+    del grid
+    read, peak = added_peak(read_grid, path)
+    assert len(read.mesh) >= 1001
+    assert peak / (len(mesh) ** 2 * 8.0) <= BUILD_CEILING
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 pointwise_upper_bound, quadruplet and blend on spec-knot psi, and the
 scalar eval_pl must give the bits of the oracles in loop_reference.py.
+Functions on one knot array share one binary search per point, with the
+same bits.
 Where the oracle takes the identity track's closed form, the bound must
 agree with it to CLOSED_FORM_BOUND instead.
 The memos on a DiagonalSpec must hold no reference back to it, so a spec
 is freed by reference counting alone.
 """
 
+import bisect
 import copy
 import gc
 import pickle
@@ -21,8 +24,10 @@ from hypothesis import strategies as st
 from trackcop import (
     IneligiblePsi,
     NoCopulaExists,
+    OutOfDomain,
     PLFunction,
     blend,
+    c_psi_value,
     eligibility_by_variation,
     eval_pl,
     existence_check,
@@ -33,7 +38,10 @@ from trackcop import (
     pointwise_upper_bound,
     psi_bounds,
     quadruplet,
+    s_t_split,
 )
+from trackcop import funcspace
+from trackcop.funcspace import _eval_pair
 
 from loop_reference import (
     is_identity_track,
@@ -225,6 +233,85 @@ def test_pl_function_pickles_and_copies_after_scalar_eval():
     for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         assert same_bits(g.x, f.x) and same_bits(g.y, f.y)
         assert eval_pl(g, 0.2) == eval_pl(f, 0.2)
+
+
+# ---------------------------------------------------------------------------
+# one search for functions on one knot array
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The number of binary searches the scalar evaluators have made, counted from here on."""
+    calls = []
+
+    def counting(xs, t):
+        calls.append(t)
+        return bisect.bisect_right(xs, t)
+
+    monkeypatch.setattr(funcspace, "bisect_right", counting)
+    return calls
+
+
+def pair_functions():
+    """Pairs on one knot array, among them infinite ordinates, where np.interp retries."""
+    x = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
+    pairs = [(PLFunction(x, [0.0, 0.1, 0.4, 0.45, 1.0]),
+              PLFunction(x, [1.0, -2.0, 3.5, 1e300, -1e300])),
+             (PLFunction(x, [0.0, np.inf, np.inf, 1.0, 2.0]),
+              PLFunction(x, [-np.inf, -np.inf, 0.0, np.inf, np.inf]))]
+    return x, pairs
+
+
+def test_eval_pair_has_the_bits_of_eval_pl_with_one_search(searches):
+    x, pairs = pair_functions()
+    for f, g in pairs:
+        assert f.x is g.x
+        for t in np.concatenate((probe_points(x), np.linspace(0.0, 1.0, 23))):
+            for arg in (float(t), np.float64(t)):
+                del searches[:]
+                pair = _eval_pair(f, g, arg)
+                assert len(searches) == 1
+                expected = [reference_eval_scalar(h, t) for h in (f, g)]
+                assert all(type(v) is float for v in pair)
+                assert same_bits(pair, expected) and same_bits(pair, [eval_pl(f, t), eval_pl(g, t)])
+
+
+def test_eval_pair_on_different_knot_arrays_searches_each(searches):
+    x, [(f, g), _] = pair_functions()
+    copied = PLFunction(x.copy(), g.y)  # equal knots, another array
+    other = PLFunction([0.0, 0.6, 1.0], [0.0, 0.3, 1.0])
+    for h in (copied, other):
+        for t in (0.0, 0.2, 0.33, 1.0):
+            del searches[:]
+            assert same_bits(_eval_pair(f, h, t), [eval_pl(f, t), eval_pl(h, t)])
+            assert len(searches) == 4  # two here, two for the expected values
+
+
+@pytest.mark.parametrize("t", [np.float64("nan"), float("nan"), np.float64(-0.1),
+                               np.float64(1.5), -1e-300, 10**400], ids=repr)
+def test_eval_pair_rejects_points_outside_the_unit_interval(t):
+    x, [(f, g), _] = pair_functions()
+    for h in (g, PLFunction(x.copy(), g.y)):
+        with pytest.raises(OutOfDomain):
+            _eval_pair(f, h, t)
+    with pytest.raises(OutOfDomain):
+        eval_pl(f, t)
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+def test_point_queries_share_searches(identity, searches):
+    rng = np.random.default_rng([11, int(identity)])
+    spec = section(rng, 500, identity)
+    bounds = psi_bounds(spec)
+    mix = blend(quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up), 0.4)
+    pointwise_upper_bound(spec, 0.5, 0.5)  # fills the per-spec memos
+    for call, count in ((c_psi_value, 3), (s_t_split, 2)):
+        del searches[:]
+        call(spec, mix, 0.3, 0.6)
+        assert len(searches) == count, call.__name__
+    del searches[:]
+    pointwise_upper_bound(spec, 0.3, 0.6)
+    assert len(searches) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from trackcop import (
     psi_bounds,
     quadruplet,
 )
-from trackcop.cli import load_problem, resolve_candidate
+from trackcop.cli import load_problem, main, resolve_candidate
 from trackcop.funcspace import check_tol
 
 BAD_TOLS = [float("nan"), -1.0, float("inf"), np.float64("nan"), "1e-9", None]
@@ -112,3 +112,28 @@ def test_check_tol_returns_a_good_tol():
     assert check_tol(0.0) == 0.0 and check_tol(2) == 2
     with pytest.raises(BadTolerance, match="finite number >= 0"):
         check_tol(float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# At tol 0 two verdicts still trip on rounding. The tolerance rule of the
+# roadmap (tol as modelling slack for 1-D data, a fixed rounding bound for
+# grids) should let both commands succeed; until then each test fails, and
+# strict=True turns the fix into a visible pass.
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="psi_U's xi dips by rounding, which tol 0 forbids")
+def test_build_of_psi_upper_succeeds_at_tol_0(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"diagonal": "fig2", "psi": "upper", "mesh": 501}))
+    code = main(["build", str(spec), "--tol", "0", "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the extracted psi's chi dips by rounding at tol 0")
+def test_envelope_of_a_constructed_grid_succeeds_at_tol_0(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"diagonal": "w-diag", "mesh": 101}))
+    assert main(["build", str(spec), "--out", str(tmp_path / "build"), "--quiet"]) == 0
+    code = main(["envelope", str(tmp_path / "build" / "grid.npy"), str(spec), "--tol", "0",
+                 "--out", str(tmp_path / "envelope"), "--quiet"])
+    assert code == 0, capsys.readouterr().err
