@@ -34,7 +34,6 @@ from .funcspace import (
     make_pl,
     merge_knots,
     positive_variation_majorant,
-    resample,
     variation,
 )
 from .trackmodel import (

@@ -31,7 +31,8 @@ from .funcspace import (
     first_decrease,
     merge_knots,
 )
-from .trackmodel import DiagonalSpec, existence_check
+from .trackmodel import DiagonalSpec, _companion_violation, _quadruplet_arrays, \
+    existence_check
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,9 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     else:
         u = merge_knots(spec.knots, psi.x)
         psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
-    psi_r = PLFunction(u, psi_u)
-    xi = PLFunction(u, u - psi_u)
-    eta = PLFunction(phi_u, delta_u - psi_u)
-    chi = PLFunction(phi_u, phi_u - delta_u + psi_u)
-    violation = None
-    for name, f in (("psi", psi_r), ("chi", chi), ("eta", eta), ("xi", xi)):
-        bad = np.nonzero(np.diff(f.y) < -tol)[0]
-        if len(bad):
-            violation = f"{name} decreasing at knot {f.x[bad[0]]:.6g}"
-            break
+    arrays = _quadruplet_arrays(u, psi_u, delta_u, phi_u)
+    violation = _companion_violation(arrays, tol)
+    psi_r, chi, eta, xi = (PLFunction(x, y) for x, y in arrays)
     return PsiCandidate(psi_r, chi, eta, xi, violation is None, violation, spec)
 
 
@@ -116,7 +110,7 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
     check_tol(tol)
     if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
-    low, up, _ = spec._band
+    low, up = spec._band[0].y, spec._band[1].y
     if _on_spec_knots(spec, psi):
         u, psi_u = spec.knots, psi.y
     else:
@@ -145,37 +139,23 @@ def psi_bounds(spec: DiagonalSpec, tol: float = USER_TOL) -> PsiBounds:
     result = existence_check(spec, tol=tol)
     if not result.exists:
         raise NoCopulaExists(f"no copula with this track section; witness {result.witness}")
-    return PsiBounds(*spec._band_functions)
-
-
-def _extreme_verdicts(spec: DiagonalSpec, tol: float = USER_TOL) -> tuple:
-    """(eligible, violation) of the quadruplets of psi_L and of psi_U, memoized per spec and tol.
-
-    Only the verdicts are kept: a PsiCandidate refers to its spec, and
-    caching one on the spec would make a reference cycle. Existence is not
-    checked here.
-    """
-    verdicts = spec._band_verdicts.get(tol)
-    if verdicts is None:
-        verdicts = spec._band_verdicts[tol] = tuple(
-            (c.eligible, c.violation)
-            for c in (quadruplet(spec, bound, tol) for bound in spec._band_functions))
-    return verdicts
+    return PsiBounds(*spec._band[:2])
 
 
 def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:
     """Convex combination of two eligible candidates for the same spec.
 
     The increment constraints are linear, so the blend is again eligible.
+    Candidates on one knot array (psi_L, psi_U and their blends share the
+    spec's) are combined on it without a merge.
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"blend weight {t} outside [0, 1]")
     if not _same_spec(a.spec, b.spec):
         raise SpecMismatch("candidates were built for different specs")
-    spec = a.spec
-    if _on_spec_knots(spec, a.psi) and _on_spec_knots(spec, b.psi):
-        u, a_u, b_u = spec.knots, a.psi.y, b.psi.y
+    if a.psi.x is b.psi.x:
+        u, a_u, b_u = a.psi.x, a.psi.y, b.psi.y
     else:
         u = merge_knots(a.psi.x, b.psi.x)
         a_u, b_u = eval_pl(a.psi, u), eval_pl(b.psi, u)
-    return quadruplet(spec, PLFunction(u, (1.0 - t) * a_u + t * b_u))
+    return quadruplet(a.spec, PLFunction(u, (1.0 - t) * a_u + t * b_u))

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
-from .construction import GridCopula, _BLOCK_BYTES, _row_blocks, _validate_mesh, make_cpsi, \
-    materialize_grid
+from .construction import GridCopula, _BLOCK_BYTES, _row_blocks, _validate_mesh, \
+    materialize_grid, region_functions
 from .errors import BadMesh, BadTolerance, IneligiblePsi, TrackcopError
 from .funcspace import USER_TOL, PLFunction, check_tol, make_pl, merge_knots
 from .splice import make_splice, splice_grid
@@ -319,22 +319,18 @@ def write_json(path, payload: dict):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_validate(args) -> int:
-    problem = load_problem(args.spec, tol=args.tol, validate=False)
+def cmd_validate(args, problem: ProblemSpec) -> tuple:
     conditions = diagonal_conditions(problem.spec.delta, problem.spec.track, tol=args.tol)
     result = existence_check(problem.spec, tol=args.tol)
-    if not args.quiet:
-        for cond in "abcd":
-            ok, where = conditions[cond]
-            suffix = "" if ok else f" (violated near x={where:.6g})"
-            print(f"condition ({cond}): {'ok' if ok else 'FAIL'}{suffix}")
-        print(f"variational criterion: {'ok' if result.variational_ok else 'FAIL'}")
-        print(f"lipschitz criterion:   {'ok' if result.lipschitz_ok else 'FAIL'}")
-        if result.witness:
-            print(f"witness interval: [{result.witness[0]:.6g}, {result.witness[1]:.6g}]")
-        print(f"copula exists: {result.exists}")
+    lines = [f"condition ({cond}): " + ("ok" if ok else f"FAIL (violated near x={where:.6g})")
+             for cond, (ok, where) in conditions.items()]
+    lines.append(f"variational criterion: {'ok' if result.variational_ok else 'FAIL'}")
+    lines.append(f"lipschitz criterion:   {'ok' if result.lipschitz_ok else 'FAIL'}")
+    if result.witness:
+        lines.append(f"witness interval: [{result.witness[0]:.6g}, {result.witness[1]:.6g}]")
+    lines.append(f"copula exists: {result.exists}")
     conditions_ok = all(ok for ok, _ in conditions.values())
-    return 0 if (result.exists and conditions_ok) else 1
+    return (0 if (result.exists and conditions_ok) else 1), "\n".join(lines)
 
 
 def _out_dir(args) -> Path:
@@ -344,36 +340,34 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_bounds(args) -> int:
-    problem = load_problem(args.spec, tol=args.tol)
+def cmd_bounds(args, problem: ProblemSpec) -> tuple:
     bounds = psi_bounds(problem.spec, tol=args.tol)
     out = _out_dir(args)
     write_function_csv(out / "psi_lower.csv", bounds.psi_low)
     write_function_csv(out / "psi_upper.csv", bounds.psi_up)
-    if not args.quiet:
-        print(f"wrote {out / 'psi_lower.csv'} and {out / 'psi_upper.csv'}")
-    return 0
+    return 0, f"wrote {out / 'psi_lower.csv'} and {out / 'psi_upper.csv'}"
 
 
-def cmd_build(args) -> int:
-    problem = load_problem(args.spec, tol=args.tol)
+def cmd_build(args, problem: ProblemSpec) -> tuple:
     [candidate] = _eligible_candidates(problem, [problem.psi_request], args.tol)
     grid = materialize_grid(problem.spec, candidate, default_mesh(problem, args.mesh))
-    cpsi = make_cpsi(problem.spec, candidate)
+    region = region_functions(problem.spec, candidate)
     report = check_grid(grid, mode="copula", tol=args.tol)
     out = _out_dir(args)
     write_grid(out / "grid", grid, args.format)
-    knots = cpsi.g.x
-    _write_columns_csv(out / "region.csv", "x,g,h", knots, cpsi.g(knots), cpsi.h(knots))
+    g, h = region["g"], region["h"]
+    _write_columns_csv(out / "region.csv", "x,g,h", g.x, g.y, h.y)
     write_json(out / "report.json", report.as_dict())
-    if not args.quiet:
-        print(f"copula checks: {'pass' if report.copula_ok else 'FAIL'}"
-              f" (min cell volume {report.min_cell_volume:.3g})")
-    return 0 if report.copula_ok else 1
+    return (0 if report.copula_ok else 1), (
+        f"copula checks: {'pass' if report.copula_ok else 'FAIL'}"
+        f" (min cell volume {report.min_cell_volume:.3g})")
 
 
-def cmd_compare(args) -> int:
-    problem = load_problem(args.spec, tol=args.tol)
+# compare's exit code for each relation of the two grids
+COMPARE_EXIT_CODES = {"equal": 0, "incomparable": 3, "first-dominates": 4, "second-dominates": 4}
+
+
+def cmd_compare(args, problem: ProblemSpec) -> tuple:
     cand_a, cand_b = _eligible_candidates(
         problem, [_psi_arg(args.psi_a), _psi_arg(args.psi_b)], args.tol)
     mesh = default_mesh(problem, args.mesh)
@@ -383,13 +377,7 @@ def cmd_compare(args) -> int:
     payload = result.as_dict()
     if args.out:
         write_json(_out_dir(args) / "comparison.json", payload)
-    if not args.quiet:
-        print(json.dumps(payload))
-    if result.relation == "equal":
-        return 0
-    if result.relation == "incomparable":
-        return 3
-    return 4
+    return COMPARE_EXIT_CODES[result.relation], json.dumps(payload)
 
 
 def _psi_arg(value):
@@ -403,8 +391,7 @@ def _psi_arg(value):
         raise SpecFileError(f"cannot read psi file {value}: {exc}")
 
 
-def cmd_envelope(args) -> int:
-    problem = load_problem(args.spec, tol=args.tol)
+def cmd_envelope(args, problem: ProblemSpec) -> tuple:
     grid = read_grid(args.grid)
     cpsi = dominating_envelope(grid, problem.spec.track, problem.spec, tol=args.tol)
     env = materialize_grid(problem.spec, cpsi.candidate, grid.mesh)
@@ -413,13 +400,10 @@ def cmd_envelope(args) -> int:
     out = _out_dir(args)
     write_function_csv(out / "psi_extracted.csv", cpsi.candidate.psi)
     write_grid(out / "envelope_grid", env, args.format)
-    if not args.quiet:
-        print(f"max pointwise gain: {gain:.6g}")
-    return 0
+    return 0, f"max pointwise gain: {gain:.6g}"
 
 
-def cmd_splice(args) -> int:
-    problem = load_problem(args.spec, tol=args.tol)
+def cmd_splice(args, problem: ProblemSpec) -> tuple:
     upper, lower = _eligible_candidates(
         problem, [_psi_arg(args.psi_upper), _psi_arg(args.psi_lower)], args.tol)
     spliced = make_splice(upper, lower)
@@ -428,10 +412,9 @@ def cmd_splice(args) -> int:
     out = _out_dir(args)
     write_grid(out / "splice_grid", grid, args.format)
     write_json(out / "report.json", report.as_dict())
-    if not args.quiet:
-        print(f"quasi-copula checks: {'pass' if report.quasi_ok else 'FAIL'};"
-              f" copula checks: {'pass' if report.copula_ok else 'fail'} (reported only)")
-    return 0 if report.quasi_ok else 1
+    return (0 if report.quasi_ok else 1), (
+        f"quasi-copula checks: {'pass' if report.quasi_ok else 'FAIL'};"
+        f" copula checks: {'pass' if report.copula_ok else 'fail'} (reported only)")
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_out=True, grids=False, mesh=False):
+        p.set_defaults(validate=True)  # the spec is validated as it loads
         p.add_argument("--tol", type=_tolerance, default=default_tol,
                        help="user-facing slack (default 1e-9; env TRACKCOP_TOL)")
         if mesh:
@@ -480,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check diagonal admissibility and existence")
     p.add_argument("spec")
     common(p, needs_out=False)
-    p.set_defaults(func=cmd_validate)
+    # loads an inadmissible spec too, to report which conditions it breaks
+    p.set_defaults(func=cmd_validate, validate=False)
 
     p = sub.add_parser("bounds", help="write the extremal mass functions")
     p.add_argument("spec")
@@ -517,16 +502,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Load the spec, run the subcommand on it and print its summary unless --quiet."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        problem = load_problem(args.spec, tol=args.tol, validate=args.validate)
+        code, summary = args.func(args, problem)
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrackcopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        print(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import PsiCandidate, _on_spec_knots
+from .canonical import PsiCandidate
 from .errors import BadMesh, IneligiblePsi
 from .funcspace import INTERNAL_TOL, PLFunction, _eval_pair, eval_pl
 from .trackmodel import DiagonalSpec
@@ -139,14 +139,14 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
 
     g(x) is the largest y with chi(y) <= psi(x), clamped to phi(x) to break
     ties on flat stretches (the copula value is unaffected either way);
-    h(x) is the largest y with eta(y) <= xi(x).
+    h(x) is the largest y with eta(y) <= xi(x). chi is carried on phi at
+    psi's knots, so its abscissas are the clamp.
     """
     _require_eligible(candidate)
     u = candidate.psi.x
-    phi_u = spec.phi_values() if _on_spec_knots(spec, candidate.psi) else eval_pl(spec.track.phi, u)
     g_vals = _rightmost_level(candidate.chi.x, candidate.chi.y, candidate.psi.y)
     h_vals = _rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y)
-    g_vals = np.minimum(g_vals, phi_u)
+    g_vals = np.minimum(g_vals, candidate.chi.x)
     return {"g": PLFunction(u, g_vals), "h": PLFunction(u, h_vals)}
 
 
@@ -207,16 +207,15 @@ def materialize_grid(spec: DiagonalSpec, candidate: PsiCandidate, mesh) -> GridC
     return GridCopula(mesh, c_psi_grid_values(spec, candidate, mesh))
 
 
-def min_equals_cases(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float,
-                     tol: float = INTERNAL_TOL) -> dict:
+def min_equals_cases(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> dict:
     """Which branch of the case formula is active at (x, y).
 
-    Ties at branch boundaries report "kappa"; all expressions agree there by
-    continuity.
+    Ties at branch boundaries, to INTERNAL_TOL, report "kappa"; all
+    expressions agree there by continuity.
     """
     _require_eligible(candidate)
     kappa = _kappa(spec, candidate.psi, x, y)
-    if kappa <= min(x, y) + tol:
+    if kappa <= min(x, y) + INTERNAL_TOL:
         branch = "kappa"
     elif x <= y:
         branch = "upper-M"

@@ -163,20 +163,10 @@ def identity_pl(knots=None) -> PLFunction:
     return PLFunction(knots, knots.copy())
 
 
-def constant_pl(c: float) -> PLFunction:
-    return PLFunction(np.array([0.0, 1.0]), np.array([float(c), float(c)]))
-
-
-def resample(f: PLFunction, knots) -> PLFunction:
-    """f carried on a (usually finer) knot set; exact where knots coincide."""
-    knots = np.asarray(knots, dtype=float)
-    return PLFunction(knots, eval_pl(f, knots))
-
-
-def merge_knots(*arrays, tol: float = INTERNAL_TOL) -> np.ndarray:
-    """Sorted union of knot sets, collapsing points closer than tol."""
+def merge_knots(*arrays) -> np.ndarray:
+    """Sorted union of knot sets, collapsing points closer than INTERNAL_TOL."""
     xs = np.unique(np.concatenate([np.asarray(a, dtype=float) for a in arrays]))
-    keep = np.concatenate(([True], np.diff(xs) > tol))
+    keep = np.concatenate(([True], np.diff(xs) > INTERNAL_TOL))
     xs = xs[keep].copy()
     xs[0] = 0.0
     xs[-1] = 1.0
@@ -240,6 +230,15 @@ def first_decrease(values, knots, tol: float = 0.0):
     j = int(bad[0]) + 1
     i = int(np.flatnonzero(values[:j] == run_max[j - 1])[-1])
     return (float(knots[i]), float(knots[j]))
+
+
+def first_step_down(values, tol: float = 0.0):
+    """Index i of the first step with values[i + 1] < values[i] - tol, or None.
+
+    Unlike first_decrease, each adjacent step is held to tol on its own.
+    """
+    bad = np.flatnonzero(np.diff(values) < -tol)
+    return int(bad[0]) if len(bad) else None
 
 
 def is_increasing(f: PLFunction, tol: float = 0.0) -> bool:

@@ -27,6 +27,7 @@ from .funcspace import (
     check_tol,
     eval_pl,
     first_decrease,
+    first_step_down,
     merge_knots,
 )
 
@@ -61,16 +62,13 @@ class DiagonalSpec:
     diagonal's and the track's knots, so knot-level checks are exact.
     zeta(x) = x - delta(x); delta_tilde(x) = phi(x) - delta(x).
 
-    phi_values() and the band are computed once per spec and returned as
-    read-only arrays; make_diagonal hands the spec the phi values it has
-    already computed on the knots. Two memos answer repeated queries:
-    `_existence` maps tol to existence_check's ExistenceResult (witnesses
-    differ by tol), and `_band_verdicts` maps tol to the (eligible,
-    violation) pairs of the quadruplets of psi_L and psi_U. A memo holds
-    plain values only, never an object that refers back to the spec (a
-    PsiCandidate does): such a cycle would keep every spec alive until the
-    cyclic garbage collector runs, instead of freeing it with its last
-    reference.
+    phi_values(), the band and the band's verdicts are computed once per
+    spec; make_diagonal hands the spec the phi values it has already
+    computed on the knots. `_existence` maps tol to existence_check's
+    ExistenceResult (witnesses differ by tol). A memo holds plain values
+    only, never an object that refers back to the spec (a PsiCandidate
+    does): such a cycle would keep every spec alive until the cyclic
+    garbage collector runs, instead of freeing it with its last reference.
     """
 
     delta: PLFunction
@@ -95,23 +93,13 @@ class DiagonalSpec:
         return {}
 
     @cached_property
-    def _band_verdicts(self) -> dict:
-        return {}
-
-    @cached_property
-    def _band_functions(self) -> tuple:
-        """psi_L and psi_U as PLFunctions on the spec's knots, shared by every caller."""
-        low, up, _ = self._band
-        return PLFunction(self.knots, low), PLFunction(self.knots, up)
-
-    @cached_property
     def _band(self) -> tuple:
-        """(psi_L, psi_U, psi_U - psi_L) at the spec's knots.
+        """(psi_L, psi_U, psi_U - psi_L): both ends as PLFunctions on the spec's knots.
 
         psi_L accumulates the negative variation of phi - delta; psi_U is x
-        minus the accumulated positive variation of zeta. The gap is summed
-        in one pass, x - cumsum(vm + vp): psi_U - psi_L rounds differently,
-        which moves witnesses at exact-tol ties.
+        minus the accumulated positive variation of zeta. The gap, an array,
+        is summed in one pass, x - cumsum(vm + vp): psi_U - psi_L rounds
+        differently, which moves witnesses at exact-tol ties.
         """
         u = self.knots
         dd = np.diff(self.delta.y)
@@ -120,12 +108,35 @@ class DiagonalSpec:
         low = np.concatenate(([0.0], np.cumsum(vm)))
         up = u - np.concatenate(([0.0], np.cumsum(vp)))
         gap = u - np.concatenate(([0.0], np.cumsum(vm + vp)))
-        return _read_only(low), _read_only(up), _read_only(gap)
+        return PLFunction(u, low), PLFunction(u, up), _read_only(gap)
+
+    @cached_property
+    def _band_verdicts(self) -> tuple:
+        """(eligible, violation) of psi_L and of psi_U, as quadruplet gives them at USER_TOL."""
+        u, d, p = self.knots, self.delta.y, self._phi_knots
+        violations = (_companion_violation(_quadruplet_arrays(u, f.y, d, p), USER_TOL)
+                      for f in self._band[:2])
+        return tuple((v is None, v) for v in violations)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _quadruplet_arrays(u, psi_u, delta_u, phi_u) -> tuple:
+    """(knots, values) of psi, chi, eta and xi, in that order, from psi, delta and phi at u."""
+    return ((u, psi_u), (phi_u, phi_u - delta_u + psi_u), (phi_u, delta_u - psi_u),
+            (u, u - psi_u))
+
+
+def _companion_violation(arrays, tol: float) -> Optional[str]:
+    """The first of _quadruplet_arrays' four functions to step down past tol, as a message."""
+    for name, (x, y) in zip(("psi", "chi", "eta", "xi"), arrays):
+        k = first_step_down(y, tol)
+        if k is not None:
+            return f"{name} decreasing at knot {x[k]:.6g}"
+    return None
 
 
 def _common_knots(delta: PLFunction, track: Track) -> tuple:

@@ -11,12 +11,12 @@ constructed copula that dominates the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .canonical import _extreme_verdicts, psi_bounds, quadruplet
+from .canonical import psi_bounds, quadruplet
 from .construction import CopulaCpsi, GridCopula, _kappa_pair, _row_blocks, _validate_mesh, \
     make_cpsi
 from .errors import BadMesh, MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
@@ -50,17 +50,7 @@ class VerificationReport:
         return self.copula_ok if mode == "copula" else self.quasi_ok
 
     def as_dict(self) -> dict:
-        return {
-            "grounded": self.grounded,
-            "margins": self.margins,
-            "monotone": self.monotone,
-            "lipschitz": self.lipschitz,
-            "two_increasing": self.two_increasing,
-            "min_cell_volume": self.min_cell_volume,
-            "worst_cell": list(self.worst_cell) if self.worst_cell else None,
-            "copula_ok": self.copula_ok,
-            "quasi_ok": self.quasi_ok,
-        }
+        return {**asdict(self), "copula_ok": self.copula_ok, "quasi_ok": self.quasi_ok}
 
 
 def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) -> VerificationReport:
@@ -125,11 +115,7 @@ class ComparisonResult:
     product: Optional[float]
 
     def as_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "witness_pair": list(self.witness_pair) if self.witness_pair else None,
-            "product": self.product,
-        }
+        return asdict(self)
 
 
 def compare(grid1: GridCopula, grid2: GridCopula, tol: float = USER_TOL) -> ComparisonResult:
@@ -181,12 +167,12 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     spec's cached band. On the identity track it equals the closed form of
     Nelsen et al. (JMVA 2004) up to rounding. Raises NoCopulaExists when no
     copula has this track section, and IneligiblePsi when psi_L or psi_U
-    fails quadruplet's test (possible on a spec made with validate=False).
-    Existence and both verdicts are memoized per spec, so after the first
-    call a query costs a few binary searches on any track.
+    fails quadruplet's test at USER_TOL (possible on a spec made with
+    validate=False). Existence and both verdicts are memoized per spec, so
+    after the first call a query costs a few binary searches on any track.
     """
     bounds = psi_bounds(spec, tol=tol)
-    for eligible, violation in _extreme_verdicts(spec):
+    for eligible, violation in spec._band_verdicts:
         if not eligible:
             raise IneligiblePsi(violation)
     kappa_low, kappa_up = _kappa_pair(spec, bounds.psi_low, bounds.psi_up, x, y)

@@ -1,0 +1,93 @@
+"""The band answers its own eligibility, and a blend on a shared knot array skips the merge.
+
+`DiagonalSpec._band_verdicts` reads the verdicts of psi_L and psi_U off the
+band's arrays; they must be what quadruplet says of the same functions at
+USER_TOL. Sections come from strategies.py on both track kinds, admissible
+ones and validate=False ones whose delta dips, which no copula realizes and
+whose band ends are ineligible.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trackcop import (
+    IneligiblePsi,
+    PLFunction,
+    blend,
+    existence_check,
+    make_diagonal,
+    make_pl,
+    pointwise_upper_bound,
+    psi_bounds,
+    quadruplet,
+)
+
+from loop_reference import reference_blend_psi, reference_quadruplet
+from strategies import sections
+from test_kernels import same_bits
+
+
+def dipped(spec, k, drop):
+    """spec rebuilt with validate=False and delta at knot k set `drop` below delta at knot k - 1."""
+    d = spec.delta.y.copy()
+    d[k] = d[k - 1] - drop
+    return make_diagonal(make_pl(spec.knots, d), spec.track, validate=False)
+
+
+def quadruplet_verdicts(spec, ends):
+    return tuple((c.eligible, c.violation) for c in (quadruplet(spec, f) for f in ends))
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_band_verdicts_are_the_quadruplets_verdicts(identity, data):
+    spec = data.draw(sections(identity))
+    bounds = psi_bounds(spec)
+    assert spec._band_verdicts == quadruplet_verdicts(spec, (bounds.psi_low, bounds.psi_up))
+    assert spec._band_verdicts == ((True, None), (True, None))
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+@given(data=st.data(), drop=st.floats(1e-6, 0.05))
+@settings(max_examples=100, deadline=None)
+def test_band_verdicts_of_a_dipping_delta_raise_ineligible(identity, data, drop):
+    spec = data.draw(sections(identity))
+    spec = dipped(spec, data.draw(st.integers(1, len(spec.knots) - 2)), drop)
+    # twice the most the band's gap narrows, so existence holds at tol
+    gap = spec._band[2]
+    tol = 2.0 * float(np.max(np.maximum.accumulate(gap) - gap))
+    assert existence_check(spec, tol=tol).exists
+    bounds = psi_bounds(spec, tol=tol)
+    verdicts = quadruplet_verdicts(spec, (bounds.psi_low, bounds.psi_up))
+    assert spec._band_verdicts == verdicts
+    assert not any(eligible for eligible, _ in verdicts)
+    with pytest.raises(IneligiblePsi) as raised:
+        pointwise_upper_bound(spec, 0.5, 0.5, tol=tol)
+    assert str(raised.value) == verdicts[0][1]
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_blend_on_a_shared_merged_knot_array(identity, data):
+    spec = data.draw(sections(identity))
+    bounds = psi_bounds(spec)
+    extra = np.union1d(spec.knots, [0.123, 0.456, 0.789])
+    a = quadruplet(spec, PLFunction(extra, np.interp(extra, spec.knots, bounds.psi_low.y)))
+    knots = a.psi.x  # quadruplet's merge of the spec's knots with psi's
+    b = quadruplet(spec, PLFunction(knots, np.interp(knots, spec.knots, bounds.psi_up.y)))
+    # b on the very array a holds, as a candidate built on it would be
+    b = dataclasses.replace(b, psi=PLFunction(knots, b.psi.y))
+    assert a.psi.x is b.psi.x and not np.array_equal(knots, spec.knots)
+    for t in (0.0, 0.37, 1.0):
+        mix = blend(a, b, t)
+        parts, violation = reference_quadruplet(spec, reference_blend_psi(a.psi, b.psi, t), 1e-9)
+        for name, (x, y) in parts.items():
+            f = getattr(mix, name)
+            assert same_bits(f.x, x) and same_bits(f.y, y), name
+        assert (mix.eligible, mix.violation) == (violation is None, violation)
