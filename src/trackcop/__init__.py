@@ -27,10 +27,7 @@ from .errors import (
 from .funcspace import (
     PLFunction,
     VariationTriple,
-    combine,
     eval_pl,
-    identity_pl,
-    is_increasing,
     make_pl,
     merge_knots,
     positive_variation_majorant,
@@ -61,7 +58,6 @@ from .construction import (
     c_psi_value,
     make_cpsi,
     materialize_grid,
-    min_equals_cases,
     region_functions,
     s_t_split,
 )

@@ -65,14 +65,22 @@ def _same_spec(a: DiagonalSpec, b: DiagonalSpec) -> bool:
     )
 
 
-def _on_spec_knots(spec: DiagonalSpec, psi: PLFunction) -> bool:
-    """Whether psi's knots are the spec's, so merging and interpolating can be skipped.
+def _anchored_on_knots(spec: DiagonalSpec, psi: PLFunction, tol: float) -> tuple:
+    """(u, psi(u)) on u = merge_knots(spec.knots, psi.x), once tol and psi(0) = 0 are checked.
 
-    spec.knots is a merge_knots output, so merging it with itself gives it
-    back, and np.interp at a knot returns the stored ordinate: the fast path
-    reads the same bits the merge path computes.
+    When psi's knots are the spec's, u is spec.knots itself and psi(u) is
+    psi.y, with no merge and no interpolation. spec.knots is a merge_knots
+    output, so merging it with itself gives it back, and np.interp at a
+    knot returns the stored ordinate: both ways give the same bits.
     """
-    return psi.x is spec.knots or np.array_equal(psi.x, spec.knots)
+    check_tol(tol)
+    psi_0 = eval_pl(psi, 0.0)
+    if abs(psi_0) > INTERNAL_TOL:
+        raise PsiNotAnchored(f"psi(0) = {psi_0} must be 0")
+    if psi.x is spec.knots or np.array_equal(psi.x, spec.knots):
+        return spec.knots, psi.y
+    u = merge_knots(spec.knots, psi.x)
+    return u, eval_pl(psi, u)
 
 
 def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> PsiCandidate:
@@ -81,14 +89,11 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     The companions of the y-variable (eta, chi) are carried on the
     track-image knots so compositions with the track inverse stay exact.
     """
-    check_tol(tol)
-    if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
-        raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
-    if _on_spec_knots(spec, psi):
-        u, psi_u, delta_u, phi_u = spec.knots, psi.y, spec.delta.y, spec.phi_values()
+    u, psi_u = _anchored_on_knots(spec, psi, tol)
+    if u is spec.knots:
+        delta_u, phi_u = spec.delta.y, spec.phi_values()
     else:
-        u = merge_knots(spec.knots, psi.x)
-        psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
+        delta_u, phi_u = eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
     arrays = _quadruplet_arrays(u, psi_u, delta_u, phi_u)
     violation = _companion_violation(arrays, tol)
     psi_r, chi, eta, xi = (PLFunction(x, y) for x, y in arrays)
@@ -107,15 +112,9 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
     psi_L and psi_U are read from the spec's band and interpolated onto
     psi's extra knots, where they are linear.
     """
-    check_tol(tol)
-    if abs(eval_pl(psi, 0.0)) > INTERNAL_TOL:
-        raise PsiNotAnchored(f"psi(0) = {eval_pl(psi, 0.0)} must be 0")
+    u, psi_u = _anchored_on_knots(spec, psi, tol)
     low, up = spec._band[0].y, spec._band[1].y
-    if _on_spec_knots(spec, psi):
-        u, psi_u = spec.knots, psi.y
-    else:
-        u = merge_knots(spec.knots, psi.x)
-        psi_u = eval_pl(psi, u)
+    if u is not spec.knots:
         low, up = np.interp(u, spec.knots, low), np.interp(u, spec.knots, up)
     witness = first_decrease(psi_u - low, u, tol)
     if witness is None:

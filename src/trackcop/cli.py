@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
-from .construction import GridCopula, _BLOCK_BYTES, _row_blocks, _validate_mesh, \
-    materialize_grid, region_functions
+from .construction import GridCopula, _BLOCK_BYTES, _row_blocks, materialize_grid, \
+    region_functions
 from .errors import BadMesh, BadTolerance, IneligiblePsi, TrackcopError
 from .funcspace import USER_TOL, PLFunction, check_tol, make_pl, merge_knots
 from .splice import make_splice, splice_grid
@@ -213,10 +213,9 @@ def _grid_from_table(table: np.ndarray, path) -> GridCopula:
     if not np.array_equal(table[1:, 0], mesh):
         raise SpecFileError(f"grid file {path}: row and column meshes disagree")
     try:
-        _validate_mesh(mesh)
+        return GridCopula(mesh, table[1:, 1:])
     except BadMesh as exc:
         raise SpecFileError(f"grid file {path}: {exc}")
-    return GridCopula(mesh, table[1:, 1:])
 
 
 def _table_body(grid: GridCopula):
@@ -336,7 +335,10 @@ def cmd_validate(args, problem: ProblemSpec) -> tuple:
 def _out_dir(args) -> Path:
     """The --out directory, created if missing."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise SpecFileError(f"cannot make output directory {out}: {exc}")
     return out
 
 

@@ -22,14 +22,16 @@ from .trackmodel import DiagonalSpec
 
 @dataclass(frozen=True)
 class GridCopula:
-    """Square grid of values on a shared mesh; first index is the x-argument."""
+    """n x n grid of values on an n-point mesh that _validate_mesh accepts; first index is x."""
 
     mesh: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mesh", np.asarray(self.mesh, dtype=float))
+        object.__setattr__(self, "mesh", _validate_mesh(self.mesh))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.shape != (len(self.mesh), len(self.mesh)):
+            raise BadMesh("values must be square and match the mesh")
         self.mesh.flags.writeable = False
         self.values.flags.writeable = False
 
@@ -166,9 +168,13 @@ def _validate_mesh(mesh, knots=()) -> np.ndarray:
         raise BadMesh("mesh must be strictly increasing")
     if mesh[0] != 0.0 or mesh[-1] != 1.0:
         raise BadMesh("mesh must include 0 and 1")
-    for knot in knots:
-        if np.min(np.abs(mesh - knot)) > INTERNAL_TOL:
-            raise BadMesh(f"mesh must include track knot {knot}")
+    knots = np.asarray(knots, dtype=float)
+    # the nearest mesh point to a knot is one of the two around its insertion point
+    right = np.minimum(np.searchsorted(mesh, knots), len(mesh) - 1)
+    gap = np.minimum(np.abs(mesh[right] - knots), np.abs(mesh[np.maximum(right - 1, 0)] - knots))
+    far = np.flatnonzero(gap > INTERNAL_TOL)
+    if len(far):
+        raise BadMesh(f"mesh must include track knot {knots[far[0]]}")
     return mesh
 
 
@@ -205,20 +211,3 @@ def materialize_grid(spec: DiagonalSpec, candidate: PsiCandidate, mesh) -> GridC
     _require_eligible(candidate)
     mesh = _validate_mesh(mesh)
     return GridCopula(mesh, c_psi_grid_values(spec, candidate, mesh))
-
-
-def min_equals_cases(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> dict:
-    """Which branch of the case formula is active at (x, y).
-
-    Ties at branch boundaries, to INTERNAL_TOL, report "kappa"; all
-    expressions agree there by continuity.
-    """
-    _require_eligible(candidate)
-    kappa = _kappa(spec, candidate.psi, x, y)
-    if kappa <= min(x, y) + INTERNAL_TOL:
-        branch = "kappa"
-    elif x <= y:
-        branch = "upper-M"
-    else:
-        branch = "lower-M"
-    return {"branch": branch, "value": min(x, y, kappa)}

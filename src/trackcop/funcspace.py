@@ -2,9 +2,9 @@
 
 All univariate objects in trackcop (tracks, diagonals, mass functions,
 region boundaries) are piecewise-linear functions given by explicit knots.
-On that class, total/positive/negative variations, monotone majorants,
-pointwise min and exact inverses are finite computations with no
-quadrature or search involved.
+On that class, total/positive/negative variations, monotone majorants
+and exact inverses are finite computations with no quadrature or search
+involved.
 """
 
 from __future__ import annotations
@@ -155,14 +155,6 @@ def _eval_pair(f: PLFunction, g: PLFunction, t) -> tuple:
     return _on_segment(xs, fy, j, t), _on_segment(xs, g._views[1], j, t)
 
 
-def identity_pl(knots=None) -> PLFunction:
-    """The identity function, optionally carried on a given knot set."""
-    if knots is None:
-        return PLFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    knots = np.asarray(knots, dtype=float)
-    return PLFunction(knots, knots.copy())
-
-
 def merge_knots(*arrays) -> np.ndarray:
     """Sorted union of knot sets, collapsing points closer than INTERNAL_TOL."""
     xs = np.unique(np.concatenate([np.asarray(a, dtype=float) for a in arrays]))
@@ -239,41 +231,3 @@ def first_step_down(values, tol: float = 0.0):
     """
     bad = np.flatnonzero(np.diff(values) < -tol)
     return int(bad[0]) if len(bad) else None
-
-
-def is_increasing(f: PLFunction, tol: float = 0.0) -> bool:
-    """True iff every knot increment is >= -tol."""
-    return bool(np.all(np.diff(f.y) >= -tol))
-
-
-def combine(f: PLFunction, g, op: str) -> PLFunction:
-    """Pointwise combination of piecewise-linear functions.
-
-    op is one of "add", "sub", "min", "scale". For "scale", g is a scalar
-    factor. add/sub/scale are exactly piecewise-linear on the knot union;
-    "min" additionally inserts the exact crossing points of segments so the
-    result stays in the class.
-    """
-    if op == "scale":
-        return PLFunction(f.x, f.y * float(g))
-    u = merge_knots(f.x, g.x)
-    fu = eval_pl(f, u)
-    gu = eval_pl(g, u)
-    if op == "add":
-        return PLFunction(u, fu + gu)
-    if op == "sub":
-        return PLFunction(u, fu - gu)
-    if op == "min":
-        d = fu - gu
-        sign_change = d[:-1] * d[1:] < 0.0
-        if np.any(sign_change):
-            idx = np.nonzero(sign_change)[0]
-            frac = d[idx] / (d[idx] - d[idx + 1])
-            tx = u[idx] + frac * (u[idx + 1] - u[idx])
-            ty = fu[idx] + frac * (fu[idx + 1] - fu[idx])
-            u2 = np.concatenate((u, tx))
-            y2 = np.concatenate((np.minimum(fu, gu), ty))
-            order = np.argsort(u2, kind="stable")
-            return PLFunction(u2[order], y2[order])
-        return PLFunction(u, np.minimum(fu, gu))
-    raise ValueError(f"unknown op {op!r}")

@@ -165,8 +165,8 @@ def _conditions(u: np.ndarray, d: np.ndarray, p: np.ndarray, tol: float) -> dict
     bad = np.nonzero(d > np.minimum(u, p) + tol)[0]
     results["b"] = (len(bad) == 0, u[bad[0]] if len(bad) else None)
     # (c) delta increasing
-    bad = np.nonzero(np.diff(d) < -tol)[0]
-    results["c"] = (len(bad) == 0, u[bad[0]] if len(bad) else None)
+    k = first_step_down(d, tol)
+    results["c"] = (k is None, None if k is None else u[k])
     # (d) per-segment slope bound |d delta| <= dx + d phi; the lower side is
     # automatic for increasing delta and phi, so only the upper side matters.
     bad = np.nonzero(np.diff(d) > np.diff(u) + np.diff(p) + tol)[0]

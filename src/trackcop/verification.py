@@ -19,7 +19,7 @@ import numpy as np
 from .canonical import psi_bounds, quadruplet
 from .construction import CopulaCpsi, GridCopula, _kappa_pair, _row_blocks, _validate_mesh, \
     make_cpsi
-from .errors import BadMesh, MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
+from .errors import MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, check_tol, eval_pl
 from .trackmodel import DiagonalSpec, Track
@@ -46,9 +46,6 @@ class VerificationReport:
         # reduce to monotone adjacent lines and the [x,1] ones to Lipschitz.
         return self.grounded and self.margins and self.monotone and self.lipschitz
 
-    def passed(self, mode: str) -> bool:
-        return self.copula_ok if mode == "copula" else self.quasi_ok
-
     def as_dict(self) -> dict:
         return {**asdict(self), "copula_ok": self.copula_ok, "quasi_ok": self.quasi_ok}
 
@@ -71,10 +68,6 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     """
     check_tol(tol)
     mesh, v = grid.mesh, grid.values
-    if v.shape != (len(mesh), len(mesh)):
-        raise BadMesh("values must be square and match the mesh")
-    if mesh[0] != 0.0 or mesh[-1] != 1.0:
-        raise BadMesh("mesh must include 0 and 1")
     grounded = bool(np.all(np.abs(v[0, :]) <= INTERNAL_TOL)
                     and np.all(np.abs(v[:, 0]) <= INTERNAL_TOL))
     margins = bool(np.all(np.abs(v[-1, :] - mesh) <= INTERNAL_TOL)

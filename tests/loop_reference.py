@@ -1,8 +1,9 @@
 """The code that faster kernels replaced, kept as oracles.
 
-`first_increase_violation`, `first_decrease_violation` and
-`rightmost_level` are the loop versions of the witness finders and of the
-level inverse used by region_functions. The `reference_*` functions compose
+`first_increase_violation`, `first_decrease_violation`,
+`rightmost_level` and `first_knot_off_mesh` are the loop versions of the
+witness finders, of the level inverse used by region_functions and of
+_validate_mesh's track-knot check. The `reference_*` functions compose
 them exactly as existence_check, eligibility_by_variation, psi_bounds and
 region_functions did, so the vectorized code can be required to give
 bit-identical results.
@@ -96,6 +97,14 @@ def rightmost_level(knots, vals, c):
     if hi == lo:
         return float(knots[idx - 1])
     return float(knots[idx - 1] + (c - lo) * (knots[idx] - knots[idx - 1]) / (hi - lo))
+
+
+def first_knot_off_mesh(mesh, knots):
+    """The first knot farther than INTERNAL_TOL from every mesh point, or None."""
+    for knot in knots:
+        if np.min(np.abs(mesh - knot)) > INTERNAL_TOL:
+            return knot
+    return None
 
 
 def reference_existence(spec, tol):

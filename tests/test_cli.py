@@ -198,6 +198,21 @@ def test_mesh_option_refused_where_unused_or_invalid(tmp_path, fig2_spec_file, a
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["bounds", "build", "compare", "envelope", "splice"])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, fig2_spec_file, command, out, capsys):
+    assert main(["build", fig2_spec_file, "--out", str(tmp_path), "--quiet"]) == 0
+    (tmp_path / "afile").write_text("")
+    operands = {"bounds": [fig2_spec_file], "build": [fig2_spec_file],
+                "compare": [fig2_spec_file, "lower", "upper"],
+                "envelope": [str(tmp_path / "grid.npy"), fig2_spec_file],
+                "splice": [fig2_spec_file, "lower", "upper"]}[command]
+    assert main([command, *operands, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "afile").read_text() == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
 def test_bad_tol_exits_2(fig2_spec_file, tol, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,6 @@ from trackcop import (
     make_cpsi,
     make_pl,
     materialize_grid,
-    min_equals_cases,
     psi_bounds,
     quadruplet,
     region_functions,
@@ -144,22 +143,3 @@ def test_materialize_grid_rejects_bad_mesh(fig2_spec_201, fig2_spec):
     for mesh in ([0.0, np.nan, 1.0], [0.0, 0.3, np.nan, 1.0], [0.0, 0.3, np.inf, 1.0]):
         with pytest.raises(BadMesh):
             materialize_grid(fig2_spec_201, cand, mesh)
-
-
-def test_min_equals_cases_branches(fig1_spec):
-    bounds = psi_bounds(fig1_spec)
-    low = quadruplet(fig1_spec, bounds.psi_low)
-    up = quadruplet(fig1_spec, bounds.psi_up)
-    assert min_equals_cases(fig1_spec, low, 0.3, 0.7)["branch"] == "upper-M"
-    assert min_equals_cases(fig1_spec, up, 0.7, 0.3)["branch"] == "lower-M"
-    on_track = min_equals_cases(fig1_spec, low, 0.25, 0.25)
-    assert on_track["branch"] == "kappa"
-    assert on_track["value"] == pytest.approx(fig1_spec.delta(0.25), abs=1e-12)
-
-
-def test_min_equals_cases_value_matches(fig2_spec, fig2_cands):
-    low, _ = fig2_cands
-    for x, y in [(0.2, 0.8), (0.8, 0.2), (0.5, 0.6), (0.6, 0.5)]:
-        case = min_equals_cases(fig2_spec, low, x, y)
-        assert case["value"] == pytest.approx(
-            c_psi_value(fig2_spec, low, x, y), abs=1e-12)

@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 from trackcop import (
     MalformedKnots,
     OutOfDomain,
-    combine,
     eval_pl,
-    identity_pl,
-    is_increasing,
     make_pl,
     positive_variation_majorant,
     variation,
@@ -43,12 +40,12 @@ def test_make_pl_rejects_bad_endpoints():
 
 def test_eval_out_of_domain():
     with pytest.raises(OutOfDomain):
-        eval_pl(identity_pl(), 1.5)
+        eval_pl(make_pl([0, 1], [0, 1]), 1.5)
 
 
 @pytest.mark.parametrize("t", [np.nan, -0.1, 1.5, -np.inf, np.inf])
 def test_eval_rejects_nan_and_outside_points_on_every_path(t):
-    f = identity_pl()
+    f = make_pl([0, 1], [0, 1])
     for arg in (float(t), np.float64(t), np.array(t), np.array([0.2, t, 0.7])):
         with pytest.raises(OutOfDomain):
             eval_pl(f, arg)
@@ -102,29 +99,6 @@ def test_majorant_of_constant_is_zero():
     assert list(m.y) == [0, 0]
 
 
-def test_is_increasing():
-    assert is_increasing(identity_pl())
-    assert not is_increasing(ZIGZAG)
-    assert is_increasing(make_pl([0, 1], [0, 0]))
-
-
-def test_combine_sub_and_min():
-    ident = identity_pl()
-    zero = combine(ident, ident, "sub")
-    assert np.all(zero.y == 0)
-    half = make_pl([0, 1], [0.5, 0.5])
-    m = combine(ident, half, "min")
-    assert eval_pl(m, 0.5) == 0.5 and eval_pl(m, 0.75) == 0.5 and eval_pl(m, 0.25) == 0.25
-    sq = make_pl([0, 0.5, 1], [0, 0.25, 1])
-    diff = combine(ident, sq, "sub")
-    assert eval_pl(diff, 0.5) == 0.25 and eval_pl(diff, 1.0) == 0.0
-
-
-def test_combine_scale():
-    f = combine(ZIGZAG, 0.5, "scale")
-    assert np.allclose(f.y, ZIGZAG.y * 0.5)
-
-
 pl_strategy = st.builds(
     lambda xs, ys: make_pl(np.concatenate(([0.0], np.sort(np.array(xs)), [1.0])),
                            ys[: len(xs) + 2]),
@@ -158,7 +132,7 @@ def test_variation_identities(f, a, b):
 def test_majorant_properties(f):
     m = positive_variation_majorant(f)
     assert m.y[0] == 0.0
-    assert is_increasing(m)
+    assert np.all(np.diff(m.y) >= 0)
     assert np.all(np.diff(m.y - f.y) >= -1e-12)
 
 

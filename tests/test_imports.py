@@ -1,16 +1,20 @@
-"""Every module-level import in the library is used, and every private helper has a reader.
+"""Every module-level import in the library is used, and every definition has a reader.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library. `__init__.py` is skipped for imports: its
-imports are the package's re-exports.
+imports are the package's re-exports. A private top-level helper must be
+named by the library itself; any other function, method or property by the
+library, its tests or the benchmark.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "trackcop"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "trackcop"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,16 +41,16 @@ def test_unused_import_is_reported():
     assert unused_imports(source) == [(2, "math"), (4, "a")]
 
 
-def _names(node) -> set:
-    """Every name a syntax tree refers to: variables, attributes and imported names."""
-    names = set()
+def _names(node) -> Counter:
+    """How often a syntax tree refers to each name: variables, attributes and imported names."""
+    names = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            names.add(n.id)
+            names[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            names.add(n.attr)
+            names[n.attr] += 1
         elif isinstance(n, ast.alias):
-            names.add(n.name.split(".")[-1])
+            names[n.name.split(".")[-1]] += 1
     return names
 
 
@@ -83,3 +87,49 @@ def test_dead_helper_is_reported():
         "c.py": "def _read_by_attribute():\n    pass\n\nx = module._read_by_attribute\n",
     }
     assert dead_helpers(sources) == [("a.py", "_self_only"), ("a.py", "_Dead")]
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of each function, method and property defined under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def unnamed_functions(sources: dict, defining) -> list:
+    """(file, qualified name) of each non-dunder function in the `defining` files that no code names.
+
+    `sources` maps file names to their text. A function counts as named when
+    any of the sources refers to its name outside its own definition, so
+    calling itself does not count.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = sum((_names(tree) for tree in trees.values()), Counter())
+    return [(name, qualname) for name in defining
+            for qualname, node in _functions(trees[name])
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and refs[node.name] == _names(node)[node.name]]
+
+
+def test_every_function_is_named():
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(files)}
+    library = [name for name in sources if name.startswith("src")]
+    assert unnamed_functions(sources, library) == []
+
+
+def test_unnamed_function_is_reported():
+    sources = {
+        "lib.py": "class A:\n    def used(self):\n        pass\n\n"
+                  "    @property\n    def unread(self):\n        return self\n\n"
+                  "    def __repr__(self):\n        return ''\n\n"
+                  "def recursive(n):\n    return recursive(n - 1)\n\n"
+                  "def outer():\n    def inner():\n        pass\n    return inner\n",
+        "test_lib.py": "from lib import A, outer\nA().used()\n",
+    }
+    assert unnamed_functions(sources, ["lib.py"]) == [("lib.py", "A.unread"),
+                                                      ("lib.py", "recursive")]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackcop import (
+    BadMesh,
     PLFunction,
     blend,
     eligibility_by_variation,
@@ -28,12 +29,13 @@ from trackcop import (
     region_functions,
 )
 from trackcop.cli import main
-from trackcop.construction import _rightmost_level
+from trackcop.construction import _rightmost_level, _validate_mesh
 from trackcop.funcspace import first_decrease
 
 from loop_reference import (
     first_decrease_violation,
     first_increase_violation,
+    first_knot_off_mesh,
     reference_eligibility_witness,
     reference_existence,
     reference_psi_bounds,
@@ -118,6 +120,29 @@ def test_rightmost_level_unsorted_values_follow_the_scalar_search():
     assert list(np.searchsorted(vals, levels, side="right")) == [1, 3]
     expected = [rightmost_level(knots, vals, c) for c in levels]
     assert same_bits(_rightmost_level(knots, vals, levels), expected)
+
+
+def test_mesh_knot_check_matches_loop():
+    # knots on a mesh line, INTERNAL_TOL = 1e-12 from one, a few ulps beyond that,
+    # 2e-12 away, or anywhere; the verdict and the first offending knot must agree
+    rng = np.random.default_rng(41)
+    offsets = [0.0, 0.0, 0.0, 1e-12, -1e-12, 1e-12 + 4 * ULP, -1e-12 - 4 * ULP, 2e-12]
+    seen = set()
+    for _ in range(400):
+        mesh = np.unique(np.concatenate(([0.0, 1.0], rng.random(rng.integers(1, 40)))))
+        knots = rng.choice(mesh, 6) + rng.choice(offsets, 6)
+        if rng.random() < 0.2:
+            knots[rng.integers(6)] = rng.random()
+        knot = first_knot_off_mesh(mesh, knots)
+        expected = None if knot is None else f"mesh must include track knot {knot}"
+        try:
+            _validate_mesh(mesh, knots)
+            message = None
+        except BadMesh as exc:
+            message = str(exc)
+        assert message == expected
+        seen.add(message is None)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,13 @@ def test_check_grid_flags_bad_margin():
 
 
 def test_check_grid_rejects_non_square():
+    # a grid checks its own shape and mesh as it is built, before check_grid sees it
     with pytest.raises(BadMesh):
-        check_grid(GridCopula(MESH3, np.zeros((3, 4))))
+        GridCopula(MESH3, np.zeros((3, 4)))
+    for mesh in ([0.0, 1.0], [0.0, 0.5, 0.9], [0.0, np.nan, 1.0], [0.0, 0.3, np.nan, 1.0],
+                 [0.0, 0.3, np.inf, 1.0], [0.0, 0.6, 0.3, 1.0], [0.0, 0.5, 0.5, 1.0]):
+        with pytest.raises(BadMesh):
+            GridCopula(mesh, np.zeros((len(mesh), len(mesh))))
 
 
 # A knot track and section (8 + 46 knots) whose mesh-1001 splice of psi_U over
