@@ -18,6 +18,7 @@ Spec file format::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -28,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
-from .construction import GridCopula, _BLOCK_BYTES, _row_blocks, materialize_grid, \
-    region_functions
+from .construction import GridCopula, _BLOCK_BYTES, _ConstructionRows, _GridRows, _feed, \
+    _validate_mesh, region_functions
 from .errors import BadMesh, BadTolerance, IneligiblePsi, TrackcopError
 from .funcspace import USER_TOL, PLFunction, check_tol, make_pl, merge_knots
-from .splice import make_splice, splice_grid
+from .splice import _SpliceRows, make_splice
 from .trackmodel import (
     DiagonalSpec,
     diagonal_conditions,
@@ -41,7 +42,7 @@ from .trackmodel import (
     make_diagonal,
     make_track,
 )
-from .verification import check_grid, compare, dominating_envelope
+from .verification import _GridCheck, _compare_rows, _envelope_candidate
 
 BUILTIN_DIAGONALS = {
     "m-diag": lambda x: x,
@@ -63,7 +64,7 @@ class SpecFileError(TrackcopError):
 
 
 class MeshTooLarge(SpecFileError):
-    """The mesh asked for needs more grid memory than MESH_BUDGET_BYTES."""
+    """The mesh asked for is over MESH_BUDGET_BYTES."""
 
 
 def _knot_function(obj) -> PLFunction:
@@ -150,11 +151,13 @@ def _eligible_candidates(problem: ProblemSpec, requests, tol: float) -> list:
     return candidates
 
 
-# Grid memory a command may use. A grid command holds at most two n x n
-# float grids (compare's two) plus one row block, so a mesh whose estimate
-# exceeds this is refused before any grid is allocated: about 8 190 points.
-# The budget is one fixed number, not a probe of the machine, so a spec is
-# accepted or refused the same way everywhere.
+# The largest mesh a grid command accepts, counted as the bytes of two n x n
+# float grids plus one row block: about 8 190 points. A command holds row
+# blocks, not grids, so this no longer bounds its memory. It bounds the bytes
+# of the grid file a command writes (n * n * 8) and the n^2 work of one
+# command (compare computes two constructions), and a mesh over it is refused
+# before any work. The budget is one fixed number, not a probe of the
+# machine, so a spec is accepted or refused the same way everywhere.
 MESH_BUDGET_BYTES = 1 << 30
 
 
@@ -196,8 +199,18 @@ def _csv_text(table) -> str:
     return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(table.ravel().tolist())
 
 
+@contextlib.contextmanager
+def _writing(path, mode: str = "w"):
+    """open(path, mode), with an OSError from opening, writing or closing raised as SpecFileError."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:  # a directory in the way, no permission, a full disk
+        raise SpecFileError(f"cannot write {path}: {exc}")
+
+
 def _write_columns_csv(path, header: str, *columns):
-    with open(path, "w") as fh:
+    with _writing(path) as fh:
         fh.write(header + "\n" + _csv_text(np.column_stack(columns)))
 
 
@@ -218,30 +231,38 @@ def _grid_from_table(table: np.ndarray, path) -> GridCopula:
         raise SpecFileError(f"grid file {path}: {exc}")
 
 
-def _table_body(grid: GridCopula):
-    """The grid table below its mesh row, rows [mesh[i], values[i]], a row block at a time."""
-    n = len(grid.mesh)
-    for rows in _row_blocks(n, n + 1):
-        yield np.column_stack((grid.mesh[rows], grid.values[rows]))
+class _TableRows:
+    """Sink that writes the grid table below its mesh row, rows [mesh[i], values[i]], to a file."""
+
+    def __init__(self, fh, mesh: np.ndarray, fmt: str):
+        self._fh, self._mesh, self._csv = fh, mesh, fmt == "csv"
+
+    def add(self, rows: slice, block: np.ndarray):
+        body = np.column_stack((self._mesh[rows], block))
+        self._fh.write(_csv_text(body) if self._csv else body)  # an array is written as its bytes
+
+
+def _write_table(path, source, fmt: str, *sinks):
+    """Write a row-block source's grid table to `path` as `fmt`, a row block at a time.
+
+    Each block is computed once and also handed to every one of `sinks`.
+    `.npy` gets the bytes np.save gives the table.
+    """
+    mesh = source.mesh
+    with _writing(path, "w" if fmt == "csv" else "wb") as fh:
+        if fmt == "csv":
+            fh.write("," + _csv_text(mesh[None, :]))
+        else:
+            side = len(mesh) + 1
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                "fortran_order": False, "shape": (side, side)})
+            fh.write(np.concatenate(([np.nan], mesh)).tobytes())
+        _feed(source, _TableRows(fh, mesh, fmt), *sinks)
 
 
 def write_grid_csv(path, grid: GridCopula):
-    with open(path, "w") as fh:
-        fh.write("," + _csv_text(grid.mesh[None, :]))
-        for block in _table_body(grid):
-            fh.write(_csv_text(block))
-
-
-def _write_grid_npy(path, grid: GridCopula):
-    """The grid table with the bytes np.save gives it, written a row block at a time."""
-    n = len(grid.mesh)
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-              "fortran_order": False, "shape": (n + 1, n + 1)}
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        fh.write(np.concatenate(([np.nan], grid.mesh)).tobytes())
-        for block in _table_body(grid):
-            fh.write(block.tobytes())
+    _write_table(path, _GridRows(grid), "csv")
 
 
 def read_grid_csv(path) -> GridCopula:
@@ -283,10 +304,7 @@ def read_grid_csv(path) -> GridCopula:
 def write_grid(path, grid: GridCopula, fmt: str) -> Path:
     """Write `grid` as `fmt` ("npy" or "csv") to `path` with that suffix; return the path."""
     path = Path(path).with_suffix("." + fmt)
-    if fmt == "csv":
-        write_grid_csv(path, grid)
-    else:
-        _write_grid_npy(path, grid)
+    _write_table(path, _GridRows(grid), fmt)
     return path
 
 
@@ -309,8 +327,66 @@ def read_grid(path) -> GridCopula:
     return _grid_from_table(table, path)
 
 
+class _NpyRows:
+    """Row-block source over a C-order little-endian float64 .npy grid table, read at row offsets.
+
+    Each block's column 0 is checked against the mesh as it is read, so
+    column and row meshes that disagree raise the error read_grid gives.
+    """
+
+    def __init__(self, path, body_offset: int, mesh: np.ndarray):
+        self.mesh, self._path, self._offset = mesh, path, body_offset
+
+    def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        side = len(self.mesh) + 1
+        start, stop, _ = rows.indices(len(self.mesh))
+        count = (stop - start) * side
+        try:
+            table = np.fromfile(self._path, dtype="<f8", count=count,
+                                offset=self._offset + (start + 1) * side * 8)
+        except OSError as exc:
+            raise SpecFileError(f"cannot read grid file {self._path}: {exc}")
+        if table.size != count:
+            raise SpecFileError(f"cannot read grid file {self._path}: it ended early")
+        table = table.reshape(-1, side)
+        if not np.array_equal(table[:, 0], self.mesh[rows]):
+            raise SpecFileError(f"grid file {self._path}: row and column meshes disagree")
+        return table[:, 1:][:, cols]
+
+
+def _npy_rows(path):
+    """A _NpyRows over the .npy file at path, or None unless it can be read at row offsets.
+
+    That takes a square float64 table of side 4 or more, C-order and
+    little-endian, in format 1.0 as np.save and this module write it, with
+    a valid mesh in row 0. Every other file is read whole by read_grid,
+    which gives the same table or the same error as ever.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            offset = fh.tell()
+            if (dtype != np.dtype("<f8") or fortran_order or len(shape) != 2
+                    or shape[0] != shape[1] or shape[0] < 4
+                    or os.fstat(fh.fileno()).st_size < offset + shape[0] * shape[1] * 8):
+                return None
+            mesh = np.fromfile(fh, dtype="<f8", count=shape[0])[1:]
+        _validate_mesh(mesh)
+    except (OSError, ValueError, BadMesh):
+        return None
+    return _NpyRows(path, offset, mesh)
+
+
+def _grid_rows(path):
+    """A row-block source over a grid file: a plain .npy table is read a block at a time."""
+    rows = _npy_rows(path) if Path(path).suffix.lower() == ".npy" else None
+    return rows if rows is not None else _GridRows(read_grid(path))
+
+
 def write_json(path, payload: dict):
-    with open(path, "w") as fh:
+    with _writing(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -352,11 +428,12 @@ def cmd_bounds(args, problem: ProblemSpec) -> tuple:
 
 def cmd_build(args, problem: ProblemSpec) -> tuple:
     [candidate] = _eligible_candidates(problem, [problem.psi_request], args.tol)
-    grid = materialize_grid(problem.spec, candidate, default_mesh(problem, args.mesh))
+    source = _ConstructionRows(problem.spec, candidate, default_mesh(problem, args.mesh))
     region = region_functions(problem.spec, candidate)
-    report = check_grid(grid, mode="copula", tol=args.tol)
     out = _out_dir(args)
-    write_grid(out / "grid", grid, args.format)
+    check = _GridCheck(source.mesh, args.tol)
+    _write_table(out / f"grid.{args.format}", source, args.format, check)
+    report = check.report()
     g, h = region["g"], region["h"]
     _write_columns_csv(out / "region.csv", "x,g,h", g.x, g.y, h.y)
     write_json(out / "report.json", report.as_dict())
@@ -373,9 +450,8 @@ def cmd_compare(args, problem: ProblemSpec) -> tuple:
     cand_a, cand_b = _eligible_candidates(
         problem, [_psi_arg(args.psi_a), _psi_arg(args.psi_b)], args.tol)
     mesh = default_mesh(problem, args.mesh)
-    grid_a = materialize_grid(problem.spec, cand_a, mesh)
-    grid_b = materialize_grid(problem.spec, cand_b, mesh)
-    result = compare(grid_a, grid_b, tol=args.tol)
+    result = _compare_rows(_ConstructionRows(problem.spec, cand_a, mesh),
+                           _ConstructionRows(problem.spec, cand_b, mesh), args.tol)
     payload = result.as_dict()
     if args.out:
         write_json(_out_dir(args) / "comparison.json", payload)
@@ -393,26 +469,40 @@ def _psi_arg(value):
         raise SpecFileError(f"cannot read psi file {value}: {exc}")
 
 
+class _Gain:
+    """Sink: the most by which the blocks handed to it exceed the same rows of a base source."""
+
+    def __init__(self, base):
+        self._base, self._maxima = base, []
+
+    def add(self, rows: slice, block: np.ndarray):
+        self._maxima.append((block - self._base.block(rows)).max())
+
+    def value(self) -> float:
+        return float(np.max(self._maxima))
+
+
 def cmd_envelope(args, problem: ProblemSpec) -> tuple:
-    grid = read_grid(args.grid)
-    cpsi = dominating_envelope(grid, problem.spec.track, problem.spec, tol=args.tol)
-    env = materialize_grid(problem.spec, cpsi.candidate, grid.mesh)
-    gain = float(np.max([(env.values[rows] - grid.values[rows]).max()
-                         for rows in _row_blocks(len(grid.mesh), len(grid.mesh))]))
+    # two passes over the grid: check, section and extraction, then the
+    # envelope, its gain and its file; nothing is written before the first ends
+    grid = _grid_rows(args.grid)
+    candidate = _envelope_candidate(grid, problem.spec.track, problem.spec, args.tol)
     out = _out_dir(args)
-    write_function_csv(out / "psi_extracted.csv", cpsi.candidate.psi)
-    write_grid(out / "envelope_grid", env, args.format)
-    return 0, f"max pointwise gain: {gain:.6g}"
+    write_function_csv(out / "psi_extracted.csv", candidate.psi)
+    gain = _Gain(grid)
+    _write_table(out / f"envelope_grid.{args.format}",
+                 _ConstructionRows(problem.spec, candidate, grid.mesh), args.format, gain)
+    return 0, f"max pointwise gain: {gain.value():.6g}"
 
 
 def cmd_splice(args, problem: ProblemSpec) -> tuple:
     upper, lower = _eligible_candidates(
         problem, [_psi_arg(args.psi_upper), _psi_arg(args.psi_lower)], args.tol)
-    spliced = make_splice(upper, lower)
-    grid = splice_grid(spliced, default_mesh(problem, args.mesh))
-    report = check_grid(grid, mode="quasi", tol=args.tol)
+    source = _SpliceRows(make_splice(upper, lower), default_mesh(problem, args.mesh))
     out = _out_dir(args)
-    write_grid(out / "splice_grid", grid, args.format)
+    check = _GridCheck(source.mesh, args.tol)
+    _write_table(out / f"splice_grid.{args.format}", source, args.format, check)
+    report = check.report()
     write_json(out / "report.json", report.as_dict())
     return (0 if report.quasi_ok else 1), (
         f"quasi-copula checks: {'pass' if report.quasi_ok else 'FAIL'};"

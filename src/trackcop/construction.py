@@ -178,9 +178,9 @@ def _validate_mesh(mesh, knots=()) -> np.ndarray:
     return mesh
 
 
-# Bytes of one row block of an n x n float grid. The grid kernels build
-# their output once and take every other n x n quantity a block at a time,
-# so a kernel's temporaries stay a few blocks however large the mesh.
+# Bytes of one row block of an n x n float grid. The grid kernels take every
+# n x n quantity a block at a time, so their temporaries stay a few blocks
+# however large the mesh.
 _BLOCK_BYTES = 192 * 1024
 
 
@@ -191,23 +191,70 @@ def _row_blocks(n_rows: int, n_cols: int):
         yield slice(start, min(start + step, n_rows))
 
 
+# A row-block source is a grid that is never held whole: it has a `mesh` and
+# `block(rows, cols=slice(None))`, the n x n values' [rows, cols] as a fresh
+# or read-only array. The grid kernels read sources, so the same kernel checks
+# a GridCopula, a construction, a splice or a grid file.
+
+class _GridRows:
+    """Row-block source over a GridCopula's values."""
+
+    def __init__(self, grid: GridCopula):
+        self.mesh, self._values = grid.mesh, grid.values
+
+    def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        return self._values[rows, cols]
+
+
+class _ConstructionRows:
+    """Row-block source of the constructed copula's values on a mesh holding 0 and 1.
+
+    psi at the mesh and the column term delta(w) - psi(w), w = phi_inv(y),
+    are evaluated once; a block then costs one addition and two clamps per
+    cell. min is exact, so the order of the two clamps does not change a bit.
+    """
+
+    def __init__(self, spec: DiagonalSpec, candidate: PsiCandidate, mesh, knots=()):
+        self.mesh = _validate_mesh(mesh, knots)
+        self._psi = eval_pl(candidate.psi, self.mesh)
+        w = eval_pl(spec.track.phi_inv, self.mesh)
+        self._col = eval_pl(spec.delta, w) - eval_pl(candidate.psi, w)
+
+    def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        kappa = self._psi[rows, None] + self._col[None, cols]
+        np.minimum(kappa, self.mesh[rows, None], out=kappa)
+        return np.minimum(kappa, self.mesh[None, cols], out=kappa)
+
+
+def _feed(source, *sinks):
+    """Compute each row block of a source once and hand it to every sink's add(rows, block).
+
+    The blocks arrive in row order, so a sink may carry state from one
+    block to the next.
+    """
+    n = len(source.mesh)
+    for rows in _row_blocks(n, n):
+        block = source.block(rows)
+        for sink in sinks:
+            sink.add(rows, block)
+
+
+def _fill(source) -> GridCopula:
+    """The source's whole grid, allocated once and filled a row block at a time."""
+    n = len(source.mesh)
+    values = np.empty((n, n))
+    for rows in _row_blocks(n, n):
+        values[rows] = source.block(rows)
+    return GridCopula(source.mesh, values)
+
+
 def c_psi_grid_values(spec: DiagonalSpec, candidate: PsiCandidate, mesh: np.ndarray,
                       rows: slice = slice(None)) -> np.ndarray:
-    """Vectorized grid of copula values on mesh[rows] x mesh; rows index the x-argument.
-
-    min(x, y, kappa) is taken in place on kappa: min is exact, so the
-    order of the two clamps does not change a bit.
-    """
-    psi_x = eval_pl(candidate.psi, mesh[rows])
-    w = eval_pl(spec.track.phi_inv, mesh)
-    col = eval_pl(spec.delta, w) - eval_pl(candidate.psi, w)
-    kappa = psi_x[:, None] + col[None, :]
-    np.minimum(kappa, mesh[rows, None], out=kappa)
-    return np.minimum(kappa, mesh[None, :], out=kappa)
+    """Vectorized grid of copula values on mesh[rows] x mesh; rows index the x-argument."""
+    return _ConstructionRows(spec, candidate, mesh).block(rows)
 
 
 def materialize_grid(spec: DiagonalSpec, candidate: PsiCandidate, mesh) -> GridCopula:
     """Sample the constructed copula on a mesh containing 0 and 1."""
     _require_eligible(candidate)
-    mesh = _validate_mesh(mesh)
-    return GridCopula(mesh, c_psi_grid_values(spec, candidate, mesh))
+    return _fill(_ConstructionRows(spec, candidate, mesh))

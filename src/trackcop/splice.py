@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import PsiCandidate, _same_spec
-from .construction import GridCopula, _row_blocks, _validate_mesh, c_psi_grid_values, c_psi_value
+from .construction import GridCopula, _ConstructionRows, _fill, c_psi_value
 from .errors import SpecMismatch
 from .funcspace import eval_pl
 from .trackmodel import DiagonalSpec
@@ -39,12 +39,22 @@ def splice_value(s: SplicedFunction, u: float, v: float) -> float:
     return c_psi_value(s.spec, s.lower, u, v)
 
 
+class _SpliceRows:
+    """Row-block source of a splice: the upper block, with the cells below the track from the lower."""
+
+    def __init__(self, s: SplicedFunction, mesh):
+        self._upper = _ConstructionRows(s.spec, s.upper, mesh, s.spec.track.phi.x)
+        self._lower = _ConstructionRows(s.spec, s.lower, self._upper.mesh)
+        self.mesh = self._upper.mesh
+        self._phi = eval_pl(s.spec.track.phi, self.mesh)
+
+    def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        values = self._upper.block(rows, cols)
+        below = self.mesh[None, cols] < self._phi[rows, None]
+        np.copyto(values, self._lower.block(rows, cols), where=below)
+        return values
+
+
 def splice_grid(s: SplicedFunction, mesh) -> GridCopula:
     """Grid of spliced values; the mesh must include all track knots."""
-    mesh = _validate_mesh(mesh, s.spec.track.phi.x)
-    phi_mesh = eval_pl(s.spec.track.phi, mesh)
-    values = c_psi_grid_values(s.spec, s.upper, mesh)
-    for rows in _row_blocks(len(mesh), len(mesh)):
-        below = mesh[None, :] < phi_mesh[rows, None]
-        np.copyto(values[rows], c_psi_grid_values(s.spec, s.lower, mesh, rows), where=below)
-    return GridCopula(mesh, values)
+    return _fill(_SpliceRows(s, mesh))

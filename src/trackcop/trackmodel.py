@@ -58,9 +58,10 @@ def identity_track() -> Track:
 class DiagonalSpec:
     """A validated diagonal together with its derived gap functions.
 
-    All three functions are carried on the common refinement of the
-    diagonal's and the track's knots, so knot-level checks are exact.
-    zeta(x) = x - delta(x); delta_tilde(x) = phi(x) - delta(x).
+    delta is carried on the common refinement of the diagonal's and the
+    track's knots, so knot-level checks are exact. The gap functions
+    zeta(x) = x - delta(x) and delta_tilde(x) = phi(x) - delta(x) live on
+    the same knots and are computed on first access.
 
     phi_values(), the band and the band's verdicts are computed once per
     spec; make_diagonal hands the spec the phi values it has already
@@ -72,13 +73,19 @@ class DiagonalSpec:
     """
 
     delta: PLFunction
-    zeta: PLFunction
-    delta_tilde: PLFunction
     track: Track
 
     @property
     def knots(self) -> np.ndarray:
         return self.delta.x
+
+    @cached_property
+    def zeta(self) -> PLFunction:
+        return PLFunction(self.knots, self.knots - self.delta.y)
+
+    @cached_property
+    def delta_tilde(self) -> PLFunction:
+        return PLFunction(self.knots, self._phi_knots - self.delta.y)
 
     @cached_property
     def _phi_knots(self) -> np.ndarray:
@@ -197,7 +204,7 @@ def make_diagonal(delta: PLFunction, track: Track, tol: float = USER_TOL,
         for cond, (ok, where) in _conditions(u, d, p, tol).items():
             if not ok:
                 raise DiagonalConditionViolated(cond, where)
-    spec = DiagonalSpec(PLFunction(u, d), PLFunction(u, u - d), PLFunction(u, p - d), track)
+    spec = DiagonalSpec(PLFunction(u, d), track)
     spec.__dict__["_phi_knots"] = _read_only(p)  # seeds the cached_property behind phi_values()
     return spec
 

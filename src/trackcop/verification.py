@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import psi_bounds, quadruplet
-from .construction import CopulaCpsi, GridCopula, _kappa_pair, _row_blocks, _validate_mesh, \
-    make_cpsi
+from .canonical import PsiCandidate, psi_bounds, quadruplet
+from .construction import CopulaCpsi, GridCopula, _GridRows, _feed, _kappa_pair, _row_blocks, \
+    _validate_mesh, make_cpsi
 from .errors import MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, check_tol, eval_pl
@@ -50,6 +50,91 @@ class VerificationReport:
         return {**asdict(self), "copula_ok": self.copula_ok, "quasi_ok": self.quasi_ok}
 
 
+class _GridCheck:
+    """The checks of check_grid, accumulated over consecutive row blocks of one grid.
+
+    `add(rows, block)` takes the blocks in row order, none taller than the
+    first. The previous block's last row is carried over, so
+    `_add_window(first, window)` sees the grid's rows first, first + 1, ...
+    and every pair of adjacent rows once, however the rows are blocked.
+    The window and the differences live in buffers made at the first
+    block: fresh temporaries for every block would make the allocator hand
+    pages back and fault them in again, block after block. report() gives
+    the verdicts.
+    """
+
+    _BUFFERS = 3  # work arrays _add_window uses, each as large as a window
+
+    def __init__(self, mesh: np.ndarray, tol: float):
+        self._mesh = mesh
+        self._edges = np.empty((4, len(mesh)))  # row 0, column 0, last row, last column
+        self._window = None  # the carried row, then the block
+        self._height = 0     # rows of the last block, so the carried row is window[height]
+        self._step_floor = -(tol + INTERNAL_TOL)
+        self._lip_bound = np.diff(mesh) * (1.0 + tol) + INTERNAL_TOL
+        self._monotone = self._lipschitz = True
+        self._min_cell, self._worst = None, None
+
+    def add(self, rows: slice, block: np.ndarray):
+        if rows.start == 0:
+            self._edges[0] = block[0]
+        if rows.stop == len(self._mesh):
+            self._edges[2] = block[-1]
+        self._edges[1, rows] = block[:, 0]
+        self._edges[3, rows] = block[:, -1]
+        height, n = block.shape
+        if self._window is None:
+            self._window = np.empty((height + 1, n))
+            self._work = np.empty((self._BUFFERS, (height + 1) * n))
+            top = 1
+        else:
+            self._window[0] = self._window[self._height]
+            top = 0
+        self._window[1:height + 1] = block
+        self._height = height
+        window = self._window[top:height + 1]
+        if len(window) > 1:
+            self._add_window(rows.stop - len(window), window)
+
+    def _buffer(self, i: int, rows: int, cols: int) -> np.ndarray:
+        """Work array i as a C-contiguous rows x cols array."""
+        return self._work[i, :rows * cols].reshape(rows, cols)
+
+    def _add_window(self, first: int, window: np.ndarray):
+        rows, n = len(window) - 1, window.shape[1]
+        cell_rows = slice(first, first + rows)
+        diff_x = np.subtract(window[1:], window[:-1], out=self._buffer(0, rows, n))
+        diff_y = np.subtract(window[:, 1:], window[:, :-1], out=self._buffer(1, rows + 1, n - 1))
+        # the first row's y-differences were checked with the previous block
+        # too, to the same verdict
+        self._monotone = self._monotone and bool(np.all(diff_x >= self._step_floor)
+                                                 and np.all(diff_y >= self._step_floor))
+        self._lipschitz = self._lipschitz and bool(
+            np.all(diff_x <= self._lip_bound[cell_rows, None])
+            and np.all(diff_y <= self._lip_bound[None, :]))
+        cells = np.subtract(diff_x[:, 1:], diff_x[:, :-1], out=self._buffer(2, rows, n - 1))
+        k = int(np.argmin(cells))
+        value = float(cells.flat[k])
+        # the first occurrence of the least volume (or of a NaN), as np.argmin
+        # over all cells would find it
+        if (self._min_cell is None or value < self._min_cell
+                or (np.isnan(value) and not np.isnan(self._min_cell))):
+            self._min_cell = value
+            self._worst = (first + k // cells.shape[1], k % cells.shape[1])
+
+    def report(self) -> VerificationReport:
+        mesh = self._mesh
+        row0, col0, last_row, last_col = self._edges
+        grounded = bool(np.all(np.abs(row0) <= INTERNAL_TOL)
+                        and np.all(np.abs(col0) <= INTERNAL_TOL))
+        margins = bool(np.all(np.abs(last_row - mesh) <= INTERNAL_TOL)
+                       and np.all(np.abs(last_col - mesh) <= INTERNAL_TOL))
+        worst_cell = (float(mesh[self._worst[0]]), float(mesh[self._worst[1]]))
+        two_increasing = self._min_cell >= -INTERNAL_TOL
+        return VerificationReport(grounded, margins, self._monotone, self._lipschitz,
+                                  two_increasing, self._min_cell, worst_cell)
+
+
 def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) -> VerificationReport:
     """Verify the (quasi-)copula axioms on a grid.
 
@@ -66,39 +151,9 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     (a step of -5.6e-17 on an exact copula) nor, relative to dx, in cells
     so thin that dx * tol is below an ulp (a knot ~1e-7 from a mesh line).
     """
-    check_tol(tol)
-    mesh, v = grid.mesh, grid.values
-    grounded = bool(np.all(np.abs(v[0, :]) <= INTERNAL_TOL)
-                    and np.all(np.abs(v[:, 0]) <= INTERNAL_TOL))
-    margins = bool(np.all(np.abs(v[-1, :] - mesh) <= INTERNAL_TOL)
-                   and np.all(np.abs(v[:, -1] - mesh) <= INTERNAL_TOL))
-    n = len(mesh)
-    step_floor = -(tol + INTERNAL_TOL)
-    lip_bound = np.diff(mesh) * (1.0 + tol) + INTERNAL_TOL
-    monotone = lipschitz = True
-    min_cell, worst = None, None
-    for rows in _row_blocks(n - 1, n):
-        # the block's rows of v and the next one, which the x-differences need;
-        # that row's y-differences are checked twice, to the same verdict
-        vb = v[rows.start:rows.stop + 1]
-        diff_x = np.diff(vb, axis=0)
-        diff_y = np.diff(vb, axis=1)
-        monotone = monotone and bool(np.all(diff_x >= step_floor)
-                                     and np.all(diff_y >= step_floor))
-        lipschitz = lipschitz and bool(np.all(diff_x <= lip_bound[rows, None])
-                                       and np.all(diff_y <= lip_bound[None, :]))
-        cells = diff_x[:, 1:] - diff_x[:, :-1]
-        k = int(np.argmin(cells))
-        value = float(cells.flat[k])
-        # the first occurrence of the least volume (or of a NaN), as np.argmin
-        # over all cells would find it
-        if min_cell is None or value < min_cell or (np.isnan(value) and not np.isnan(min_cell)):
-            min_cell = value
-            worst = (rows.start + k // cells.shape[1], k % cells.shape[1])
-    worst_cell = (float(mesh[worst[0]]), float(mesh[worst[1]]))
-    two_increasing = min_cell >= -INTERNAL_TOL
-    return VerificationReport(grounded, margins, monotone, lipschitz,
-                              two_increasing, min_cell, worst_cell)
+    check = _GridCheck(grid.mesh, check_tol(tol))
+    _feed(_GridRows(grid), check)
+    return check.report()
 
 
 @dataclass(frozen=True)
@@ -120,36 +175,47 @@ def compare(grid1: GridCopula, grid2: GridCopula, tol: float = USER_TOL) -> Comp
     check_tol(tol)
     if not np.array_equal(grid1.mesh, grid2.mesh):
         raise MeshMismatch("grids are on different meshes")
-    v1, v2 = grid1.values, grid2.values
-    n = len(grid1.mesh)
-    equal = first = second = True
-    for rows in _row_blocks(n, n):
-        d = v1[rows] - v2[rows]
-        equal = equal and float(np.abs(d).max()) <= tol
-        first = first and bool(np.all(d >= -tol))
-        second = second and bool(np.all(d <= tol))
-        if not (equal or first or second):
-            break
-    if equal:
-        return ComparisonResult("equal", None, None)
-    if first:
-        return ComparisonResult("first-dominates", None, None)
-    if second:
-        return ComparisonResult("second-dominates", None, None)
-    # The mirror products d[i, j] * d[j, i], a row block at a time; the
-    # first occurrence of the most negative one, as np.argmin over the grid.
+    return _compare_rows(_GridRows(grid1), _GridRows(grid2), tol)
+
+
+def _compare_rows(first, second, tol: float) -> ComparisonResult:
+    """compare() of two row-block sources on one mesh, in one pass over the upper half.
+
+    With d = first - second, the block of rows i takes d[i, j] and d[j, i]
+    for j from the block's first row on. Over all blocks these cover every
+    cell, so the dominance tests see the whole grid. The mirror product
+    d[i, j] * d[j, i] is symmetric, so the first occurrence of its most
+    negative value over the whole grid, where np.argmin would find it, lies
+    at j >= i; within a block a cell left of the diagonal has its mirror
+    earlier in the same block.
+    """
+    n = len(first.mesh)
+    equal = dominates = dominated = True
     best, witness = 0.0, None
     for rows in _row_blocks(n, n):
-        prod = (v1[rows] - v2[rows]) * (v1[:, rows] - v2[:, rows]).T
+        half = slice(rows.start, n)
+        upper = first.block(rows, half) - second.block(rows, half)
+        mirror = (first.block(half, rows) - second.block(half, rows)).T
+        for d in (upper, mirror):
+            equal = equal and float(np.abs(d).max()) <= tol
+            dominates = dominates and bool(np.all(d >= -tol))
+            dominated = dominated and bool(np.all(d <= tol))
+        prod = upper * mirror
         masked = np.where(prod < 0.0, prod, 0.0)
         k = int(np.argmin(masked))
         if masked.flat[k] < best:
             best = float(masked.flat[k])
-            witness = (rows.start + k // n, k % n)
+            witness = (rows.start + k // prod.shape[1], rows.start + k % prod.shape[1])
+    if equal:
+        return ComparisonResult("equal", None, None)
+    if dominates:
+        return ComparisonResult("first-dominates", None, None)
+    if dominated:
+        return ComparisonResult("second-dominates", None, None)
     if witness is None:
         return ComparisonResult("incomparable", None, None)
     i, j = witness
-    return ComparisonResult("incomparable", (float(grid1.mesh[i]), float(grid1.mesh[j])), best)
+    return ComparisonResult("incomparable", (float(first.mesh[i]), float(first.mesh[j])), best)
 
 
 def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = USER_TOL) -> float:
@@ -172,20 +238,64 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     return max(min(x, y, kappa_low), min(x, y, kappa_up))
 
 
-def _below_track_area(a, b, w, y0, y1):
-    """Area of {(u, v): y0 <= v <= min(phi(u), y1)} over one cell.
+class _PsiExtraction(_GridCheck):
+    """extract_psi accumulated over the row blocks of one grid, with its copula checks; see psi().
 
-    phi is linear from a to b across the cell width w. Exact polygon
-    clipping of the cell against the track; evaluated via the primitive
-    A(t) = integral of max(phi - t, 0).
+    Each cell's volume is weighted by the share of its area below the
+    track. On a cell where the track runs linearly from a to b across the
+    width w, that area is A(y0) - A(y1) with A(t) the integral of
+    max(phi - t, 0): exact polygon clipping of the cell against the track.
+    As in _GridCheck, every temporary lives in a buffer made at the first
+    block; the check's three are free again once it has seen the window.
     """
-    def primitive(t):
-        t = np.asarray(t, dtype=float)
-        full = w * (0.5 * (a + b) - t)
-        crossing = np.where(b > a, w * (b - t) ** 2 / (2.0 * np.maximum(b - a, 1e-300)), 0.0)
-        out = np.where(t <= a, full, np.where(t >= b, 0.0, crossing))
-        return out
-    return primitive(y0) - primitive(y1)
+
+    _BUFFERS = 4
+
+    def __init__(self, mesh: np.ndarray, track: Track, tol: float):
+        super().__init__(mesh, tol)
+        self._track = track
+        a = eval_pl(track.phi, mesh[:-1])[:, None]
+        b = eval_pl(track.phi, mesh[1:])[:, None]
+        self._a, self._b, self._w = a, b, np.diff(mesh)[:, None]
+        self._mid = 0.5 * (a + b)
+        self._span = 2.0 * np.maximum(b - a, 1e-300)
+        self._cell_height = mesh[None, 1:] - mesh[None, :-1]
+        self._col_mass = np.empty(len(mesh) - 1)
+
+    def _add_window(self, first: int, window: np.ndarray):
+        super()._add_window(first, window)
+        rows, cols = len(window) - 1, window.shape[1] - 1
+        spare, below, above, volumes = (self._buffer(i, rows, cols) for i in range(4))
+        np.subtract(window[1:, 1:], window[:-1, 1:], out=volumes)
+        np.subtract(volumes, window[1:, :-1], out=volumes)
+        np.add(volumes, window[:-1, :-1], out=volumes)
+        cells = slice(first, first + rows)
+        self._primitive(cells, self._mesh[None, :-1], spare, below)
+        self._primitive(cells, self._mesh[None, 1:], spare, above)
+        frac = np.subtract(below, above, out=below)
+        np.divide(frac, np.multiply(self._w[cells], self._cell_height, out=spare), out=frac)
+        np.clip(frac, 0.0, 1.0, out=frac)
+        self._col_mass[cells] = np.sum(np.multiply(volumes, frac, out=frac), axis=1)
+
+    def _primitive(self, cells: slice, t: np.ndarray, spare: np.ndarray, out: np.ndarray):
+        """A(t) on the cells of rows `cells` into `out`; `spare` is overwritten."""
+        a, b, w = self._a[cells], self._b[cells], self._w[cells]
+        full = np.multiply(w, np.subtract(self._mid[cells], t, out=spare), out=spare)
+        # the track crosses t: w (b - t)^2 / 2 (b - a)
+        np.subtract(b, t, out=out)
+        np.square(out, out=out)
+        np.multiply(w, out, out=out)
+        np.divide(out, self._span[cells], out=out)
+        np.copyto(out, 0.0, where=~(b > a))
+        np.copyto(out, 0.0, where=t >= b)  # the track lies below t
+        np.copyto(out, full, where=t <= a)  # the track lies above t
+
+    def psi(self) -> PLFunction:
+        """The extracted psi; raises NotACopula, or BadMesh for a mesh missing a track knot."""
+        if not self.report().copula_ok:
+            raise NotACopula("grid fails the copula checks")
+        mesh = _validate_mesh(self._mesh, self._track.phi.x)
+        return PLFunction(mesh, np.concatenate(([0.0], np.cumsum(self._col_mass))))
 
 
 def extract_psi(grid: GridCopula, track: Track, tol: float = USER_TOL) -> PLFunction:
@@ -193,29 +303,56 @@ def extract_psi(grid: GridCopula, track: Track, tol: float = USER_TOL) -> PLFunc
 
     Each cell's volume is spread uniformly over the cell and apportioned by
     the exact area fraction lying below the piecewise-linear track. Mass
-    sitting exactly on the track counts as below.
+    sitting exactly on the track counts as below. The grid must pass
+    check_grid's copula checks first.
     """
-    report = check_grid(grid, mode="copula", tol=tol)
-    if not report.copula_ok:
-        raise NotACopula("grid fails the copula checks")
-    mesh = _validate_mesh(grid.mesh, track.phi.x)
-    v = grid.values
-    n = len(mesh)
-    a = eval_pl(track.phi, mesh[:-1])[:, None]
-    b = eval_pl(track.phi, mesh[1:])[:, None]
-    w = np.diff(mesh)[:, None]
-    y0 = mesh[None, :-1]
-    y1 = mesh[None, 1:]
-    col_mass = np.empty(n - 1)
-    for rows in _row_blocks(n - 1, n):
-        vb = v[rows.start:rows.stop + 1]
-        volumes = vb[1:, 1:] - vb[:-1, 1:] - vb[1:, :-1] + vb[:-1, :-1]
-        area = _below_track_area(a[rows], b[rows], w[rows], y0, y1)
-        frac = area / (w[rows] * (y1 - y0))
-        frac = np.clip(frac, 0.0, 1.0)
-        col_mass[rows] = np.sum(volumes * frac, axis=1)
-    psi_vals = np.concatenate(([0.0], np.cumsum(col_mass)))
-    return PLFunction(mesh, psi_vals)
+    extraction = _PsiExtraction(grid.mesh, track, check_tol(tol))
+    _feed(_GridRows(grid), extraction)
+    return extraction.psi()
+
+
+class _SectionCheck:
+    """Sink that gathers a grid's values on the track, at the mesh point nearest phi(x)."""
+
+    def __init__(self, mesh: np.ndarray, track: Track):
+        n = len(mesh)
+        self._mesh = mesh
+        phi_mesh = eval_pl(track.phi, mesh)
+        idx = np.clip(np.searchsorted(mesh, phi_mesh), 1, n - 1)
+        self._idx = np.where(np.abs(mesh[idx] - phi_mesh) <= np.abs(mesh[idx - 1] - phi_mesh),
+                             idx, idx - 1)
+        self._on_mesh = np.abs(mesh[self._idx] - phi_mesh) <= INTERNAL_TOL
+        self._section = np.empty(n)
+
+    def add(self, rows: slice, block: np.ndarray):
+        self._section[rows] = block[np.arange(len(block)), self._idx[rows]]
+
+    def deviation(self, delta: PLFunction) -> float:
+        """Largest |C(x, phi(x)) - delta(x)| over the x whose phi(x) is a mesh point."""
+        on_mesh = self._on_mesh
+        if not on_mesh.any():
+            return 0.0
+        return float(np.abs(self._section[on_mesh] - eval_pl(delta, self._mesh[on_mesh])).max())
+
+
+def _envelope_candidate(source, track: Track, spec: DiagonalSpec, tol: float) -> PsiCandidate:
+    """dominating_envelope's candidate, from one pass over a row-block source.
+
+    The pass gathers the track section, the copula checks and the extracted
+    mass together; their failures are raised in that order afterwards.
+    """
+    check_tol(tol)
+    mesh = source.mesh
+    section, extraction = _SectionCheck(mesh, track), _PsiExtraction(mesh, track, tol)
+    _feed(source, section, extraction)
+    mesh_tol = 2.0 / len(mesh)
+    dev = section.deviation(spec.delta)
+    if dev > mesh_tol:
+        raise TrackSectionMismatch(f"track section deviates by {dev:.3g} > {mesh_tol:.3g}")
+    candidate = quadruplet(spec, extraction.psi(), tol=tol)
+    if not candidate.eligible:
+        raise IneligibleExtractedPsi(candidate.violation or "extracted psi not eligible")
+    return candidate
 
 
 def dominating_envelope(grid: GridCopula, track: Track, spec: DiagonalSpec,
@@ -226,22 +363,4 @@ def dominating_envelope(grid: GridCopula, track: Track, spec: DiagonalSpec,
     discretization tolerance 2/n; the extracted mass function must come out
     eligible, otherwise the mesh is too coarse.
     """
-    check_tol(tol)
-    mesh = grid.mesh
-    n = len(mesh)
-    mesh_tol = 2.0 / n
-    phi_mesh = eval_pl(track.phi, mesh)
-    idx = np.clip(np.searchsorted(mesh, phi_mesh), 1, n - 1)
-    idx = np.where(np.abs(mesh[idx] - phi_mesh) <= np.abs(mesh[idx - 1] - phi_mesh),
-                   idx, idx - 1)
-    on_mesh = np.abs(mesh[idx] - phi_mesh) <= INTERNAL_TOL
-    section = grid.values[np.arange(n)[on_mesh], idx[on_mesh]]
-    target = eval_pl(spec.delta, mesh[on_mesh])
-    dev = float(np.abs(section - target).max()) if on_mesh.any() else 0.0
-    if dev > mesh_tol:
-        raise TrackSectionMismatch(f"track section deviates by {dev:.3g} > {mesh_tol:.3g}")
-    psi = extract_psi(grid, track, tol=tol)
-    candidate = quadruplet(spec, psi, tol=tol)
-    if not candidate.eligible:
-        raise IneligibleExtractedPsi(candidate.violation or "extracted psi not eligible")
-    return make_cpsi(spec, candidate)
+    return make_cpsi(spec, _envelope_candidate(_GridRows(grid), track, spec, tol))

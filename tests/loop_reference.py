@@ -53,7 +53,6 @@ from trackcop import (
 from trackcop.cli import _csv_text
 from trackcop.construction import _validate_mesh
 from trackcop.funcspace import INTERNAL_TOL
-from trackcop.verification import _below_track_area
 
 
 def first_increase_violation(values, knots, tol):
@@ -177,8 +176,8 @@ def reference_diagonal_conditions(delta, track, tol):
 
 def reference_make_diagonal(delta, track):
     """The DiagonalSpec make_diagonal built, with phi_values() left to interpolate."""
-    u, d, p = reference_common_knots(delta, track)
-    return DiagonalSpec(PLFunction(u, d), PLFunction(u, u - d), PLFunction(u, p - d), track)
+    u, d, _ = reference_common_knots(delta, track)
+    return DiagonalSpec(PLFunction(u, d), track)
 
 
 def reference_eval_scalar(f, t):
@@ -343,6 +342,23 @@ def whole_compare(grid1, grid2, tol=1e-9):
         witness = (float(grid1.mesh[i]), float(grid1.mesh[j]))
         return ComparisonResult("incomparable", witness, float(prod[i, j]))
     return ComparisonResult("incomparable", None, None)
+
+
+def _below_track_area(a, b, w, y0, y1):
+    """Area of {(u, v): y0 <= v <= min(phi(u), y1)} over one cell, in fresh temporaries.
+
+    phi is linear from a to b across the cell width w. Exact polygon
+    clipping of the cell against the track; evaluated via the primitive
+    A(t) = integral of max(phi - t, 0). The library's extraction does the
+    same arithmetic in buffers it reuses from block to block.
+    """
+    def primitive(t):
+        t = np.asarray(t, dtype=float)
+        full = w * (0.5 * (a + b) - t)
+        crossing = np.where(b > a, w * (b - t) ** 2 / (2.0 * np.maximum(b - a, 1e-300)), 0.0)
+        out = np.where(t <= a, full, np.where(t >= b, 0.0, crossing))
+        return out
+    return primitive(y0) - primitive(y1)
 
 
 def whole_extract_psi(grid, track, tol=1e-9):

@@ -168,12 +168,13 @@ def test_mesh_option_on_build_compare_splice(tmp_path, monkeypatch):
     spec = load_problem(spec_path).spec
     expected = merge_knots(np.linspace(0.0, 1.0, 11), spec.knots, spec.phi_values())
     assert len(expected) == 13  # 11 uniform points, the knot 0.35 and its image 0.55
-    meshes = []
-    materialize = cli.materialize_grid
-    monkeypatch.setattr(cli, "materialize_grid",
-                        lambda s, c, mesh: materialize(s, c, meshes.append(mesh) or mesh))
+    # compare writes no grid, so spy on the mesh of each construction it compares
+    sources = []
+    construction_rows = cli._ConstructionRows
+    monkeypatch.setattr(cli, "_ConstructionRows",
+                        lambda *args: sources.append(construction_rows(*args)) or sources[-1])
     assert main(["compare", spec_path, "lower", "upper", "--mesh", "11", "--quiet"]) == 3
-    assert len(meshes) == 2 and all(np.array_equal(m, expected) for m in meshes)
+    assert len(sources) == 2 and all(np.array_equal(s.mesh, expected) for s in sources)
     out = tmp_path / "out"
     assert main(["splice", spec_path, "upper", "lower", "--mesh", "11",
                  "--out", str(out), "--quiet"]) == 0
@@ -211,6 +212,24 @@ def test_out_that_is_not_a_directory_exits_2(tmp_path, fig2_spec_file, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (tmp_path / "afile").read_text() == ""
+
+
+@pytest.mark.parametrize("command, target", [
+    ("bounds", "psi_lower.csv"), ("build", "grid.npy"), ("build", "report.json"),
+    ("compare", "comparison.json"), ("envelope", "envelope_grid.npy"),
+    ("envelope", "psi_extracted.csv"), ("splice", "splice_grid.npy")])
+def test_unwritable_target_exits_2(tmp_path, fig2_spec_file, command, target, capsys):
+    # --out is a directory, but a directory stands where the command writes a file
+    assert main(["build", fig2_spec_file, "--out", str(tmp_path), "--quiet"]) == 0
+    operands = {"bounds": [fig2_spec_file], "build": [fig2_spec_file],
+                "compare": [fig2_spec_file, "lower", "upper"],
+                "envelope": [str(tmp_path / "grid.npy"), fig2_spec_file],
+                "splice": [fig2_spec_file, "upper", "lower"]}[command]
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    assert main([command, *operands, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / target}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])

@@ -10,6 +10,7 @@ its array buffers to tracemalloc, so the peak counts every temporary.
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,29 @@ def test_csv_grid_read_peak(traced, tmp_path):
     read, peak = added_peak(read_grid, path)
     assert len(read.mesh) >= 1001
     assert peak / (len(mesh) ** 2 * 8.0) <= BUILD_CEILING
+
+
+# ---------------------------------------------------------------------------
+# the CLI's grid commands hold row blocks, not grids
+
+COMMAND_CEILING = 0.25
+KNOT_SPEC = Path(__file__).parent / "data" / "csv_v0" / "knot_spec.json"
+
+
+@pytest.mark.parametrize("command", [["build"], ["compare", "lower", "upper"], ["envelope"],
+                                     ["splice", "upper", "lower"]], ids=lambda c: c[0])
+def test_grid_command_peaks(command, tmp_path, traced):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**json.loads(KNOT_SPEC.read_text()), "mesh": 1001}))
+    n = len(default_mesh(load_problem(spec)))
+    if command == ["envelope"]:
+        assert main(["build", str(spec), "--out", str(tmp_path), "--quiet"]) == 0
+        argv = ["envelope", str(tmp_path / "grid.npy"), str(spec)]
+    else:
+        argv = [command[0], str(spec), *command[1:]]
+    code, peak = added_peak(main, argv + ["--out", str(tmp_path / "out"), "--quiet"])
+    assert code == (3 if command[0] == "compare" else 0)
+    assert peak / (n * n * 8.0) < COMMAND_CEILING
 
 
 # ---------------------------------------------------------------------------
