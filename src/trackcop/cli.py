@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -151,21 +152,24 @@ def _eligible_candidates(problem: ProblemSpec, requests, tol: float) -> list:
     return candidates
 
 
-# The largest mesh a grid command accepts, counted as the bytes of two n x n
-# float grids plus one row block: about 8 190 points. A command holds row
-# blocks, not grids, so this no longer bounds its memory. It bounds the bytes
-# of the grid file a command writes (n * n * 8) and the n^2 work of one
-# command (compare computes two constructions), and a mesh over it is refused
-# before any work. The budget is one fixed number, not a probe of the
-# machine, so a spec is accepted or refused the same way everywhere.
+# The largest mesh a grid command accepts: one whose two n x n float grids
+# plus one row block fit in MESH_BUDGET_BYTES, 8 191 points. Two grids were
+# what a command held when it held its grids; it holds row blocks now, so the
+# budget no longer bounds memory, and it keeps its threshold so that a spec is
+# accepted or refused as before. What it caps is the grid file a command
+# writes (n * n * 8 bytes, 0.5 GiB at the limit) and the n^2 work of one
+# command. A mesh over it is refused before any work. It is one fixed number,
+# not a probe of the machine, so a spec is accepted or refused the same way
+# everywhere.
 MESH_BUDGET_BYTES = 1 << 30
 
 
 def _check_mesh_budget(n: int):
-    need = 2 * n * n * 8 + _BLOCK_BYTES
-    if need > MESH_BUDGET_BYTES:
-        raise MeshTooLarge(f"a mesh of {n} points needs about {need / 2**30:.3g} GiB for its"
-                           f" grids, over the {MESH_BUDGET_BYTES / 2**30:.3g} GiB budget")
+    if 2 * n * n * 8 + _BLOCK_BYTES > MESH_BUDGET_BYTES:
+        limit = math.isqrt((MESH_BUDGET_BYTES - _BLOCK_BYTES) // 16)
+        raise MeshTooLarge(f"a mesh of {n} points is over the {limit}-point limit of the"
+                           f" {MESH_BUDGET_BYTES / 2**30:.3g} GiB budget; its grid file alone"
+                           f" would take about {n * n * 8 / 2**30:.3g} GiB")
 
 
 def default_mesh(problem: ProblemSpec, n: int | None = None) -> np.ndarray:
@@ -200,10 +204,10 @@ def _csv_text(table) -> str:
 
 
 @contextlib.contextmanager
-def _writing(path, mode: str = "w"):
-    """open(path, mode), with an OSError from opening, writing or closing raised as SpecFileError."""
+def _writing(path):
+    """open(path, "w"), with an OSError from opening, writing or closing raised as SpecFileError."""
     try:
-        with open(path, mode) as fh:
+        with open(path, "w") as fh:
             yield fh
     except OSError as exc:  # a directory in the way, no permission, a full disk
         raise SpecFileError(f"cannot write {path}: {exc}")
@@ -246,19 +250,29 @@ def _write_table(path, source, fmt: str, *sinks):
     """Write a row-block source's grid table to `path` as `fmt`, a row block at a time.
 
     Each block is computed once and also handed to every one of `sinks`.
-    `.npy` gets the bytes np.save gives the table.
+    `.npy` gets the bytes np.save gives the table. The table goes to a
+    hidden file beside `path` and replaces it only once whole, so a pass that
+    fails leaves `path` as it was, and `source` may read `path` itself.
     """
-    mesh = source.mesh
-    with _writing(path, "w" if fmt == "csv" else "wb") as fh:
-        if fmt == "csv":
-            fh.write("," + _csv_text(mesh[None, :]))
-        else:
-            side = len(mesh) + 1
-            np.lib.format.write_array_header_1_0(fh, {
-                "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-                "fortran_order": False, "shape": (side, side)})
-            fh.write(np.concatenate(([np.nan], mesh)).tobytes())
-        _feed(source, _TableRows(fh, mesh, fmt), *sinks)
+    mesh, target = source.mesh, Path(os.path.realpath(path))
+    part = target.with_name(f".{target.name}.part")
+    try:
+        with open(part, "w" if fmt == "csv" else "wb") as fh:
+            if fmt == "csv":
+                fh.write("," + _csv_text(mesh[None, :]))
+            else:
+                side = len(mesh) + 1
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                    "fortran_order": False, "shape": (side, side)})
+                fh.write(np.concatenate(([np.nan], mesh)).tobytes())
+            _feed(source, _TableRows(fh, mesh, fmt), *sinks)
+        os.replace(part, target)
+    except OSError as exc:  # a directory in the way, no permission, a full disk
+        raise SpecFileError(f"cannot write {path}: {exc}")
+    finally:
+        with contextlib.suppress(OSError):
+            part.unlink(missing_ok=True)
 
 
 def write_grid_csv(path, grid: GridCopula):
@@ -484,7 +498,9 @@ class _Gain:
 
 def cmd_envelope(args, problem: ProblemSpec) -> tuple:
     # two passes over the grid: check, section and extraction, then the
-    # envelope, its gain and its file; nothing is written before the first ends
+    # envelope, its gain and its file; nothing is written before the first
+    # ends, and the envelope file replaces its target only when whole, so the
+    # input may be that target
     grid = _grid_rows(args.grid)
     candidate = _envelope_candidate(grid, problem.spec.track, problem.spec, args.tol)
     out = _out_dir(args)

@@ -248,12 +248,6 @@ def _fill(source) -> GridCopula:
     return GridCopula(source.mesh, values)
 
 
-def c_psi_grid_values(spec: DiagonalSpec, candidate: PsiCandidate, mesh: np.ndarray,
-                      rows: slice = slice(None)) -> np.ndarray:
-    """Vectorized grid of copula values on mesh[rows] x mesh; rows index the x-argument."""
-    return _ConstructionRows(spec, candidate, mesh).block(rows)
-
-
 def materialize_grid(spec: DiagonalSpec, candidate: PsiCandidate, mesh) -> GridCopula:
     """Sample the constructed copula on a mesh containing 0 and 1."""
     _require_eligible(candidate)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import trackcop.cli as cli
-from trackcop import GridCopula, merge_knots, psi_bounds
+from trackcop import GridCopula, construction, merge_knots, psi_bounds
 from trackcop.cli import load_problem, main, read_grid, read_grid_csv, write_grid_csv
 from conftest import diagonal_spec
 
@@ -230,6 +230,55 @@ def test_unwritable_target_exits_2(tmp_path, fig2_spec_file, command, target, ca
     assert main([command, *operands, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out / target}: ") and err.count("\n") == 1
+    assert not list(out.glob(".*.part"))
+
+
+@pytest.mark.parametrize("fmt", ["npy", "csv"])
+def test_envelope_may_overwrite_its_own_input(tmp_path, fig2_spec_file, fmt, capsys):
+    # re-enveloping a grid in place, the input named as the output: the run
+    # must read the input, not the envelope it is writing over it
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["splice", fig2_spec_file, "upper", "lower", "--out", str(out),
+                 "--format", fmt, "--quiet"]) == 0
+    target = out / f"envelope_grid.{fmt}"
+    (out / f"splice_grid.{fmt}").rename(target)
+    copy = tmp_path / f"copy.{fmt}"
+    copy.write_bytes(target.read_bytes())
+    capsys.readouterr()
+    assert main(["envelope", str(copy), fig2_spec_file, "--out", str(ref), "--format", fmt]) == 0
+    expected = capsys.readouterr().out
+    assert float(expected.split(":")[1]) > 0.1
+    assert main(["envelope", str(target), fig2_spec_file, "--out", str(out),
+                 "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+    assert target.read_bytes() == (ref / target.name).read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["report.json", "psi_extracted.csv", target.name])
+
+
+@pytest.mark.parametrize("command", ["build", "envelope", "splice"])
+def test_failed_grid_pass_leaves_its_target(tmp_path, fig2_spec_file, command, monkeypatch,
+                                            capsys):
+    out = tmp_path / "out"
+    assert main(["build", fig2_spec_file, "--out", str(out), "--quiet"]) == 0
+    assert main(["envelope", str(out / "grid.npy"), fig2_spec_file, "--out", str(out),
+                 "--quiet"]) == 0
+    assert main(["splice", fig2_spec_file, "upper", "lower", "--out", str(out), "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    add = cli._TableRows.add
+
+    def add_then_fail(self, rows, block):
+        add(self, rows, block)
+        if rows.stop > 10:
+            raise cli.SpecFileError("the pass failed")
+
+    monkeypatch.setattr(construction, "_BLOCK_BYTES", 8 * 80 * 3)
+    monkeypatch.setattr(cli._TableRows, "add", add_then_fail)
+    operands = {"build": [fig2_spec_file], "envelope": [str(out / "grid.npy"), fig2_spec_file],
+                "splice": [fig2_spec_file, "upper", "lower"]}[command]
+    assert main([command, *operands, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the pass failed\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])

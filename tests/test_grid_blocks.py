@@ -31,7 +31,7 @@ from trackcop import (
 )
 from trackcop import construction
 from trackcop.cli import load_problem, read_grid, write_grid
-from trackcop.construction import c_psi_grid_values
+from trackcop.construction import _ConstructionRows
 
 from conftest import diagonal_spec
 from loop_reference import (
@@ -91,7 +91,7 @@ def assert_kernels_match(spec, mesh, tmp_path):
     cands = candidates(spec)
     grids = []
     for cand in cands:
-        values = c_psi_grid_values(spec, cand, mesh)
+        values = _ConstructionRows(spec, cand, mesh).block(slice(None))
         assert same_bits(values, whole_grid_values(spec, cand, mesh))
         grids.append(materialize_grid(spec, cand, mesh))
         assert same_bits(grids[-1].values, values)

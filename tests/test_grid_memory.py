@@ -139,7 +139,8 @@ def test_mesh_over_budget_exits_2_before_any_grid(command, how, tmp_path, capsys
     code, peak = added_peak(main, argv)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: a mesh of {HUGE} points needs") and "budget" in err
+    assert err.startswith(f"error: a mesh of {HUGE} points is over the 8191-point limit")
+    assert "budget" in err and "grid file" in err
     assert not out.exists()
     assert peak < 16 * 2**20  # refused before any grid was allocated
 
