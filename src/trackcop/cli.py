@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
-from .construction import GridCopula, _BLOCK_BYTES, _ConstructionRows, _GridRows, _feed, \
-    _validate_mesh, region_functions
+from .construction import GridCopula, _ConstructionRows, _feed, _fill, _validate_mesh, \
+    region_functions
 from .errors import BadMesh, BadTolerance, IneligiblePsi, TrackcopError
 from .funcspace import USER_TOL, PLFunction, check_tol, make_pl, merge_knots
 from .splice import _SpliceRows, make_splice
@@ -43,7 +43,7 @@ from .trackmodel import (
     make_diagonal,
     make_track,
 )
-from .verification import _GridCheck, _compare_rows, _envelope_candidate
+from .verification import _GridCheck, compare, dominating_envelope
 
 BUILTIN_DIAGONALS = {
     "m-diag": lambda x: x,
@@ -112,6 +112,7 @@ def load_problem(path, tol: float = USER_TOL, validate: bool = True) -> ProblemS
     n = raw.get("mesh", 201)
     if not isinstance(n, int) or n < 3:
         raise SpecFileError(f"mesh must be an integer >= 3, got {n!r}")
+    _check_mesh_budget(n)  # before a built-in diagonal is sampled at n points
     track_raw = raw.get("track", "identity")
     if track_raw == "identity":
         track = identity_track()
@@ -152,23 +153,20 @@ def _eligible_candidates(problem: ProblemSpec, requests, tol: float) -> list:
     return candidates
 
 
-# The largest mesh a grid command accepts: one whose two n x n float grids
-# plus one row block fit in MESH_BUDGET_BYTES, 8 191 points. Two grids were
-# what a command held when it held its grids; it holds row blocks now, so the
-# budget no longer bounds memory, and it keeps its threshold so that a spec is
-# accepted or refused as before. What it caps is the grid file a command
-# writes (n * n * 8 bytes, 0.5 GiB at the limit) and the n^2 work of one
-# command. A mesh over it is refused before any work. It is one fixed number,
-# not a probe of the machine, so a spec is accepted or refused the same way
-# everywhere.
+# The largest mesh a command accepts: one whose n x n float grid fits in
+# MESH_BUDGET_BYTES, 11 585 points. The commands hold row blocks, not grids, so
+# what it caps is the grid file a command writes (n * n * 8 bytes) and the n^2
+# work of one command. A mesh over it is refused before any work. It is one
+# fixed number, not a probe of the machine, so a spec is accepted or refused
+# the same way everywhere.
 MESH_BUDGET_BYTES = 1 << 30
 
 
 def _check_mesh_budget(n: int):
-    if 2 * n * n * 8 + _BLOCK_BYTES > MESH_BUDGET_BYTES:
-        limit = math.isqrt((MESH_BUDGET_BYTES - _BLOCK_BYTES) // 16)
+    if n * n * 8 > MESH_BUDGET_BYTES:
+        limit = math.isqrt(MESH_BUDGET_BYTES // 8)
         raise MeshTooLarge(f"a mesh of {n} points is over the {limit}-point limit of the"
-                           f" {MESH_BUDGET_BYTES / 2**30:.3g} GiB budget; its grid file alone"
+                           f" {MESH_BUDGET_BYTES / 2**30:.3g} GiB budget; its grid file"
                            f" would take about {n * n * 8 / 2**30:.3g} GiB")
 
 
@@ -177,7 +175,8 @@ def default_mesh(problem: ProblemSpec, n: int | None = None) -> np.ndarray:
 
     n defaults to the spec's mesh; `--mesh` on build, compare and splice sets
     it. A mesh over MESH_BUDGET_BYTES raises MeshTooLarge, checked on n
-    before the uniform points are made and again on the merged mesh.
+    before the uniform points are made and again on the merged mesh; the
+    spec's own mesh was checked as it loaded.
     """
     n = problem.mesh_n if n is None else n
     _check_mesh_budget(n)
@@ -223,9 +222,7 @@ def write_function_csv(path, f: PLFunction):
 
 
 def _grid_from_table(table: np.ndarray, path) -> GridCopula:
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise SpecFileError(f"grid file {path}: expected a square (n+1) x (n+1) table,"
-                            f" got shape {table.shape}")
+    """The GridCopula of a square (n+1) x (n+1) table."""
     mesh = table[0, 1:]
     if not np.array_equal(table[1:, 0], mesh):
         raise SpecFileError(f"grid file {path}: row and column meshes disagree")
@@ -275,10 +272,6 @@ def _write_table(path, source, fmt: str, *sinks):
             part.unlink(missing_ok=True)
 
 
-def write_grid_csv(path, grid: GridCopula):
-    _write_table(path, _GridRows(grid), "csv")
-
-
 def read_grid_csv(path) -> GridCopula:
     """Parse a CSV grid a row at a time into one preallocated (n+1) x (n+1) table.
 
@@ -318,19 +311,60 @@ def read_grid_csv(path) -> GridCopula:
 def write_grid(path, grid: GridCopula, fmt: str) -> Path:
     """Write `grid` as `fmt` ("npy" or "csv") to `path` with that suffix; return the path."""
     path = Path(path).with_suffix("." + fmt)
-    _write_table(path, _GridRows(grid), fmt)
+    _write_table(path, grid, fmt)
     return path
 
 
 def read_grid(path) -> GridCopula:
     """Read a grid file, `.npy` or `.csv` by its suffix."""
+    grid = _grid_rows(path)
+    return grid if isinstance(grid, GridCopula) else _fill(grid)
+
+
+class _NpyRows:
+    """Row-block source over a C-order float .npy grid table, read at row offsets.
+
+    Each block is read with np.fromfile and converted to float64. It is
+    never read through a memory map: the pages a pass touches there would
+    all count towards the process's peak resident size. Each block's column
+    0 is checked against the mesh as it is read, so column and row meshes
+    that disagree raise the error _grid_from_table gives.
+    """
+
+    def __init__(self, path, table: np.memmap, mesh: np.ndarray):
+        self.mesh, self._path, self._dtype, self._offset = mesh, path, table.dtype, table.offset
+
+    def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        side = len(self.mesh) + 1
+        start, stop, _ = rows.indices(len(self.mesh))
+        count = (stop - start) * side
+        try:
+            table = np.fromfile(self._path, dtype=self._dtype, count=count,
+                                offset=self._offset + (start + 1) * side * self._dtype.itemsize)
+        except OSError as exc:
+            raise SpecFileError(f"cannot read grid file {self._path}: {exc}")
+        if table.size != count:
+            raise SpecFileError(f"cannot read grid file {self._path}: it ended early")
+        table = table.astype(float, copy=False).reshape(-1, side)
+        if not np.array_equal(table[:, 0], self.mesh[rows]):
+            raise SpecFileError(f"grid file {self._path}: row and column meshes disagree")
+        return table[:, 1:][:, cols]
+
+
+def _grid_rows(path):
+    """The grid file at path as a row-block source, `.npy` or `.csv` by its suffix.
+
+    A CSV file and a Fortran-order `.npy` table are read whole into a
+    GridCopula; every C-order float `.npy` table becomes an _NpyRows. The
+    memory map np.load makes here reads the header and row 0, the mesh.
+    """
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
         return read_grid_csv(path)
     if suffix != ".npy":
         raise SpecFileError(f"grid file {path}: expected a .npy or .csv suffix")
     try:
-        table = np.load(path, allow_pickle=False)
+        table = np.load(path, mmap_mode="r", allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise SpecFileError(f"cannot read grid file {path}: {exc}")
     if not isinstance(table, np.ndarray):  # an .npz archive
@@ -338,65 +372,16 @@ def read_grid(path) -> GridCopula:
         raise SpecFileError(f"grid file {path} is an .npz archive, not an .npy array")
     if table.dtype.kind != "f":
         raise SpecFileError(f"grid file {path} holds {table.dtype} values, not floats")
-    return _grid_from_table(table, path)
-
-
-class _NpyRows:
-    """Row-block source over a C-order little-endian float64 .npy grid table, read at row offsets.
-
-    Each block's column 0 is checked against the mesh as it is read, so
-    column and row meshes that disagree raise the error read_grid gives.
-    """
-
-    def __init__(self, path, body_offset: int, mesh: np.ndarray):
-        self.mesh, self._path, self._offset = mesh, path, body_offset
-
-    def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
-        side = len(self.mesh) + 1
-        start, stop, _ = rows.indices(len(self.mesh))
-        count = (stop - start) * side
-        try:
-            table = np.fromfile(self._path, dtype="<f8", count=count,
-                                offset=self._offset + (start + 1) * side * 8)
-        except OSError as exc:
-            raise SpecFileError(f"cannot read grid file {self._path}: {exc}")
-        if table.size != count:
-            raise SpecFileError(f"cannot read grid file {self._path}: it ended early")
-        table = table.reshape(-1, side)
-        if not np.array_equal(table[:, 0], self.mesh[rows]):
-            raise SpecFileError(f"grid file {self._path}: row and column meshes disagree")
-        return table[:, 1:][:, cols]
-
-
-def _npy_rows(path):
-    """A _NpyRows over the .npy file at path, or None unless it can be read at row offsets.
-
-    That takes a square float64 table of side 4 or more, C-order and
-    little-endian, in format 1.0 as np.save and this module write it, with
-    a valid mesh in row 0. Every other file is read whole by read_grid,
-    which gives the same table or the same error as ever.
-    """
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
+        raise SpecFileError(f"grid file {path}: expected a square (n+1) x (n+1) table,"
+                            f" got shape {table.shape}")
+    if np.isfortran(table):
+        return _grid_from_table(np.array(table), path)
     try:
-        with open(path, "rb") as fh:
-            if np.lib.format.read_magic(fh) != (1, 0):
-                return None
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            offset = fh.tell()
-            if (dtype != np.dtype("<f8") or fortran_order or len(shape) != 2
-                    or shape[0] != shape[1] or shape[0] < 4
-                    or os.fstat(fh.fileno()).st_size < offset + shape[0] * shape[1] * 8):
-                return None
-            mesh = np.fromfile(fh, dtype="<f8", count=shape[0])[1:]
-        _validate_mesh(mesh)
-    except (OSError, ValueError, BadMesh):
-        return None
-    return _NpyRows(path, offset, mesh)
-
-
-def _grid_rows(path):
-    """A row-block source over a grid file: a plain .npy table is read a block at a time."""
-    rows = _npy_rows(path) if Path(path).suffix.lower() == ".npy" else None
-    return rows if rows is not None else _GridRows(read_grid(path))
+        mesh = _validate_mesh(table[0, 1:].astype(float))
+    except BadMesh as exc:
+        raise SpecFileError(f"grid file {path}: {exc}")
+    return _NpyRows(path, table, mesh)
 
 
 def write_json(path, payload: dict):
@@ -464,8 +449,8 @@ def cmd_compare(args, problem: ProblemSpec) -> tuple:
     cand_a, cand_b = _eligible_candidates(
         problem, [_psi_arg(args.psi_a), _psi_arg(args.psi_b)], args.tol)
     mesh = default_mesh(problem, args.mesh)
-    result = _compare_rows(_ConstructionRows(problem.spec, cand_a, mesh),
-                           _ConstructionRows(problem.spec, cand_b, mesh), args.tol)
+    result = compare(_ConstructionRows(problem.spec, cand_a, mesh),
+                     _ConstructionRows(problem.spec, cand_b, mesh), args.tol)
     payload = result.as_dict()
     if args.out:
         write_json(_out_dir(args) / "comparison.json", payload)
@@ -502,7 +487,7 @@ def cmd_envelope(args, problem: ProblemSpec) -> tuple:
     # ends, and the envelope file replaces its target only when whole, so the
     # input may be that target
     grid = _grid_rows(args.grid)
-    candidate = _envelope_candidate(grid, problem.spec.track, problem.spec, args.tol)
+    candidate = dominating_envelope(grid, problem.spec.track, problem.spec, args.tol).candidate
     out = _out_dir(args)
     write_function_csv(out / "psi_extracted.csv", candidate.psi)
     gain = _Gain(grid)

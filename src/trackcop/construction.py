@@ -22,7 +22,7 @@ from .trackmodel import DiagonalSpec
 
 @dataclass(frozen=True)
 class GridCopula:
-    """n x n grid of values on an n-point mesh that _validate_mesh accepts; first index is x."""
+    """n x n values on an n-point mesh _validate_mesh accepts, first index x; a row-block source."""
 
     mesh: np.ndarray
     values: np.ndarray
@@ -34,6 +34,9 @@ class GridCopula:
             raise BadMesh("values must be square and match the mesh")
         self.mesh.flags.writeable = False
         self.values.flags.writeable = False
+
+    def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        return self.values[rows, cols]
 
 
 @dataclass(frozen=True)
@@ -191,20 +194,11 @@ def _row_blocks(n_rows: int, n_cols: int):
         yield slice(start, min(start + step, n_rows))
 
 
-# A row-block source is a grid that is never held whole: it has a `mesh` and
-# `block(rows, cols=slice(None))`, the n x n values' [rows, cols] as a fresh
-# or read-only array. The grid kernels read sources, so the same kernel checks
-# a GridCopula, a construction, a splice or a grid file.
-
-class _GridRows:
-    """Row-block source over a GridCopula's values."""
-
-    def __init__(self, grid: GridCopula):
-        self.mesh, self._values = grid.mesh, grid.values
-
-    def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
-        return self._values[rows, cols]
-
+# A row-block source is a grid: it has a `mesh` and `block(rows,
+# cols=slice(None))`, the n x n values' [rows, cols] as a fresh or read-only
+# array. A GridCopula is one; a construction, a splice and a grid file are
+# others that are never held whole. The grid kernels read sources, so the same
+# kernel checks any of them.
 
 class _ConstructionRows:
     """Row-block source of the constructed copula's values on a mesh holding 0 and 1.

@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import PsiCandidate, psi_bounds, quadruplet
-from .construction import CopulaCpsi, GridCopula, _GridRows, _feed, _kappa_pair, _row_blocks, \
-    _validate_mesh, make_cpsi
+from .canonical import psi_bounds, quadruplet
+from .construction import CopulaCpsi, _feed, _kappa_pair, _row_blocks, _validate_mesh, make_cpsi
 from .errors import MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, check_tol, eval_pl
@@ -53,14 +52,14 @@ class VerificationReport:
 class _GridCheck:
     """The checks of check_grid, accumulated over consecutive row blocks of one grid.
 
-    `add(rows, block)` takes the blocks in row order, none taller than the
-    first. The previous block's last row is carried over, so
-    `_add_window(first, window)` sees the grid's rows first, first + 1, ...
-    and every pair of adjacent rows once, however the rows are blocked.
-    The window and the differences live in buffers made at the first
-    block: fresh temporaries for every block would make the allocator hand
-    pages back and fault them in again, block after block. report() gives
-    the verdicts.
+    `add(rows, block)` takes the blocks of _row_blocks in row order. It
+    checks each block as one window and the pair of rows across each block
+    edge, the previous block's last row and the block's first, as a window
+    of its own, so `_add_window(first, window)` sees the grid's rows in order
+    and every pair of adjacent rows once, however the rows are blocked. The
+    differences live in buffers made once: fresh temporaries for every block
+    would make the allocator hand pages back and fault them in again, block
+    after block. report() gives the verdicts.
     """
 
     _BUFFERS = 3  # work arrays _add_window uses, each as large as a window
@@ -68,8 +67,9 @@ class _GridCheck:
     def __init__(self, mesh: np.ndarray, tol: float):
         self._mesh = mesh
         self._edges = np.empty((4, len(mesh)))  # row 0, column 0, last row, last column
-        self._window = None  # the carried row, then the block
-        self._height = 0     # rows of the last block, so the carried row is window[height]
+        self._pair = np.empty((2, len(mesh)))    # the rows across a block edge
+        height = max(next(_row_blocks(len(mesh), len(mesh))).stop, 2)  # of the tallest window
+        self._work = np.empty((self._BUFFERS, height * len(mesh)))
         self._step_floor = -(tol + INTERNAL_TOL)
         self._lip_bound = np.diff(mesh) * (1.0 + tol) + INTERNAL_TOL
         self._monotone = self._lipschitz = True
@@ -78,23 +78,16 @@ class _GridCheck:
     def add(self, rows: slice, block: np.ndarray):
         if rows.start == 0:
             self._edges[0] = block[0]
+        else:
+            self._pair[1] = block[0]
+            self._add_window(rows.start - 1, self._pair)
         if rows.stop == len(self._mesh):
             self._edges[2] = block[-1]
         self._edges[1, rows] = block[:, 0]
         self._edges[3, rows] = block[:, -1]
-        height, n = block.shape
-        if self._window is None:
-            self._window = np.empty((height + 1, n))
-            self._work = np.empty((self._BUFFERS, (height + 1) * n))
-            top = 1
-        else:
-            self._window[0] = self._window[self._height]
-            top = 0
-        self._window[1:height + 1] = block
-        self._height = height
-        window = self._window[top:height + 1]
-        if len(window) > 1:
-            self._add_window(rows.stop - len(window), window)
+        if len(block) > 1:
+            self._add_window(rows.start, block)
+        self._pair[0] = block[-1]
 
     def _buffer(self, i: int, rows: int, cols: int) -> np.ndarray:
         """Work array i as a C-contiguous rows x cols array."""
@@ -105,8 +98,8 @@ class _GridCheck:
         cell_rows = slice(first, first + rows)
         diff_x = np.subtract(window[1:], window[:-1], out=self._buffer(0, rows, n))
         diff_y = np.subtract(window[:, 1:], window[:, :-1], out=self._buffer(1, rows + 1, n - 1))
-        # the first row's y-differences were checked with the previous block
-        # too, to the same verdict
+        # a row at a block edge has its y-differences checked in two windows,
+        # to the same verdict
         self._monotone = self._monotone and bool(np.all(diff_x >= self._step_floor)
                                                  and np.all(diff_y >= self._step_floor))
         self._lipschitz = self._lipschitz and bool(
@@ -135,8 +128,8 @@ class _GridCheck:
                                   two_increasing, self._min_cell, worst_cell)
 
 
-def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) -> VerificationReport:
-    """Verify the (quasi-)copula axioms on a grid.
+def check_grid(grid, mode: str = "copula", tol: float = USER_TOL) -> VerificationReport:
+    """Verify the (quasi-)copula axioms on a grid, a GridCopula or any row-block source.
 
     Rectangle positivity for the quasi check only needs rectangles touching
     the boundary of the unit square; by additivity of volumes across mesh
@@ -152,7 +145,7 @@ def check_grid(grid: GridCopula, mode: str = "copula", tol: float = USER_TOL) ->
     so thin that dx * tol is below an ulp (a knot ~1e-7 from a mesh line).
     """
     check = _GridCheck(grid.mesh, check_tol(tol))
-    _feed(_GridRows(grid), check)
+    _feed(grid, check)
     return check.report()
 
 
@@ -166,29 +159,22 @@ class ComparisonResult:
         return asdict(self)
 
 
-def compare(grid1: GridCopula, grid2: GridCopula, tol: float = USER_TOL) -> ComparisonResult:
+def compare(first, second, tol: float = USER_TOL) -> ComparisonResult:
     """Classify the pointwise order of two grids on the same mesh.
 
-    When neither dominates, the witness is the mirror pair (u, v), (v, u)
-    with the most negative product of signed differences.
-    """
-    check_tol(tol)
-    if not np.array_equal(grid1.mesh, grid2.mesh):
-        raise MeshMismatch("grids are on different meshes")
-    return _compare_rows(_GridRows(grid1), _GridRows(grid2), tol)
-
-
-def _compare_rows(first, second, tol: float) -> ComparisonResult:
-    """compare() of two row-block sources on one mesh, in one pass over the upper half.
-
-    With d = first - second, the block of rows i takes d[i, j] and d[j, i]
-    for j from the block's first row on. Over all blocks these cover every
-    cell, so the dominance tests see the whole grid. The mirror product
-    d[i, j] * d[j, i] is symmetric, so the first occurrence of its most
-    negative value over the whole grid, where np.argmin would find it, lies
-    at j >= i; within a block a cell left of the diagonal has its mirror
+    Either grid may be a GridCopula or any row-block source. When neither
+    dominates, the witness is the mirror pair (u, v), (v, u) with the most
+    negative product of signed differences. With d = first - second, the
+    block of rows i takes d[i, j] and d[j, i] for j from the block's first
+    row on, so one pass over the upper half sees every cell. The mirror
+    product is symmetric, so the first occurrence of its most negative
+    value, where np.argmin over the whole grid would find it, lies at
+    j >= i; within a block a cell left of the diagonal has its mirror
     earlier in the same block.
     """
+    check_tol(tol)
+    if not np.array_equal(first.mesh, second.mesh):
+        raise MeshMismatch("grids are on different meshes")
     n = len(first.mesh)
     equal = dominates = dominated = True
     best, witness = 0.0, None
@@ -245,8 +231,8 @@ class _PsiExtraction(_GridCheck):
     track. On a cell where the track runs linearly from a to b across the
     width w, that area is A(y0) - A(y1) with A(t) the integral of
     max(phi - t, 0): exact polygon clipping of the cell against the track.
-    As in _GridCheck, every temporary lives in a buffer made at the first
-    block; the check's three are free again once it has seen the window.
+    As in _GridCheck, every temporary lives in a buffer made once; the
+    check's three are free again once it has seen the window.
     """
 
     _BUFFERS = 4
@@ -298,16 +284,17 @@ class _PsiExtraction(_GridCheck):
         return PLFunction(mesh, np.concatenate(([0.0], np.cumsum(self._col_mass))))
 
 
-def extract_psi(grid: GridCopula, track: Track, tol: float = USER_TOL) -> PLFunction:
+def extract_psi(grid, track: Track, tol: float = USER_TOL) -> PLFunction:
     """Cumulative checkerboard mass below or on the track, per mesh column.
 
-    Each cell's volume is spread uniformly over the cell and apportioned by
-    the exact area fraction lying below the piecewise-linear track. Mass
-    sitting exactly on the track counts as below. The grid must pass
+    The grid is a GridCopula or any row-block source. Each cell's volume
+    is spread uniformly over the cell and apportioned by the exact area
+    fraction lying below the piecewise-linear track, so mass sitting on the
+    track in a cell it crosses is split by area too. The grid must pass
     check_grid's copula checks first.
     """
     extraction = _PsiExtraction(grid.mesh, track, check_tol(tol))
-    _feed(_GridRows(grid), extraction)
+    _feed(grid, extraction)
     return extraction.psi()
 
 
@@ -335,16 +322,21 @@ class _SectionCheck:
         return float(np.abs(self._section[on_mesh] - eval_pl(delta, self._mesh[on_mesh])).max())
 
 
-def _envelope_candidate(source, track: Track, spec: DiagonalSpec, tol: float) -> PsiCandidate:
-    """dominating_envelope's candidate, from one pass over a row-block source.
+def dominating_envelope(grid, track: Track, spec: DiagonalSpec,
+                        tol: float = USER_TOL) -> CopulaCpsi:
+    """Least constructed copula dominating a gridded copula.
 
-    The pass gathers the track section, the copula checks and the extracted
-    mass together; their failures are raised in that order afterwards.
+    The grid is a GridCopula or any row-block source, read in one pass that
+    gathers the track section, the copula checks and the extracted mass
+    together; their failures are raised in that order afterwards. The
+    grid's track section must match the spec's diagonal to within the
+    discretization tolerance 2/n; the extracted mass function must come out
+    eligible, otherwise the mesh is too coarse.
     """
     check_tol(tol)
-    mesh = source.mesh
+    mesh = grid.mesh
     section, extraction = _SectionCheck(mesh, track), _PsiExtraction(mesh, track, tol)
-    _feed(source, section, extraction)
+    _feed(grid, section, extraction)
     mesh_tol = 2.0 / len(mesh)
     dev = section.deviation(spec.delta)
     if dev > mesh_tol:
@@ -352,15 +344,4 @@ def _envelope_candidate(source, track: Track, spec: DiagonalSpec, tol: float) ->
     candidate = quadruplet(spec, extraction.psi(), tol=tol)
     if not candidate.eligible:
         raise IneligibleExtractedPsi(candidate.violation or "extracted psi not eligible")
-    return candidate
-
-
-def dominating_envelope(grid: GridCopula, track: Track, spec: DiagonalSpec,
-                        tol: float = USER_TOL) -> CopulaCpsi:
-    """Least constructed copula dominating a gridded copula.
-
-    The grid's track section must match the spec's diagonal to within the
-    discretization tolerance 2/n; the extracted mass function must come out
-    eligible, otherwise the mesh is too coarse.
-    """
-    return make_cpsi(spec, _envelope_candidate(_GridRows(grid), track, spec, tol))
+    return make_cpsi(spec, candidate)

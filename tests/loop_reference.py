@@ -24,7 +24,8 @@ both quadruplets redone for every point.
 `whole_csv_bytes` are the grid kernels and writers as they were before they
 took their grids a row block at a time:
 each holds several n x n temporaries at once. The blocked kernels must give
-the same bits.
+the same bits. `whole_read_npy_grid` is the `.npy` grid reader as it was
+before grid files were streamed: np.load of the whole table.
 
 The library once treated the identity track apart. `is_identity_track`,
 `reference_c_psi_value`, `reference_c_psi_grid_values` and the closed form
@@ -41,6 +42,7 @@ import numpy as np
 from trackcop import (
     ComparisonResult,
     DiagonalSpec,
+    BadMesh,
     GridCopula,
     IneligiblePsi,
     NoCopulaExists,
@@ -50,7 +52,7 @@ from trackcop import (
     eval_pl,
     merge_knots,
 )
-from trackcop.cli import _csv_text
+from trackcop.cli import SpecFileError, _csv_text
 from trackcop.construction import _validate_mesh
 from trackcop.funcspace import INTERNAL_TOL
 
@@ -398,3 +400,26 @@ def whole_csv_bytes(grid):
     """The bytes of a .csv grid file, its body formatted as one table."""
     body = np.column_stack((grid.mesh, grid.values))
     return ("," + _csv_text(grid.mesh[None, :]) + _csv_text(body)).encode()
+
+
+def whole_read_npy_grid(path):
+    """read_grid of a .npy file, the whole table loaded and then checked."""
+    try:
+        table = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise SpecFileError(f"cannot read grid file {path}: {exc}")
+    if not isinstance(table, np.ndarray):  # an .npz archive
+        table.close()
+        raise SpecFileError(f"grid file {path} is an .npz archive, not an .npy array")
+    if table.dtype.kind != "f":
+        raise SpecFileError(f"grid file {path} holds {table.dtype} values, not floats")
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise SpecFileError(f"grid file {path}: expected a square (n+1) x (n+1) table,"
+                            f" got shape {table.shape}")
+    mesh = table[0, 1:]
+    if not np.array_equal(table[1:, 0], mesh):
+        raise SpecFileError(f"grid file {path}: row and column meshes disagree")
+    try:
+        return GridCopula(mesh, table[1:, 1:])
+    except BadMesh as exc:
+        raise SpecFileError(f"grid file {path}: {exc}")

@@ -5,7 +5,7 @@ import pytest
 
 import trackcop.cli as cli
 from trackcop import GridCopula, construction, merge_knots, psi_bounds
-from trackcop.cli import load_problem, main, read_grid, read_grid_csv, write_grid_csv
+from trackcop.cli import load_problem, main, read_grid, read_grid_csv, write_grid
 from conftest import diagonal_spec
 
 
@@ -83,7 +83,7 @@ def test_grid_csv_roundtrip_is_bit_exact(tmp_path, rng):
     mesh = np.concatenate(([0.0], np.sort(rng.random(7)), [1.0]))
     grid = GridCopula(mesh, rng.random((len(mesh), len(mesh))))
     path = tmp_path / "grid.csv"
-    write_grid_csv(path, grid)
+    write_grid(path, grid, "csv")
     back = read_grid_csv(path)
     assert np.array_equal(back.mesh, grid.mesh)
     assert np.array_equal(back.values, grid.values)

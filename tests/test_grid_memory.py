@@ -117,7 +117,7 @@ def test_grid_command_peaks(command, tmp_path, traced):
 # ---------------------------------------------------------------------------
 # the CLI's mesh budget
 
-HUGE = "100000"  # two grids of 80 GB each
+HUGE = "100000"  # a grid of 80 GB
 
 
 def spec_file(tmp_path, **fields):
@@ -139,7 +139,7 @@ def test_mesh_over_budget_exits_2_before_any_grid(command, how, tmp_path, capsys
     code, peak = added_peak(main, argv)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: a mesh of {HUGE} points is over the 8191-point limit")
+    assert err.startswith(f"error: a mesh of {HUGE} points is over the 11585-point limit")
     assert "budget" in err and "grid file" in err
     assert not out.exists()
     assert peak < 16 * 2**20  # refused before any grid was allocated
@@ -148,6 +148,30 @@ def test_mesh_over_budget_exits_2_before_any_grid(command, how, tmp_path, capsys
 def test_mesh_budget_admits_4001_points(tmp_path):
     problem = load_problem(spec_file(tmp_path, diagonal="fig2"))
     assert len(default_mesh(problem, 4001)) >= 4001
-    side = int((MESH_BUDGET_BYTES / 16) ** 0.5)  # two grids of this side fill the budget
+    side = int((MESH_BUDGET_BYTES / 8) ** 0.5)  # a grid of this side fills the budget
     with pytest.raises(MeshTooLarge):
         default_mesh(problem, side + 1)
+
+
+# A built-in diagonal is sampled at the spec's mesh as the spec loads, so a
+# mesh this large would be a 72.8 TiB allocation, which numpy refuses outright.
+ENORMOUS = 10**13
+
+
+@pytest.mark.parametrize("command", [["validate"], ["bounds"], ["build"],
+                                     ["compare", "lower", "upper"], ["envelope"],
+                                     ["splice", "upper", "lower"]], ids=lambda c: c[0])
+def test_spec_mesh_over_budget_exits_2_as_the_spec_loads(command, tmp_path, capsys, traced):
+    spec = spec_file(tmp_path, diagonal="fig2", mesh=ENORMOUS)
+    out = tmp_path / "out"
+    operands = [str(tmp_path / "grid.npy"), spec] if command == ["envelope"] else [spec]
+    argv = [command[0], *operands, *command[1:]]
+    if command != ["validate"]:
+        argv += ["--out", str(out)]
+    code, peak = added_peak(main, argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a mesh of {ENORMOUS} points is over the 11585-point limit")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert peak < 16 * 2**20

@@ -3,11 +3,13 @@
 The CLI never holds an n x n grid. build and splice check and write each
 block of a construction as it is computed, compare takes its two
 constructions a block at a time over the half j >= i, and envelope reads a
-.npy file at row offsets. Every result must be bit-identical to the
-GridCopula path and to the whole-grid oracles in loop_reference.py, with the
-block budget patched down to 1, 2 and 7 rows so that block edges fall
-everywhere. A .npy file that the streamed reader does not take is read whole
-by read_grid, so every malformed file keeps its exit code and error line.
+C-order .npy file at row offsets. The public grid functions take a
+GridCopula or any of these sources. Every result must be bit-identical to
+the GridCopula path and to the whole-grid oracles in loop_reference.py,
+with the block budget patched down to 1, 2 and 7 rows so that block edges
+fall everywhere. Every .npy file, malformed ones included, must give the
+exit code, output and files of the whole-file reader in loop_reference.py;
+two malformed files get a different error line, named in CHANGED_ERRORS.
 """
 
 import io
@@ -17,15 +19,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trackcop import GridCopula, TrackSectionMismatch, make_splice, materialize_grid, merge_knots, \
-    splice_grid
+from trackcop import GridCopula, TrackSectionMismatch, compare, dominating_envelope, make_splice, \
+    materialize_grid, merge_knots, splice_grid
 from trackcop import cli, construction
-from trackcop.cli import _grid_rows, _npy_rows, main, read_grid
-from trackcop.construction import _ConstructionRows, _GridRows, _feed
+from trackcop.cli import _grid_rows, main, read_grid
+from trackcop.construction import _ConstructionRows, _feed
 from trackcop.splice import _SpliceRows
-from trackcop.verification import _compare_rows, _envelope_candidate, _GridCheck
+from trackcop.verification import _GridCheck
 
-from loop_reference import whole_check_grid, whole_compare, whole_extract_psi, whole_npy_bytes
+from loop_reference import whole_check_grid, whole_compare, whole_extract_psi, whole_npy_bytes, \
+    whole_read_npy_grid
 from test_grid_blocks import candidates, knot_track_spec, same, use_block_rows
 from test_grid_io import npy_bytes, table
 from test_kernels import same_bits
@@ -64,8 +67,7 @@ def test_half_triangle_witness_matches_whole_grid(rows, monkeypatch):
         a, b = random_pair(seed)
         for tol in TOLS:
             for x, y in ((a, b), (b, a), (a, a)):
-                assert same(_compare_rows(_GridRows(x), _GridRows(y), tol),
-                            whole_compare(x, y, tol))
+                assert same(compare(x, y, tol), whole_compare(x, y, tol))
 
 
 @pytest.mark.parametrize("rows", BLOCK_ROWS, ids=lambda r: f"rows{r}")
@@ -79,7 +81,7 @@ def test_half_triangle_ties_beside_the_diagonal_and_across_a_block_edge(rows, mo
     d[7, 1], d[1, 7] = -0.5, 0.5    # and again, first met at (1, 7): the witness
     a, b = GridCopula(mesh, base + d), GridCopula(mesh, base)
     use_block_rows(monkeypatch, rows, len(mesh))
-    result = _compare_rows(_GridRows(a), _GridRows(b), 0.0)
+    result = compare(a, b, 0.0)
     assert same(result, whole_compare(a, b, 0.0))
     assert result.witness_pair == (mesh[1], mesh[7]) and result.product == -0.25
 
@@ -94,9 +96,10 @@ def test_compare_of_constructions_matches_their_grids(rows, monkeypatch):
     for tol in TOLS:
         for i, a in enumerate(cands):
             for j, b in enumerate(cands):
-                result = _compare_rows(_ConstructionRows(spec, a, mesh),
-                                       _ConstructionRows(spec, b, mesh), tol)
+                result = compare(_ConstructionRows(spec, a, mesh),
+                                 _ConstructionRows(spec, b, mesh), tol)
                 assert same(result, whole_compare(grids[i], grids[j], tol))
+                assert same(result, compare(grids[i], grids[j], tol))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +127,8 @@ def test_streamed_checks_match_grid_copula_input(rows, monkeypatch, tmp_path):
         if k == 3:  # a splice is no copula; it has no envelope
             continue
         want = whole_extract_psi(grid, spec.track)
-        for src in (source, from_file, _GridRows(grid)):
-            cand = _envelope_candidate(src, spec.track, spec, 1e-9)
+        for src in (source, from_file, grid):
+            cand = dominating_envelope(src, spec.track, spec, 1e-9).candidate
             assert same_bits(cand.psi.x, want.x) and same_bits(cand.psi.y, want.y)
 
 
@@ -139,9 +142,9 @@ def test_section_mismatch_and_failed_checks_keep_their_order(tmp_path):
     bad = GridCopula(grid.mesh, values)
     path = tmp_path / "bad.npy"
     path.write_bytes(whole_npy_bytes(bad))
-    for src in (_GridRows(bad), _grid_rows(path)):
+    for src in (bad, _grid_rows(path)):
         with pytest.raises(TrackSectionMismatch):
-            _envelope_candidate(src, spec.track, spec, 1e-9)
+            dominating_envelope(src, spec.track, spec, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def test_cli_outputs_match_the_whole_grid_path(rows, tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the streamed .npy reader against the whole-file reader
+# the .npy reader against the whole-file reader
 
 def npy_cases():
     """.npy payloads: the knot-track grid of knot_spec.json as written, and malformed variants."""
@@ -244,8 +247,26 @@ def _npz(t):
     return buf.getvalue()
 
 
-STREAMED = {"plain", "trailing-bytes", "meshes-disagree-first-row", "meshes-disagree-late-row"}
+# how _grid_rows takes each file: streamed, read whole, or refused at once
+STREAMED = {"plain", "trailing-bytes", "float32", "big-endian", "meshes-disagree-first-row",
+            "meshes-disagree-late-row"}
+WHOLE = {"fortran"}
 CASES = npy_cases()
+
+# The streamed reader checks the mesh row before it reads any other row, and
+# np.load with a memory map checks the file's length against its header.
+CHANGED_ERRORS = {
+    "truncated": "error: cannot read grid file {path}: mmap length is greater than file size\n",
+    "nan-mesh": "error: grid file {path}: mesh must be finite\n",
+}
+
+
+def reader_kind(path):
+    try:
+        source = _grid_rows(path)
+    except cli.SpecFileError:
+        return "refused"
+    return {cli._NpyRows: "streamed", GridCopula: "whole"}[type(source)]
 
 
 def run_envelope(path, spec_path, out, capsys):
@@ -262,21 +283,38 @@ def test_streamed_npy_reader_matches_whole_read(case, rows, tmp_path, monkeypatc
     path.write_bytes(CASES[case])
     spec_path = str(CSV_V0 / "knot_spec.json")
     use_block_rows(monkeypatch, rows, 30)
-    assert (_npy_rows(path) is not None) == (case in STREAMED)
+    assert reader_kind(path) == ("streamed" if case in STREAMED else
+                                 "whole" if case in WHOLE else "refused")
     streamed = run_envelope(path, spec_path, tmp_path / "streamed", capsys)
-    monkeypatch.setattr(cli, "_npy_rows", lambda path: None)
+    monkeypatch.setattr(cli, "_grid_rows", whole_read_npy_grid)
     whole = run_envelope(path, spec_path, tmp_path / "whole", capsys)
-    assert streamed == whole
-    code, _, err, _ = streamed
+    code, out, err, files = streamed
+    if case in CHANGED_ERRORS:
+        assert err == CHANGED_ERRORS[case].format(path=path)
+        assert (code, out, files) == (whole[0], whole[1], whole[3]) and whole[2] != err
+    else:
+        assert streamed == whole
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_streamed_reader_reads_the_same_grid(tmp_path):
     path = tmp_path / "grid.npy"
-    path.write_bytes(CASES["plain"])
-    grid = read_grid(path)
-    rows = _grid_rows(path)
-    assert same_bits(rows.mesh, grid.mesh)
-    assert same_bits(rows.block(slice(3, 9)), grid.values[3:9])
-    assert same_bits(rows.block(slice(0, len(grid.mesh)), slice(2, 5)), grid.values[:, 2:5])
+    for case in ("plain", "trailing-bytes", "float32", "big-endian"):
+        path.write_bytes(CASES[case])
+        grid = whole_read_npy_grid(path)
+        assert same_bits(read_grid(path).values, grid.values)
+        rows = _grid_rows(path)
+        assert same_bits(rows.mesh, grid.mesh)
+        assert same_bits(rows.block(slice(3, 9)), grid.values[3:9])
+        assert same_bits(rows.block(slice(0, len(grid.mesh)), slice(2, 5)), grid.values[:, 2:5])
+
+
+@pytest.mark.parametrize("shape", [(0, 0), ()], ids=str)
+def test_empty_npy_table_exits_2(shape, tmp_path, capsys):
+    path = tmp_path / "grid.npy"
+    path.write_bytes(npy_bytes(np.zeros(shape)))
+    code = main(["envelope", str(path), str(CSV_V0 / "knot_spec.json"), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: grid file {path}: expected a square (n+1) x (n+1)"
+                                       f" table, got shape {shape}\n")
