@@ -112,7 +112,6 @@ def load_problem(path, tol: float = USER_TOL, validate: bool = True) -> ProblemS
     n = raw.get("mesh", 201)
     if not isinstance(n, int) or n < 3:
         raise SpecFileError(f"mesh must be an integer >= 3, got {n!r}")
-    _check_mesh_budget(n)  # before a built-in diagonal is sampled at n points
     track_raw = raw.get("track", "identity")
     if track_raw == "identity":
         track = identity_track()
@@ -120,6 +119,7 @@ def load_problem(path, tol: float = USER_TOL, validate: bool = True) -> ProblemS
         track = make_track(_knot_function(track_raw))
     diag_raw = raw.get("diagonal")
     if isinstance(diag_raw, str):
+        _check_mesh_budget(n)  # before the built-in diagonal is sampled at n points
         delta = builtin_diagonal(diag_raw, n)
     elif isinstance(diag_raw, dict):
         delta = _knot_function(diag_raw)
@@ -175,8 +175,7 @@ def default_mesh(problem: ProblemSpec, n: int | None = None) -> np.ndarray:
 
     n defaults to the spec's mesh; `--mesh` on build, compare and splice sets
     it. A mesh over MESH_BUDGET_BYTES raises MeshTooLarge, checked on n
-    before the uniform points are made and again on the merged mesh; the
-    spec's own mesh was checked as it loaded.
+    before the uniform points are made and again on the merged mesh.
     """
     n = problem.mesh_n if n is None else n
     _check_mesh_budget(n)
@@ -375,8 +374,8 @@ def _grid_rows(path):
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
         raise SpecFileError(f"grid file {path}: expected a square (n+1) x (n+1) table,"
                             f" got shape {table.shape}")
-    if np.isfortran(table):
-        return _grid_from_table(np.array(table), path)
+    if np.isfortran(table):  # read whole from the file, not through the map
+        return _grid_from_table(np.load(path, allow_pickle=False), path)
     try:
         mesh = _validate_mesh(table[0, 1:].astype(float))
     except BadMesh as exc:

@@ -13,16 +13,14 @@ Run it against two checkouts and diff the two manifests:
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_manifest.py > old.txt
     diff old.txt new.txt
 
-`--subset` runs a short chain only; `--work DIR` keeps the work directory
-(it must not exist yet). The harness uses nothing of trackcop but `main`,
-and it makes its malformed `.npy` files from a grid that `build` wrote, so
-it runs against any checkout. Pytest does not collect this file;
-tests/test_cli_manifest.py runs the subset.
+The harness uses nothing of trackcop but `main`, and it makes its
+malformed `.npy` files from a grid that `build` wrote, so it runs against
+any checkout. Pytest does not collect this file; tests/test_cli_manifest.py
+runs `manifest(work, subset=True)`, a short chain only.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -52,7 +50,7 @@ BAD_SPECS = {
     "small-mesh": {"diagonal": "fig2", "mesh": 2},
 }
 SUBCOMMANDS = ["validate", "bounds", "build", "compare", "envelope", "splice"]
-SUBSET = {0, 2, 3, 7, 11, 16}  # the entries of chain() that --subset runs: one per subcommand
+SUBSET = {0, 2, 3, 7, 11, 16}  # the chain() entries of a subset manifest: one per subcommand
 
 
 def write_specs(work: Path):
@@ -195,14 +193,9 @@ def manifest(work: Path, subset: bool = False) -> list:
         os.chdir(here)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--subset", action="store_true", help="run a short chain only")
-    parser.add_argument("--work", help="work directory to make and keep (default: a temporary one)")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(args.work) if args.work else Path(tmp) / "work"
-        lines = manifest(work.resolve(), args.subset)
+        lines = manifest((Path(tmp) / "work").resolve())
     print("\n".join(lines))
     print(f"# {sum(line.startswith('$ ') for line in lines)} invocations")
     return 0

@@ -175,3 +175,17 @@ def test_spec_mesh_over_budget_exits_2_as_the_spec_loads(command, tmp_path, caps
     assert err.count("\n") == 1
     assert not out.exists()
     assert peak < 16 * 2**20
+
+
+def test_knot_spec_mesh_over_budget_is_checked_only_where_it_is_used(tmp_path, capsys):
+    # A knot diagonal is never sampled at the spec's mesh, so validate and
+    # bounds take the spec, and --mesh overrides it; only a grid at it is refused.
+    raw = json.loads((Path(__file__).parent / "data" / "csv_v0" / "knot_spec.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**raw, "mesh": ENORMOUS}))
+    assert main(["validate", str(spec)]) == 0
+    assert main(["bounds", str(spec), "--out", str(tmp_path / "b")]) == 0
+    assert main(["build", str(spec), "--mesh", "101", "--out", str(tmp_path / "g")]) == 0
+    capsys.readouterr()
+    assert main(["build", str(spec), "--out", str(tmp_path / "h")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: a mesh of {ENORMOUS} points is over")
