@@ -202,13 +202,23 @@ def _csv_text(table) -> str:
 
 
 @contextlib.contextmanager
-def _writing(path):
-    """open(path, "w"), with an OSError from opening, writing or closing raised as SpecFileError."""
+def _writing(path, mode: str = "w"):
+    """open(path, mode) on a hidden file beside path that replaces path only once whole.
+
+    A write that fails leaves path as it was, so the writer may read path
+    itself; an OSError on the way is raised as SpecFileError.
+    """
+    target = Path(os.path.realpath(path))
+    part = target.with_name(f".{target.name}.part")
     try:
-        with open(path, "w") as fh:
+        with open(part, mode) as fh:
             yield fh
+        os.replace(part, target)
     except OSError as exc:  # a directory in the way, no permission, a full disk
         raise SpecFileError(f"cannot write {path}: {exc}")
+    finally:
+        with contextlib.suppress(OSError):
+            part.unlink(missing_ok=True)
 
 
 def _write_columns_csv(path, header: str, *columns):
@@ -246,29 +256,20 @@ def _write_table(path, source, fmt: str, *sinks):
     """Write a row-block source's grid table to `path` as `fmt`, a row block at a time.
 
     Each block is computed once and also handed to every one of `sinks`.
-    `.npy` gets the bytes np.save gives the table. The table goes to a
-    hidden file beside `path` and replaces it only once whole, so a pass that
-    fails leaves `path` as it was, and `source` may read `path` itself.
+    `.npy` gets the bytes np.save gives the table. Through _writing, a pass
+    that fails leaves `path` as it was, and `source` may read `path` itself.
     """
-    mesh, target = source.mesh, Path(os.path.realpath(path))
-    part = target.with_name(f".{target.name}.part")
-    try:
-        with open(part, "w" if fmt == "csv" else "wb") as fh:
-            if fmt == "csv":
-                fh.write("," + _csv_text(mesh[None, :]))
-            else:
-                side = len(mesh) + 1
-                np.lib.format.write_array_header_1_0(fh, {
-                    "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-                    "fortran_order": False, "shape": (side, side)})
-                fh.write(np.concatenate(([np.nan], mesh)).tobytes())
-            _feed(source, _TableRows(fh, mesh, fmt), *sinks)
-        os.replace(part, target)
-    except OSError as exc:  # a directory in the way, no permission, a full disk
-        raise SpecFileError(f"cannot write {path}: {exc}")
-    finally:
-        with contextlib.suppress(OSError):
-            part.unlink(missing_ok=True)
+    mesh = source.mesh
+    with _writing(path, "w" if fmt == "csv" else "wb") as fh:
+        if fmt == "csv":
+            fh.write("," + _csv_text(mesh[None, :]))
+        else:
+            side = len(mesh) + 1
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                "fortran_order": False, "shape": (side, side)})
+            fh.write(np.concatenate(([np.nan], mesh)).tobytes())
+        _feed(source, _TableRows(fh, mesh, fmt), *sinks)
 
 
 def read_grid_csv(path) -> GridCopula:
@@ -432,8 +433,7 @@ def cmd_build(args, problem: ProblemSpec) -> tuple:
     check = _GridCheck(source.mesh, args.tol)
     _write_table(out / f"grid.{args.format}", source, args.format, check)
     report = check.report()
-    g, h = region["g"], region["h"]
-    _write_columns_csv(out / "region.csv", "x,g,h", g.x, g.y, h.y)
+    _write_columns_csv(out / "region.csv", "x,g,h", region["g"].x, region["g"].y, region["h"].y)
     write_json(out / "report.json", report.as_dict())
     return (0 if report.copula_ok else 1), (
         f"copula checks: {'pass' if report.copula_ok else 'FAIL'}"

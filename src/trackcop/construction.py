@@ -11,6 +11,7 @@ which coincides with min(x, y) outside the band g(x) <= y <= h(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,18 @@ class GridCopula:
 
 @dataclass(frozen=True)
 class CopulaCpsi:
-    """A constructed copula with its region boundary functions."""
+    """A constructed copula; its region boundary functions g and h are computed on first access."""
 
     spec: DiagonalSpec
     candidate: PsiCandidate
-    g: PLFunction
-    h: PLFunction
+
+    @cached_property
+    def g(self) -> PLFunction:
+        return region_functions(self.spec, self.candidate)["g"]
+
+    @cached_property
+    def h(self) -> PLFunction:
+        return region_functions(self.spec, self.candidate)["h"]
 
 
 def _require_eligible(candidate: PsiCandidate):
@@ -156,8 +163,8 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
 
 
 def make_cpsi(spec: DiagonalSpec, candidate: PsiCandidate) -> CopulaCpsi:
-    region = region_functions(spec, candidate)
-    return CopulaCpsi(spec, candidate, region["g"], region["h"])
+    _require_eligible(candidate)
+    return CopulaCpsi(spec, candidate)
 
 
 def _validate_mesh(mesh, knots=()) -> np.ndarray:

@@ -62,14 +62,12 @@ class _GridCheck:
     after block. report() gives the verdicts.
     """
 
-    _BUFFERS = 3  # work arrays _add_window uses, each as large as a window
-
     def __init__(self, mesh: np.ndarray, tol: float):
         self._mesh = mesh
         self._edges = np.empty((4, len(mesh)))  # row 0, column 0, last row, last column
         self._pair = np.empty((2, len(mesh)))    # the rows across a block edge
         height = max(next(_row_blocks(len(mesh), len(mesh))).stop, 2)  # of the tallest window
-        self._work = np.empty((self._BUFFERS, height * len(mesh)))
+        self._work = np.empty((3, height * len(mesh)))  # diff_x, diff_y, cells
         self._step_floor = -(tol + INTERNAL_TOL)
         self._lip_bound = np.diff(mesh) * (1.0 + tol) + INTERNAL_TOL
         self._monotone = self._lipschitz = True
@@ -224,57 +222,52 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     return max(min(x, y, kappa_low), min(x, y, kappa_up))
 
 
+def _area_below(a, b, w, t):
+    """A(t), the integral of max(phi - t, 0) across a cell of width w where phi runs from a to b."""
+    crossing = w * (b - t) ** 2 / (2.0 * np.maximum(b - a, 1e-300))  # read where a < t < b
+    return np.where(t <= a, w * (0.5 * (a + b) - t), np.where(t >= b, 0.0, crossing))
+
+
 class _PsiExtraction(_GridCheck):
     """extract_psi accumulated over the row blocks of one grid, with its copula checks; see psi().
 
-    Each cell's volume is weighted by the share of its area below the
-    track. On a cell where the track runs linearly from a to b across the
-    width w, that area is A(y0) - A(y1) with A(t) the integral of
-    max(phi - t, 0): exact polygon clipping of the cell against the track.
-    As in _GridCheck, every temporary lives in a buffer made once; the
-    check's three are free again once it has seen the window.
+    In column strip i the track runs from a = phi(x_i) to b = phi(x_{i+1}).
+    The cells under y_lo, the highest mesh line at or below a, lie wholly
+    below it, and their mass telescopes to C(x_{i+1}, y_lo) - C(x_i, y_lo)
+    - C(x_{i+1}, 0) + C(x_i, 0). The cells from y_lo up to the lowest line
+    at or above b are crossed, at most 2(n - 1) in all; each volume is
+    weighted by the exact share of its cell's area below the track,
+    A(y0) - A(y1) over the area. The shares depend on the mesh and the track
+    alone, so they are computed once; a window only gathers corner values.
     """
-
-    _BUFFERS = 4
 
     def __init__(self, mesh: np.ndarray, track: Track, tol: float):
         super().__init__(mesh, tol)
         self._track = track
-        a = eval_pl(track.phi, mesh[:-1])[:, None]
-        b = eval_pl(track.phi, mesh[1:])[:, None]
-        self._a, self._b, self._w = a, b, np.diff(mesh)[:, None]
-        self._mid = 0.5 * (a + b)
-        self._span = 2.0 * np.maximum(b - a, 1e-300)
-        self._cell_height = mesh[None, 1:] - mesh[None, :-1]
-        self._col_mass = np.empty(len(mesh) - 1)
+        n, phi = len(mesh), eval_pl(track.phi, mesh)
+        a, b = phi[:-1], phi[1:]
+        self._k_lo = np.clip(np.searchsorted(mesh, a, side="right") - 1, 0, n - 1)
+        counts = np.clip(np.searchsorted(mesh, b), self._k_lo, n - 1) - self._k_lo
+        # the crossed cells, strip by strip: each one's strip, column and share
+        self._start = np.concatenate(([0], np.cumsum(counts)))
+        self._strip = np.repeat(np.arange(n - 1), counts)
+        self._col = np.arange(self._start[-1]) + np.repeat(self._k_lo - self._start[:-1], counts)
+        a, b, w = a[self._strip], b[self._strip], np.diff(mesh)[self._strip]
+        y0, y1 = mesh[self._col], mesh[self._col + 1]
+        share = (_area_below(a, b, w, y0) - _area_below(a, b, w, y1)) / (w * (y1 - y0))
+        self._share = np.clip(share, 0.0, 1.0)
+        self._col_mass = np.empty(n - 1)
 
     def _add_window(self, first: int, window: np.ndarray):
         super()._add_window(first, window)
-        rows, cols = len(window) - 1, window.shape[1] - 1
-        spare, below, above, volumes = (self._buffer(i, rows, cols) for i in range(4))
-        np.subtract(window[1:, 1:], window[:-1, 1:], out=volumes)
-        np.subtract(volumes, window[1:, :-1], out=volumes)
-        np.add(volumes, window[:-1, :-1], out=volumes)
-        cells = slice(first, first + rows)
-        self._primitive(cells, self._mesh[None, :-1], spare, below)
-        self._primitive(cells, self._mesh[None, 1:], spare, above)
-        frac = np.subtract(below, above, out=below)
-        np.divide(frac, np.multiply(self._w[cells], self._cell_height, out=spare), out=frac)
-        np.clip(frac, 0.0, 1.0, out=frac)
-        self._col_mass[cells] = np.sum(np.multiply(volumes, frac, out=frac), axis=1)
-
-    def _primitive(self, cells: slice, t: np.ndarray, spare: np.ndarray, out: np.ndarray):
-        """A(t) on the cells of rows `cells` into `out`; `spare` is overwritten."""
-        a, b, w = self._a[cells], self._b[cells], self._w[cells]
-        full = np.multiply(w, np.subtract(self._mid[cells], t, out=spare), out=spare)
-        # the track crosses t: w (b - t)^2 / 2 (b - a)
-        np.subtract(b, t, out=out)
-        np.square(out, out=out)
-        np.multiply(w, out, out=out)
-        np.divide(out, self._span[cells], out=out)
-        np.copyto(out, 0.0, where=~(b > a))
-        np.copyto(out, 0.0, where=t >= b)  # the track lies below t
-        np.copyto(out, full, where=t <= a)  # the track lies above t
+        rows = len(window) - 1
+        r, lo = np.arange(rows), self._k_lo[first:first + rows]
+        below = window[r + 1, lo] - window[r, lo] - window[1:, 0] + window[:-1, 0]
+        crossed = slice(self._start[first], self._start[first + rows])
+        i, j = self._strip[crossed] - first, self._col[crossed]
+        volumes = window[i + 1, j + 1] - window[i, j + 1] - window[i + 1, j] + window[i, j]
+        self._col_mass[first:first + rows] = below + np.bincount(
+            i, volumes * self._share[crossed], minlength=rows)
 
     def psi(self) -> PLFunction:
         """The extracted psi; raises NotACopula, or BadMesh for a mesh missing a track knot."""
@@ -291,7 +284,7 @@ def extract_psi(grid, track: Track, tol: float = USER_TOL) -> PLFunction:
     is spread uniformly over the cell and apportioned by the exact area
     fraction lying below the piecewise-linear track, so mass sitting on the
     track in a cell it crosses is split by area too. The grid must pass
-    check_grid's copula checks first.
+    check_grid's copula checks, and beyond them the extraction costs O(n).
     """
     extraction = _PsiExtraction(grid.mesh, track, check_tol(tol))
     _feed(grid, extraction)
@@ -333,9 +326,8 @@ def dominating_envelope(grid, track: Track, spec: DiagonalSpec,
     discretization tolerance 2/n; the extracted mass function must come out
     eligible, otherwise the mesh is too coarse.
     """
-    check_tol(tol)
     mesh = grid.mesh
-    section, extraction = _SectionCheck(mesh, track), _PsiExtraction(mesh, track, tol)
+    section, extraction = _SectionCheck(mesh, track), _PsiExtraction(mesh, track, check_tol(tol))
     _feed(grid, section, extraction)
     mesh_tol = 2.0 / len(mesh)
     dev = section.deviation(spec.delta)

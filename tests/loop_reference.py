@@ -24,7 +24,9 @@ both quadruplets redone for every point.
 `whole_csv_bytes` are the grid kernels and writers as they were before they
 took their grids a row block at a time:
 each holds several n x n temporaries at once. The blocked kernels must give
-the same bits. `whole_read_npy_grid` is the `.npy` grid reader as it was
+the same bits, but for the extraction: `whole_extract_psi` weighs all n^2
+cells by area, the library telescopes the cells wholly below the track, and
+the two agree to len(mesh) ulps of 1. `whole_read_npy_grid` is the `.npy` grid reader as it was
 before grid files were streamed: np.load of the whole table.
 
 The library once treated the identity track apart. `is_identity_track`,
@@ -352,7 +354,7 @@ def _below_track_area(a, b, w, y0, y1):
     phi is linear from a to b across the cell width w. Exact polygon
     clipping of the cell against the track; evaluated via the primitive
     A(t) = integral of max(phi - t, 0). The library's extraction does the
-    same arithmetic in buffers it reuses from block to block.
+    same arithmetic, once, on the cells the track crosses.
     """
     def primitive(t):
         t = np.asarray(t, dtype=float)

@@ -233,6 +233,48 @@ def test_unwritable_target_exits_2(tmp_path, fig2_spec_file, command, target, ca
     assert not list(out.glob(".*.part"))
 
 
+@pytest.mark.parametrize("command, target", [
+    ("bounds", "psi_lower.csv"), ("bounds", "psi_upper.csv"), ("build", "region.csv"),
+    ("build", "report.json"), ("compare", "comparison.json"),
+    ("envelope", "psi_extracted.csv"), ("splice", "report.json")])
+def test_failed_write_leaves_its_target(tmp_path, fig2_spec_file, command, target,
+                                        monkeypatch, capsys):
+    # the disk fills halfway through writing the target: the earlier file stays
+    assert main(["build", fig2_spec_file, "--out", str(tmp_path), "--quiet"]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / target).write_text("earlier\n")
+
+    class HalfFull:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, text):
+            self._fh.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return HalfFull(fh) if str(path).endswith(f".{target}.part") else fh
+
+    monkeypatch.setattr(cli, "open", open_, raising=False)
+    operands = {"bounds": [fig2_spec_file], "build": [fig2_spec_file],
+                "compare": [fig2_spec_file, "lower", "upper"],
+                "envelope": [str(tmp_path / "grid.npy"), fig2_spec_file],
+                "splice": [fig2_spec_file, "upper", "lower"]}[command]
+    assert main([command, *operands, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / target}: ") and err.count("\n") == 1
+    assert (out / target).read_text() == "earlier\n"
+    assert not list(out.glob(".*.part"))
+
+
 @pytest.mark.parametrize("fmt", ["npy", "csv"])
 def test_envelope_may_overwrite_its_own_input(tmp_path, fig2_spec_file, fmt, capsys):
     # re-enveloping a grid in place, the input named as the output: the run

@@ -6,6 +6,7 @@ from trackcop import (
     IneligiblePsi,
     c_psi_value,
     check_grid,
+    dominating_envelope,
     make_cpsi,
     make_pl,
     materialize_grid,
@@ -14,6 +15,7 @@ from trackcop import (
     region_functions,
     s_t_split,
 )
+from trackcop import construction
 from conftest import random_eligible_psi
 
 
@@ -113,6 +115,29 @@ def test_copula_is_min_outside_band(fig2_spec, fig2_cands):
                 min(x, below), abs=1e-12)
             assert c_psi_value(fig2_spec, cand, x, above) == pytest.approx(
                 min(x, above), abs=1e-12)
+
+
+def test_make_cpsi_rejects_ineligible_before_any_region(fig2_spec):
+    bad = quadruplet(fig2_spec, make_pl([0, 1], [0, 1 / np.pi]))
+    with pytest.raises(IneligiblePsi):
+        make_cpsi(fig2_spec, bad)
+
+
+def test_envelope_builds_its_region_only_when_read(fig2_spec_201, monkeypatch):
+    calls = []
+    region_of = construction.region_functions
+    monkeypatch.setattr(construction, "region_functions",
+                        lambda spec, cand: calls.append(cand) or region_of(spec, cand))
+    spec = fig2_spec_201
+    grid = materialize_grid(spec, quadruplet(spec, psi_bounds(spec).psi_up), spec.knots)
+    cpsi = dominating_envelope(grid, spec.track, spec)
+    assert calls == []
+    region = region_of(spec, cpsi.candidate)
+    for name in ("g", "h"):
+        got = getattr(cpsi, name)
+        assert np.array_equal(got.x, region[name].x) and np.array_equal(got.y, region[name].y)
+        assert getattr(cpsi, name) is got  # computed once
+    assert len(calls) == 2 and all(cand is cpsi.candidate for cand in calls)
 
 
 def test_region_for_m_diagonal_collapses():

@@ -7,9 +7,11 @@ C-order .npy file at row offsets. The public grid functions take a
 GridCopula or any of these sources. Every result must be bit-identical to
 the GridCopula path and to the whole-grid oracles in loop_reference.py,
 with the block budget patched down to 1, 2 and 7 rows so that block edges
-fall everywhere. Every .npy file, malformed ones included, must give the
-exit code, output and files of the whole-file reader in loop_reference.py;
-two malformed files get a different error line, named in CHANGED_ERRORS.
+fall everywhere; only the extracted psi is held to its oracle within
+len(mesh) ulps of 1 (see tests/test_grid_blocks.py). Every .npy file,
+malformed ones included, must give the exit code, output and files of the
+whole-file reader in loop_reference.py; two malformed files get a different
+error line, named in CHANGED_ERRORS.
 """
 
 import io
@@ -19,8 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trackcop import GridCopula, TrackSectionMismatch, compare, dominating_envelope, make_splice, \
-    materialize_grid, merge_knots, splice_grid
+from trackcop import GridCopula, TrackSectionMismatch, compare, dominating_envelope, \
+    extract_psi, make_splice, materialize_grid, merge_knots, splice_grid
 from trackcop import cli, construction
 from trackcop.cli import _grid_rows, main, read_grid
 from trackcop.construction import _ConstructionRows, _feed
@@ -29,7 +31,7 @@ from trackcop.verification import _GridCheck
 
 from loop_reference import whole_check_grid, whole_compare, whole_extract_psi, whole_npy_bytes, \
     whole_read_npy_grid
-from test_grid_blocks import candidates, knot_track_spec, same, use_block_rows
+from test_grid_blocks import assert_near_oracle, candidates, knot_track_spec, same, use_block_rows
 from test_grid_io import npy_bytes, table
 from test_kernels import same_bits
 
@@ -109,12 +111,14 @@ def test_compare_of_constructions_matches_their_grids(rows, monkeypatch):
 def test_streamed_checks_match_grid_copula_input(rows, monkeypatch, tmp_path):
     spec = knot_track_spec()
     mesh = knot_mesh(spec)
-    use_block_rows(monkeypatch, rows, len(mesh))
     low, up, mix = candidates(spec)
-    sources = [_ConstructionRows(spec, c, mesh) for c in (low, up, mix)]
-    sources.append(_SpliceRows(make_splice(up, low), mesh))
     grids = [materialize_grid(spec, c, mesh) for c in (low, up, mix)]
     grids.append(splice_grid(make_splice(up, low), mesh))
+    # extracted in one block, the library's own size at this mesh
+    unblocked = [extract_psi(grid, spec.track) for grid in grids[:3]]
+    use_block_rows(monkeypatch, rows, len(mesh))
+    sources = [_ConstructionRows(spec, c, mesh) for c in (low, up, mix)]
+    sources.append(_SpliceRows(make_splice(up, low), mesh))
     for k, (source, grid) in enumerate(zip(sources, grids)):
         path = tmp_path / f"grid{k}.npy"
         path.write_bytes(whole_npy_bytes(grid))
@@ -126,10 +130,12 @@ def test_streamed_checks_match_grid_copula_input(rows, monkeypatch, tmp_path):
             assert same(streamed_report(from_file, tol), expected)
         if k == 3:  # a splice is no copula; it has no envelope
             continue
-        want = whole_extract_psi(grid, spec.track)
+        want = unblocked[k]
+        assert_near_oracle(want, whole_extract_psi(grid, spec.track))
         for src in (source, from_file, grid):
-            cand = dominating_envelope(src, spec.track, spec, 1e-9).candidate
-            assert same_bits(cand.psi.x, want.x) and same_bits(cand.psi.y, want.y)
+            for psi in (extract_psi(src, spec.track),
+                        dominating_envelope(src, spec.track, spec, 1e-9).candidate.psi):
+                assert same_bits(psi.x, want.x) and same_bits(psi.y, want.y)
 
 
 def test_section_mismatch_and_failed_checks_keep_their_order(tmp_path):
@@ -201,7 +207,8 @@ def test_cli_outputs_match_the_whole_grid_path(rows, tmp_path, monkeypatch):
     assert comparison == json.loads(json.dumps(whole_compare(
         materialize_grid(spec, low, mesh), grid).as_dict()))
     main(["envelope", str(out / "grid.npy"), spec_path, "--out", str(tmp_path / "env"), "--quiet"])
-    psi = whole_extract_psi(grid, spec.track)
+    psi = extract_psi(grid, spec.track)
+    assert_near_oracle(psi, whole_extract_psi(grid, spec.track))
     extracted = np.loadtxt(tmp_path / "env" / "psi_extracted.csv", delimiter=",", skiprows=1)
     assert same_bits(extracted[:, 0], psi.x) and same_bits(extracted[:, 1], psi.y)
 
