@@ -9,9 +9,10 @@ determines three companions:
 
 psi is *eligible* when all four are increasing; equivalently its increments
 sit between the negative variation of phi - delta and the interval length
-minus the positive variation of x - delta(x). The extremes of that band,
-psi_low and psi_up, are themselves eligible and bound every eligible psi
-pointwise.
+minus the positive variation of x - delta(x), that is, psi - psi_L and
+psi_U - psi are both nondecreasing. quadruplet and eligibility_by_variation
+both judge psi by that band test. The extremes of the band, psi_low and
+psi_up, are themselves eligible and bound every eligible psi pointwise.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .funcspace import (
     first_decrease,
     merge_knots,
 )
-from .trackmodel import DiagonalSpec, _companion_violation, _quadruplet_arrays, \
-    existence_check
+from .trackmodel import DiagonalSpec, existence_check
 
 
 @dataclass(frozen=True)
@@ -83,21 +83,40 @@ def _anchored_on_knots(spec: DiagonalSpec, psi: PLFunction, tol: float) -> tuple
     return u, eval_pl(psi, u)
 
 
+def _band_violation(spec: DiagonalSpec, u: np.ndarray, psi_u: np.ndarray, tol: float) -> tuple:
+    """(name, witness pair) of the first of psi - psi_L and psi_U - psi to fall, or (None, None).
+
+    psi_L and psi_U are read from the spec's band and interpolated onto
+    psi's extra knots, where they are linear.
+    """
+    low, up = spec._band[0].y, spec._band[1].y
+    if u is not spec.knots:
+        low, up = np.interp(u, spec.knots, low), np.interp(u, spec.knots, up)
+    for name, values in (("psi - psi_L", psi_u - low), ("psi_U - psi", up - psi_u)):
+        witness = first_decrease(values, u, tol)
+        if witness is not None:
+            return name, witness
+    return None, None
+
+
 def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> PsiCandidate:
-    """Materialize the canonical quadruplet of psi and check monotonicity.
+    """Materialize the canonical quadruplet of psi and judge psi by the band test.
 
     The companions of the y-variable (eta, chi) are carried on the
     track-image knots so compositions with the track inverse stay exact.
+    The verdict is eligibility_by_variation's; the violation names the
+    difference that falls and its witness pair.
     """
     u, psi_u = _anchored_on_knots(spec, psi, tol)
     if u is spec.knots:
         delta_u, phi_u = spec.delta.y, spec.phi_values()
     else:
         delta_u, phi_u = eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
-    arrays = _quadruplet_arrays(u, psi_u, delta_u, phi_u)
-    violation = _companion_violation(arrays, tol)
-    psi_r, chi, eta, xi = (PLFunction(x, y) for x, y in arrays)
-    return PsiCandidate(psi_r, chi, eta, xi, violation is None, violation, spec)
+    name, witness = _band_violation(spec, u, psi_u, tol)
+    violation = witness and f"{name} decreasing on [{witness[0]:.6g}, {witness[1]:.6g}]"
+    return PsiCandidate(PLFunction(u, psi_u), PLFunction(phi_u, phi_u - delta_u + psi_u),
+                        PLFunction(phi_u, delta_u - psi_u), PLFunction(u, u - psi_u),
+                        witness is None, violation, spec)
 
 
 def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
@@ -108,17 +127,8 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
     negative variation of phi - delta and (y - x) minus the positive
     variation of x - delta(x): psi - psi_L and psi_U - psi must both be
     nondecreasing. Returns the first violating pair, if any.
-
-    psi_L and psi_U are read from the spec's band and interpolated onto
-    psi's extra knots, where they are linear.
     """
-    u, psi_u = _anchored_on_knots(spec, psi, tol)
-    low, up = spec._band[0].y, spec._band[1].y
-    if u is not spec.knots:
-        low, up = np.interp(u, spec.knots, low), np.interp(u, spec.knots, up)
-    witness = first_decrease(psi_u - low, u, tol)
-    if witness is None:
-        witness = first_decrease(up - psi_u, u, tol)
+    _, witness = _band_violation(spec, *_anchored_on_knots(spec, psi, tol), tol)
     return EligibilityResult(witness is None, witness)
 
 

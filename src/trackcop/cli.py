@@ -215,7 +215,7 @@ def _writing(path, mode: str = "w"):
             yield fh
         os.replace(part, target)
     except OSError as exc:  # a directory in the way, no permission, a full disk
-        raise SpecFileError(f"cannot write {path}: {exc}")
+        raise SpecFileError(f"cannot write {path}: {exc.strerror or exc}")
     finally:
         with contextlib.suppress(OSError):
             part.unlink(missing_ok=True)

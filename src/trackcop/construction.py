@@ -108,11 +108,13 @@ def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -
 def _search_right(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """np.searchsorted(vals, c, side="right") for each c in levels, called one c at a time.
 
-    Eligibility lets chi and eta dip by up to tol, so vals may be out of
-    order by a few ulps on flat stretches. There a binary search's answer
-    depends on its probe path, and the array form of searchsorted narrows
-    each search from the previous level's result; so unsorted vals get a
-    vectorized copy of the full-range bisection instead.
+    Eligibility lets chi and eta dip by up to tol + INTERNAL_TOL: a fall of
+    either over an interval is at most the fall there of psi - psi_L or of
+    psi_U - psi, which the band test allows. So vals may be out of order on
+    flat stretches. There a binary search's answer depends on its probe
+    path, and the array form of searchsorted narrows each search from the
+    previous level's result; so unsorted vals get a vectorized copy of the
+    full-range bisection instead.
     """
     if np.all(vals[1:] >= vals[:-1]):
         return np.searchsorted(vals, levels, side="right")

@@ -204,30 +204,27 @@ def positive_variation_majorant(f: PLFunction) -> PLFunction:
 
 
 def first_decrease(values, knots, tol: float = 0.0):
-    """First knot pair (x_i, x_j), i < j, with values[j] < max(values[:j]) - tol.
+    """First knot pair (x_i, x_j), i < j, at which values fail to be nondecreasing.
 
-    This is the witness of a failed monotonicity test: values must be
-    nondecreasing up to tol. j is the first offending index and i is the
-    latest index before j that attains the running maximum, which pins the
-    witness to the interval over which the values fell. Returns None when
-    no index offends. For the mirror question (values[j] > min(values[:j])
-    + tol, left end at the latest running minimum) pass -values; negation
-    is exact, so the pair and its tie rule are the same.
+    This is trackcop's one monotone test: it fails where a value falls below
+    the running maximum of the values before it by more than
+    ``tol + INTERNAL_TOL``, values[j] < max(values[:j]) - (tol + INTERNAL_TOL).
+    `tol` is the caller's slack; INTERNAL_TOL covers the rounding of values
+    that take a few operations each on data in [0, 1]. j is the first
+    offending index and i is the latest index before j that attains the
+    running maximum, which pins the witness to the interval over which the
+    values fell. Returns None when no index offends. For the mirror question
+    (values[j] > min(values[:j]) + tol + INTERNAL_TOL, left end at the latest
+    running minimum) pass -values; negation is exact, so the pair and its tie
+    rule are the same.
     """
     values = np.asarray(values, dtype=float)
+    if np.all(values[1:] >= values[:-1]):  # the serial running maximum only where it may fail
+        return None
     run_max = np.maximum.accumulate(values)
-    bad = np.flatnonzero(values[1:] < run_max[:-1] - tol)
+    bad = np.flatnonzero(values[1:] < run_max[:-1] - (tol + INTERNAL_TOL))
     if not len(bad):
         return None
     j = int(bad[0]) + 1
     i = int(np.flatnonzero(values[:j] == run_max[j - 1])[-1])
     return (float(knots[i]), float(knots[j]))
-
-
-def first_step_down(values, tol: float = 0.0):
-    """Index i of the first step with values[i + 1] < values[i] - tol, or None.
-
-    Unlike first_decrease, each adjacent step is held to tol on its own.
-    """
-    bad = np.flatnonzero(np.diff(values) < -tol)
-    return int(bad[0]) if len(bad) else None

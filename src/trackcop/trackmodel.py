@@ -27,7 +27,6 @@ from .funcspace import (
     check_tol,
     eval_pl,
     first_decrease,
-    first_step_down,
     merge_knots,
 )
 
@@ -63,7 +62,7 @@ class DiagonalSpec:
     zeta(x) = x - delta(x) and delta_tilde(x) = phi(x) - delta(x) live on
     the same knots and are computed on first access.
 
-    phi_values(), the band and the band's verdicts are computed once per
+    phi_values(), the band and the band's verdict are computed once per
     spec; make_diagonal hands the spec the phi values it has already
     computed on the knots. `_existence` maps tol to existence_check's
     ExistenceResult (witnesses differ by tol). A memo holds plain values
@@ -118,32 +117,20 @@ class DiagonalSpec:
         return PLFunction(u, low), PLFunction(u, up), _read_only(gap)
 
     @cached_property
-    def _band_verdicts(self) -> tuple:
-        """(eligible, violation) of psi_L and of psi_U, as quadruplet gives them at USER_TOL."""
-        u, d, p = self.knots, self.delta.y, self._phi_knots
-        violations = (_companion_violation(_quadruplet_arrays(u, f.y, d, p), USER_TOL)
-                      for f in self._band[:2])
-        return tuple((v is None, v) for v in violations)
+    def _band_verdict(self) -> Optional[tuple]:
+        """The band test of psi = psi_L and of psi = psi_U at USER_TOL: a witness pair, or None.
+
+        For either end one of psi - psi_L and psi_U - psi is exactly 0 and
+        the other is psi_U - psi_L, so both ends get this first_decrease of
+        psi_U - psi_L, with the bits quadruplet computes it in.
+        """
+        low, up = self._band[:2]
+        return first_decrease(up.y - low.y, self.knots, USER_TOL)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _quadruplet_arrays(u, psi_u, delta_u, phi_u) -> tuple:
-    """(knots, values) of psi, chi, eta and xi, in that order, from psi, delta and phi at u."""
-    return ((u, psi_u), (phi_u, phi_u - delta_u + psi_u), (phi_u, delta_u - psi_u),
-            (u, u - psi_u))
-
-
-def _companion_violation(arrays, tol: float) -> Optional[str]:
-    """The first of _quadruplet_arrays' four functions to step down past tol, as a message."""
-    for name, (x, y) in zip(("psi", "chi", "eta", "xi"), arrays):
-        k = first_step_down(y, tol)
-        if k is not None:
-            return f"{name} decreasing at knot {x[k]:.6g}"
-    return None
 
 
 def _common_knots(delta: PLFunction, track: Track) -> tuple:
@@ -171,9 +158,9 @@ def _conditions(u: np.ndarray, d: np.ndarray, p: np.ndarray, tol: float) -> dict
     # (b) delta <= min(x, phi(x))
     bad = np.nonzero(d > np.minimum(u, p) + tol)[0]
     results["b"] = (len(bad) == 0, u[bad[0]] if len(bad) else None)
-    # (c) delta increasing
-    k = first_step_down(d, tol)
-    results["c"] = (k is None, None if k is None else u[k])
+    # (c) delta increasing; where is the left knot of the witness pair
+    witness = first_decrease(d, u, tol)
+    results["c"] = (witness is None, None if witness is None else witness[0])
     # (d) per-segment slope bound |d delta| <= dx + d phi; the lower side is
     # automatic for increasing delta and phi, so only the upper side matters.
     bad = np.nonzero(np.diff(d) > np.diff(u) + np.diff(p) + tol)[0]

@@ -136,7 +136,8 @@ def check_grid(grid, mode: str = "copula", tol: float = USER_TOL) -> Verificatio
     Tolerances: grounding, margins and 2-increasingness allow an absolute
     INTERNAL_TOL. Between adjacent mesh lines a distance dx apart, the
     monotone and Lipschitz checks take `tol` plus the same absolute
-    INTERNAL_TOL: ``diff >= -(tol + INTERNAL_TOL)`` and
+    INTERNAL_TOL: ``diff >= -(tol + INTERNAL_TOL)``, the allowance of the
+    1-D monotone test funcspace.first_decrease held to each step, and
     ``diff <= dx * (1 + tol) + INTERNAL_TOL``. INTERNAL_TOL covers the
     few-ulp rounding of the values, which `tol` alone does not at tol 0
     (a step of -5.6e-17 on an exact copula) nor, relative to dx, in cells
@@ -209,15 +210,15 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     C_{psi_U}(x, y), the two extremal constructed copulas, read off the
     spec's cached band. On the identity track it equals the closed form of
     Nelsen et al. (JMVA 2004) up to rounding. Raises NoCopulaExists when no
-    copula has this track section, and IneligiblePsi when psi_L or psi_U
-    fails quadruplet's test at USER_TOL (possible on a spec made with
-    validate=False). Existence and both verdicts are memoized per spec, so
-    after the first call a query costs a few binary searches on any track.
+    copula has this track section, and IneligiblePsi, with quadruplet's
+    message for psi_L, when psi_L and psi_U fail the band test at USER_TOL
+    (possible on a spec made with validate=False). Existence and the band's
+    verdict are memoized per spec, so after the first call a query costs a
+    few binary searches on any track.
     """
     bounds = psi_bounds(spec, tol=tol)
-    for eligible, violation in spec._band_verdicts:
-        if not eligible:
-            raise IneligiblePsi(violation)
+    if spec._band_verdict is not None:
+        raise IneligiblePsi(quadruplet(spec, bounds.psi_low).violation)
     kappa_low, kappa_up = _kappa_pair(spec, bounds.psi_low, bounds.psi_up, x, y)
     return max(min(x, y, kappa_low), min(x, y, kappa_up))
 

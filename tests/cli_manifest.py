@@ -14,8 +14,8 @@ Run it against two checkouts and diff the two manifests:
     diff old.txt new.txt
 
 The harness uses nothing of trackcop but `main`, and it makes its
-malformed `.npy` files from a grid that `build` wrote, so it runs against
-any checkout. Pytest does not collect this file; tests/test_cli_manifest.py
+malformed `.npy` files from a grid that `build` wrote, and its drifting psi
+files from a psi_L that `bounds` wrote, so it runs against any checkout. Pytest does not collect this file; tests/test_cli_manifest.py
 runs `manifest(work, subset=True)`, a short chain only.
 """
 
@@ -126,6 +126,24 @@ def malformed_npy(work: Path) -> list:
     return names
 
 
+# the drifting psi: psi_L lowered by DRIFT_STEP at each of four knots from the
+# third on, 3 x DRIFT_TOL in all, though no step falls by DRIFT_TOL
+DRIFT_TOL, DRIFT_STEP = 1e-3, 0.00075
+
+
+def drift_specs(work: Path, spec: str) -> tuple:
+    """(psi file, spec file) of the drifting psi, made from o/<spec>/bounds/psi_lower.csv."""
+    x, y = np.loadtxt(work / "o" / spec / "bounds" / "psi_lower.csv", delimiter=",",
+                      skiprows=1, unpack=True)
+    y = y - DRIFT_STEP * np.clip(np.arange(len(x)) - 1, 0, 4)
+    psi = {"x": x.tolist(), "y": y.tolist()}
+    psi_file, spec_file = f"drift-{spec}.json", f"{spec}-drift.json"
+    (work / psi_file).write_text(json.dumps(psi))
+    (work / spec_file).write_text(json.dumps({**json.loads((work / f"{spec}.json").read_text()),
+                                              "psi": psi}))
+    return psi_file, spec_file
+
+
 def invocations(work: Path, subset: bool):
     """Yield each argv in order; the malformed files are made once the knot chain has run."""
     write_specs(work)
@@ -147,6 +165,11 @@ def invocations(work: Path, subset: bool):
     for sub, operands in (("build", []), ("compare", ["lower", "upper"]),
                           ("splice", ["upper", "lower"])):
         yield [sub, "fig2.json", *operands, "--out", "o/over-budget", "--mesh", "100000"]
+    for spec in ("fig2", "knot"):
+        psi_file, spec_file = drift_specs(work, spec)
+        tol = ["--tol", repr(DRIFT_TOL)]
+        yield ["build", spec_file, "--out", f"o/drift/{spec}", *tol]
+        yield ["compare", f"{spec}.json", psi_file, "upper", *tol]
 
 
 def snapshot(work: Path) -> dict:

@@ -6,7 +6,12 @@ witness finders, of the level inverse used by region_functions and of
 _validate_mesh's track-knot check. The `reference_*` functions compose
 them exactly as existence_check, eligibility_by_variation, psi_bounds and
 region_functions did, so the vectorized code can be required to give
-bit-identical results.
+bit-identical results. The witness finders follow the library's one rule
+for monotone tests: a value may fall below the running maximum (or rise
+above the running minimum) of the values before it by up to
+tol + INTERNAL_TOL. `reference_diagonal_conditions` and
+`reference_quadruplet` judge condition (c) and eligibility by that rule
+too, where they once held each adjacent step to tol alone.
 
 `reference_common_knots`, `reference_diagonal_conditions` and
 `reference_make_diagonal` build a section's common knots as they were
@@ -60,15 +65,17 @@ from trackcop.funcspace import INTERNAL_TOL
 
 
 def first_increase_violation(values, knots, tol):
-    """First pair i < j with values[j] > min(values[:j]) + tol.
+    """First pair i < j with values[j] > min(values[:j]) + (tol + INTERNAL_TOL).
 
     The left endpoint reported is the latest index attaining the running
-    minimum, which pins the witness to the offending interval.
+    minimum, which pins the witness to the offending interval. Like
+    first_decrease_violation it allows tol + INTERNAL_TOL, the library's one
+    rule for monotone tests.
     """
     run_min = values[0]
     run_idx = 0
     for j in range(1, len(values)):
-        if values[j] > run_min + tol:
+        if values[j] > run_min + (tol + INTERNAL_TOL):
             return (float(knots[run_idx]), float(knots[j]))
         if values[j] <= run_min:
             run_min = values[j]
@@ -77,11 +84,11 @@ def first_increase_violation(values, knots, tol):
 
 
 def first_decrease_violation(values, knots, tol):
-    """First pair i < j with values[j] < max(values[:j]) - tol."""
+    """First pair i < j with values[j] < max(values[:j]) - (tol + INTERNAL_TOL)."""
     run_max = values[0]
     run_idx = 0
     for j in range(1, len(values)):
-        if values[j] < run_max - tol:
+        if values[j] < run_max - (tol + INTERNAL_TOL):
             return (float(knots[run_idx]), float(knots[j]))
         if values[j] >= run_max:
             run_max = values[j]
@@ -122,7 +129,11 @@ def reference_existence(spec, tol):
     return first_increase_violation(a - u, u, tol), first_increase_violation(b, u, tol)
 
 
-def reference_eligibility_witness(spec, psi, tol):
+def reference_band_violation(spec, psi, tol):
+    """(name, witness) of the first of psi - psi_L and psi_U - psi to fall, or (None, None).
+
+    Both bounds are summed anew on the merged knots of the spec and psi.
+    """
     u = merge_knots(spec.knots, psi.x)
     psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
     dd = np.diff(delta_u)
@@ -130,10 +141,15 @@ def reference_eligibility_witness(spec, psi, tol):
     du = np.diff(u)
     cum_vm_dt = np.concatenate(([0.0], np.cumsum(np.maximum(dd - dp, 0.0))))
     cum_vp_z = np.concatenate(([0.0], np.cumsum(np.maximum(du - dd, 0.0))))
-    witness = first_decrease_violation(psi_u - cum_vm_dt, u, tol)
-    if witness is None:
-        witness = first_decrease_violation(u - cum_vp_z - psi_u, u, tol)
-    return witness
+    for name, values in (("psi - psi_L", psi_u - cum_vm_dt), ("psi_U - psi", u - cum_vp_z - psi_u)):
+        witness = first_decrease_violation(values, u, tol)
+        if witness is not None:
+            return name, witness
+    return None, None
+
+
+def reference_eligibility_witness(spec, psi, tol):
+    return reference_band_violation(spec, psi, tol)[1]
 
 
 def reference_psi_bounds(spec):
@@ -171,10 +187,11 @@ def reference_diagonal_conditions(delta, track, tol):
     u, d, p = reference_common_knots(delta, track)
     results = {"a": (abs(d[-1] - 1.0) <= tol, 1.0)}
     for name, bad in (("b", d > np.minimum(u, p) + tol),
-                      ("c", np.diff(d) < -tol),
                       ("d", np.diff(d) > np.diff(u) + np.diff(p) + tol)):
         idx = np.nonzero(bad)[0]
         results[name] = (len(idx) == 0, u[idx[0]] if len(idx) else None)
+    witness = first_decrease_violation(d, u, tol)
+    results["c"] = (witness is None, None if witness is None else witness[0])
     return results
 
 
@@ -192,16 +209,18 @@ def reference_eval_scalar(f, t):
 
 
 def reference_quadruplet(spec, psi, tol):
-    """({name: (x, y)} of psi, chi, eta, xi, violation) as quadruplet built them on merged knots."""
+    """({name: (x, y)} of psi, chi, eta, xi, violation) as quadruplet built them on merged knots.
+
+    The violation is the band test's, from reference_band_violation.
+    """
     u = merge_knots(spec.knots, psi.x)
     psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
     parts = {"psi": (u, psi_u), "chi": (phi_u, phi_u - delta_u + psi_u),
              "eta": (phi_u, delta_u - psi_u), "xi": (u, u - psi_u)}
-    for name, (x, y) in parts.items():
-        bad = np.nonzero(np.diff(y) < -tol)[0]
-        if len(bad):
-            return parts, f"{name} decreasing at knot {x[bad[0]]:.6g}"
-    return parts, None
+    name, witness = reference_band_violation(spec, psi, tol)
+    if witness is None:
+        return parts, None
+    return parts, f"{name} decreasing on [{witness[0]:.6g}, {witness[1]:.6g}]"
 
 
 def reference_blend_psi(a_psi, b_psi, t):

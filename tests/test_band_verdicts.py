@@ -1,8 +1,9 @@
 """The band answers its own eligibility, and a blend on a shared knot array skips the merge.
 
-`DiagonalSpec._band_verdicts` reads the verdicts of psi_L and psi_U off the
-band's arrays; they must be what quadruplet says of the same functions at
-USER_TOL. Sections come from strategies.py on both track kinds, admissible
+`DiagonalSpec._band_verdict` is the one verdict psi_L and psi_U share: the
+witness at which psi_U - psi_L falls, at USER_TOL. It must be the witness
+quadruplet gives each end, and pointwise_upper_bound must raise psi_L's
+message. Sections come from strategies.py on both track kinds, admissible
 ones and validate=False ones whose delta dips, which no copula realizes and
 whose band ends are ineligible.
 """
@@ -42,14 +43,23 @@ def quadruplet_verdicts(spec, ends):
     return tuple((c.eligible, c.violation) for c in (quadruplet(spec, f) for f in ends))
 
 
+def band_verdicts(spec):
+    """(eligible, violation) of psi_L and of psi_U, as read off the spec's one band verdict."""
+    witness = spec._band_verdict
+    if witness is None:
+        return (True, None), (True, None)
+    where = f"decreasing on [{witness[0]:.6g}, {witness[1]:.6g}]"
+    return (False, f"psi_U - psi {where}"), (False, f"psi - psi_L {where}")
+
+
 @pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_band_verdicts_are_the_quadruplets_verdicts(identity, data):
     spec = data.draw(sections(identity))
     bounds = psi_bounds(spec)
-    assert spec._band_verdicts == quadruplet_verdicts(spec, (bounds.psi_low, bounds.psi_up))
-    assert spec._band_verdicts == ((True, None), (True, None))
+    assert band_verdicts(spec) == quadruplet_verdicts(spec, (bounds.psi_low, bounds.psi_up))
+    assert spec._band_verdict is None
 
 
 @pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
@@ -64,7 +74,7 @@ def test_band_verdicts_of_a_dipping_delta_raise_ineligible(identity, data, drop)
     assert existence_check(spec, tol=tol).exists
     bounds = psi_bounds(spec, tol=tol)
     verdicts = quadruplet_verdicts(spec, (bounds.psi_low, bounds.psi_up))
-    assert spec._band_verdicts == verdicts
+    assert band_verdicts(spec) == verdicts
     assert not any(eligible for eligible, _ in verdicts)
     with pytest.raises(IneligiblePsi) as raised:
         pointwise_upper_bound(spec, 0.5, 0.5, tol=tol)

@@ -233,6 +233,18 @@ def test_unwritable_target_exits_2(tmp_path, fig2_spec_file, command, target, ca
     assert not list(out.glob(".*.part"))
 
 
+def test_unwritable_target_error_names_only_the_target(tmp_path, fig2_spec_file, monkeypatch,
+                                                       capsys):
+    # the rename's OSError names the hidden .part file and absolute paths; the
+    # error line gives the path as asked for and the reason alone
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / "psi_lower.csv").mkdir(parents=True)
+    assert main(["bounds", fig2_spec_file, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write out/psi_lower.csv: Is a directory\n"
+    assert ".part" not in err and str(tmp_path) not in err
+
+
 @pytest.mark.parametrize("command, target", [
     ("bounds", "psi_lower.csv"), ("bounds", "psi_upper.csv"), ("build", "region.csv"),
     ("build", "report.json"), ("compare", "comparison.json"),

@@ -30,7 +30,7 @@ from trackcop import (
 )
 from trackcop.cli import main
 from trackcop.construction import _rightmost_level, _validate_mesh
-from trackcop.funcspace import first_decrease
+from trackcop.funcspace import INTERNAL_TOL, first_decrease
 
 from loop_reference import (
     first_decrease_violation,
@@ -242,16 +242,19 @@ def test_diagonal_spec_and_track_stay_frozen(w_spec):
 
 TIE_X = [0.0, 0.55, 0.595, 0.64, 0.685, 0.73, 0.775, 0.82, 0.865, 0.91, 0.955, 1.0]
 # slope 1/0.45 on [0.55, 1]: the gap psi_U - psi_L falls by 0.01 per segment, so
-# at tol 0.02 the second segment's fall equals tol and rounding decides
+# at TIE_TOL the second segment's fall equals TIE_TOL + INTERNAL_TOL, the
+# threshold of a monotone test, and rounding decides
 TIE_SPEC = {"track": "identity",
             "diagonal": {"x": TIE_X, "y": [0.0, 0.0] + [(x - 0.55) / 0.45 for x in TIE_X[2:]]}}
+TIE_TOL = 0.019999999999  # 0.02 - INTERNAL_TOL
 
 
 def test_existence_at_exact_tol_tie_matches_reference():
+    assert TIE_TOL == 0.02 - INTERNAL_TOL
     diagonal = TIE_SPEC["diagonal"]
-    spec = make_diagonal(make_pl(diagonal["x"], diagonal["y"]), identity_track(), tol=0.02)
-    result = existence_check(spec, tol=0.02)
-    w_var, _ = reference_existence(spec, 0.02)
+    spec = make_diagonal(make_pl(diagonal["x"], diagonal["y"]), identity_track(), tol=TIE_TOL)
+    result = existence_check(spec, tol=TIE_TOL)
+    w_var, _ = reference_existence(spec, TIE_TOL)
     assert result.witness == w_var == (0.55, 0.64)
     # where the copula exists, psi_L and psi_U are the reference's bits
     bounds = psi_bounds(spec, tol=0.2)
@@ -263,7 +266,7 @@ def test_bounds_cli_at_exact_tol_tie_exits_1_and_writes_nothing(tmp_path, capsys
     spec_path = tmp_path / "tie.json"
     spec_path.write_text(json.dumps(TIE_SPEC))
     out = tmp_path / "out"
-    assert main(["bounds", str(spec_path), "--tol", "0.02", "--out", str(out)]) == 1
+    assert main(["bounds", str(spec_path), "--tol", repr(TIE_TOL), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "(0.55, 0.64)" in err
     assert not out.exists()
@@ -309,10 +312,11 @@ def test_spec_knot_eligibility_ties_match_reference(seed, identity, monotone):
     spec = section(rng, 200, identity)
     psi = wobbly_psi(rng, spec, spec.knots, monotone)
     for seq in reference_sequences(spec, psi):
-        largest = float(drops(seq).max())
-        if largest <= 0.0:
+        # the tie: the largest drop at the threshold tol + INTERNAL_TOL
+        tie = float(drops(seq).max()) - INTERNAL_TOL
+        if tie <= 0.0:
             continue
-        for tol in (largest, float(np.nextafter(largest, 0.0))):
+        for tol in (tie, float(np.nextafter(tie, 0.0)), float(np.nextafter(tie, 1.0))):
             result = eligibility_by_variation(spec, psi, tol=tol)
             witness = reference_eligibility_witness(spec, psi, tol)
             assert result.witness == witness and result.eligible == (witness is None)
@@ -329,9 +333,11 @@ def test_foreign_knot_eligibility_matches_reference_away_from_ties(seed, identit
     all_drops = np.concatenate([drops(seq) for seq in reference_sequences(spec, psi)])
     largest = float(all_drops.max())
     checked = 0
-    for tol in (0.0, 1e-9, 0.5 * largest, largest, 2.0 * largest, *rng.choice(all_drops, 5)):
-        # a knot whose drop is within 1e-12 of tol is a tie that rounding decides
-        if np.min(np.abs(all_drops - tol)) <= 1e-12:
+    for tol in (0.0, 1e-9, 0.5 * largest, largest, 2.0 * largest,
+                *rng.choice(all_drops[all_drops > 0.0], 5)):
+        # a knot whose drop is within 1e-13 of the threshold tol + INTERNAL_TOL
+        # is a tie that rounding decides
+        if np.min(np.abs(all_drops - (tol + INTERNAL_TOL))) <= 1e-13:
             continue
         result = eligibility_by_variation(spec, psi, tol=tol)
         witness = reference_eligibility_witness(spec, psi, tol)

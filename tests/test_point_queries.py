@@ -52,7 +52,7 @@ from loop_reference import (
     reference_quadruplet,
 )
 from strategies import sections, sections_with_points
-from test_kernels import TIE_SPEC, section, same_bits
+from test_kernels import TIE_SPEC, TIE_TOL, section, same_bits
 
 # The band's formula and the identity closed form round differently; this
 # is an absolute bound on values in [0, 1], a few ulps of 1.
@@ -109,8 +109,8 @@ def decreasing_delta_spec():
     """A validate=False spec on a general track whose delta dips by 0.05.
 
     At tol 0.1 the band's gap may fall by that much, so existence holds; but
-    the quadruplet of psi_L is tested at the default tol, and its eta falls
-    with delta.
+    the quadruplet of psi_L is tested at the default tol, and psi_U - psi_L
+    falls where delta does.
     """
     track = make_track(make_pl([0.0, 0.5, 1.0], [0.0, 0.3, 1.0]))
     delta = make_pl([0.0, 0.4, 0.5, 1.0], [0.0, 0.2, 0.15, 1.0])
@@ -126,7 +126,7 @@ def test_pointwise_upper_bound_raises_ineligible_on_decreasing_delta():
     for x, y in ((0.45, 0.6), (0.9, 0.1)):
         with pytest.raises(IneligiblePsi) as raised:
             pointwise_upper_bound(spec, x, y, tol=0.1)
-        assert str(raised.value) == str(expected.value) == "eta decreasing at knot 0.24"
+        assert str(raised.value) == str(expected.value) == "psi_U - psi decreasing on [0.4, 0.5]"
     with pytest.raises(NoCopulaExists):
         pointwise_upper_bound(spec, 0.45, 0.6)
 
@@ -335,7 +335,7 @@ def test_spec_is_freed_by_refcount_after_every_query(identity):
     try:
         _use_every_memo(spec)
         # read from the instance dict: reading a cached_property would fill it
-        assert {"_existence", "_band", "_band_verdicts"} <= vars(spec).keys()
+        assert {"_existence", "_band", "_band_verdict"} <= vars(spec).keys()
         assert spec._existence
         del spec
         assert ref() is None
@@ -345,13 +345,14 @@ def test_spec_is_freed_by_refcount_after_every_query(identity):
 
 def tie_spec():
     diagonal = TIE_SPEC["diagonal"]
-    return make_diagonal(make_pl(diagonal["x"], diagonal["y"]), identity_track(), tol=0.02)
+    return make_diagonal(make_pl(diagonal["x"], diagonal["y"]), identity_track(), tol=TIE_TOL)
 
 
-@pytest.mark.parametrize("order", [(0.02, 1e-9), (1e-9, 0.02)], ids=["wide-first", "default-first"])
+@pytest.mark.parametrize("order", [(TIE_TOL, 1e-9), (1e-9, TIE_TOL)],
+                         ids=["wide-first", "default-first"])
 def test_existence_memo_keeps_each_tols_witness(order):
-    expected = {0.02: (0.55, 0.64), 1e-9: reference_existence(tie_spec(), 1e-9)[0]}
-    assert expected[1e-9] != expected[0.02]
+    expected = {TIE_TOL: (0.55, 0.64), 1e-9: reference_existence(tie_spec(), 1e-9)[0]}
+    assert expected[1e-9] != expected[TIE_TOL]
     spec = tie_spec()
     for tol in order + order:
         assert existence_check(spec, tol=tol).witness == expected[tol]

@@ -1,9 +1,11 @@
 """The paper's guarantees as Hypothesis properties, on the identity and on general tracks.
 
 Sections come from strategies.py: admissible Frechet-mix sections with
-points anywhere, at knots, or on the track. The grid properties take
-psi_L, psi_U and a blend of the two on a small mesh refined by the spec's
-knots and their track images.
+points anywhere, at knots, or on the track. Existence and eligibility are
+read off the band under one monotone rule: the band's ends and blends are
+eligible at tol 0, and quadruplet and eligibility_by_variation give one
+verdict. The grid properties take psi_L, psi_U and a blend of the two on a
+small mesh refined by the spec's knots and their track images.
 """
 
 import itertools
@@ -13,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trackcop import blend, c_psi_value, check_grid, compare, dominating_envelope, eval_pl, \
-    identity_track, make_diagonal, make_pl, make_splice, materialize_grid, merge_knots, \
-    pointwise_upper_bound, psi_bounds, quadruplet, splice_grid
+from trackcop import PLFunction, blend, c_psi_value, check_grid, compare, dominating_envelope, \
+    eligibility_by_variation, eval_pl, existence_check, identity_track, make_diagonal, make_pl, \
+    make_splice, materialize_grid, merge_knots, pointwise_upper_bound, psi_bounds, quadruplet, \
+    splice_grid
 from trackcop.construction import _ConstructionRows
 
 from strategies import sections, sections_with_points
@@ -40,6 +43,53 @@ def test_upper_bound_is_the_larger_extremal_copula(identity, data, t):
         bound = pointwise_upper_bound(spec, x, y)
         assert same_bits(bound, max(c_psi_value(spec, low, x, y), c_psi_value(spec, up, x, y)))
         assert c_psi_value(spec, mix, x, y) <= bound + BLEND_SLACK
+
+
+@TRACKS
+@given(data=st.data(), bumped=st.booleans(), tol=st.sampled_from([0.0, 1e-9]))
+@settings(max_examples=150, deadline=None)
+def test_existence_is_both_criteria(identity, data, bumped, tol):
+    # a bumped section breaks the slope bound by 1e-3, so no copula has it
+    result = existence_check(data.draw(sections(identity, bumped=bumped)), tol)
+    assert result.variational_ok == result.lipschitz_ok == result.exists == (not bumped)
+
+
+@TRACKS
+@given(data=st.data(), t=st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_band_ends_and_blends_are_eligible_at_tol_0(identity, data, t):
+    spec = data.draw(sections(identity))
+    bounds = psi_bounds(spec, tol=0.0)
+    low, up = quadruplet(spec, bounds.psi_low, 0.0), quadruplet(spec, bounds.psi_up, 0.0)
+    for cand in (low, up, blend(low, up, t)):
+        assert cand.eligible and cand.violation is None
+        assert eligibility_by_variation(spec, cand.psi, 0.0).eligible
+
+
+@st.composite
+def wobbly_psis(draw, identity):
+    """(spec, psi): psi_L + w (psi_U - psi_L), w drawn per knot, on the spec's knots or others."""
+    spec = draw(sections(identity))
+    bounds = psi_bounds(spec)
+    knots = spec.knots if draw(st.booleans()) else np.union1d(
+        [0.0, 1.0], draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(knots), max_size=len(knots))))
+    y = eval_pl(bounds.psi_low, knots) + w * (eval_pl(bounds.psi_up, knots)
+                                              - eval_pl(bounds.psi_low, knots))
+    y[0] = 0.0
+    return spec, PLFunction(knots, y)
+
+
+@TRACKS
+@given(data=st.data(), tol=st.sampled_from([0.0, 1e-9, 1e-3]) | st.floats(0.0, 0.2))
+@settings(max_examples=150, deadline=None)
+def test_quadruplet_and_eligibility_give_one_verdict(identity, data, tol):
+    spec, psi = data.draw(wobbly_psis(identity))
+    cand, result = quadruplet(spec, psi, tol), eligibility_by_variation(spec, psi, tol)
+    assert cand.eligible == result.eligible
+    if not result.eligible:
+        a, b = result.witness
+        assert cand.violation.endswith(f" decreasing on [{a:.6g}, {b:.6g}]")
 
 
 # ---------------------------------------------------------------------------

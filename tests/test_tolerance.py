@@ -2,17 +2,19 @@
 
 A NaN tol makes every comparison false, so without the check a section with
 no copula passed existence, and each call left a memo entry its NaN key
-could never hit again.
+could never hit again. A valid tol, 0 included, goes through the one rule
+for monotone tests, checked at the end of this file.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trackcop import (
     BadTolerance,
-    TrackcopError,
+    PLFunction,
     check_grid,
     compare,
     diagonal_conditions,
@@ -86,12 +88,7 @@ def test_bad_tol_is_rejected(calls, name, tol):
 @pytest.mark.parametrize("name", FUNCTIONS)
 def test_good_tols_are_accepted(calls, name):
     for tol in (0.0, 0, 1e-9, np.float64(0.5)):
-        try:
-            calls[name](tol)
-        except BadTolerance:
-            raise
-        except TrackcopError:
-            pass  # a verdict at this tol: at 0 the extracted psi is ineligible by rounding
+        calls[name](tol)  # a valid section and grid: no verdict fails at any of these
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=repr)
@@ -115,21 +112,44 @@ def test_check_tol_returns_a_good_tol():
 
 
 # ---------------------------------------------------------------------------
-# At tol 0 the build of psi_U still trips on rounding. The tolerance rule of
-# the roadmap (tol as modelling slack for 1-D data, a fixed rounding bound for
-# grids) should let it succeed; until then its test fails, and strict=True
-# turns the fix into a visible pass. The envelope of the w-diag grid below
-# passes at tol 0 since the extraction telescopes the cells below the track
-# instead of summing area shares that round to about 1, which made chi dip;
-# on fig2 grids chi still dips by an ulp.
+# The tolerance rule. `tol` is the user's slack, and every monotone test, of
+# the 1-D data (funcspace.first_decrease) and of a grid's steps alike, allows
+# a fall of tol + INTERNAL_TOL, INTERNAL_TOL covering rounding. So at tol 0 a
+# dip of a few ulps fails nothing: psi_U builds and splices, and the envelope
+# of a constructed grid comes out eligible. A fall of more than tol fails,
+# however small each step of it is.
+
+KNOT_SPEC = Path(__file__).resolve().parent / "data" / "csv_v0" / "knot_spec.json"
+TOL_0_SPECS = {**{name: {"diagonal": name, "mesh": 501} for name in ("fig1", "fig2", "indep")},
+               "knot": json.loads(KNOT_SPEC.read_text())}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="psi_U's xi dips by rounding, which tol 0 forbids")
-def test_build_of_psi_upper_succeeds_at_tol_0(tmp_path, capsys):
+@pytest.mark.parametrize("name", TOL_0_SPECS)
+def test_psi_upper_build_splice_and_envelope_succeed_at_tol_0(tmp_path, capsys, name):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"diagonal": "fig2", "psi": "upper", "mesh": 501}))
-    code = main(["build", str(spec), "--tol", "0", "--out", str(tmp_path / "out"), "--quiet"])
-    assert code == 0, capsys.readouterr().err
+    spec.write_text(json.dumps({**TOL_0_SPECS[name], "psi": "upper"}))
+    build, tol_0 = tmp_path / "build", ["--tol", "0", "--quiet"]
+    for argv in (["build", str(spec), "--out", str(build)],
+                 ["splice", str(spec), "upper", "blend:0.25", "--out", str(tmp_path / "splice")],
+                 ["envelope", str(build / "grid.npy"), str(spec), "--out", str(tmp_path / "env")]):
+        assert main(argv + tol_0) == 0, (argv[0], capsys.readouterr().err)
+
+
+def test_drift_in_sub_tol_steps_is_ineligible(tmp_path):
+    # fig2's psi_L, dropped by 0.8 tol at each of four knots from 0.2 on: no
+    # step falls by tol, but psi - psi_L falls by 1.6 tol from 0.198 to 0.202
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"diagonal": "fig2", "mesh": 501}))
+    spec = load_problem(spec_path).spec
+    low = psi_bounds(spec).psi_low
+    k = int(np.searchsorted(low.x, 0.2))
+    drift = np.minimum(0.0008 * np.maximum(np.arange(len(low.x)) - k + 1, 0), 0.0032)
+    psi = PLFunction(low.x, low.y - drift)
+    candidate = quadruplet(spec, psi, tol=1e-3)
+    result = eligibility_by_variation(spec, psi, tol=1e-3)
+    assert not candidate.eligible and not result.eligible
+    assert result.witness == (low.x[k - 1], low.x[k + 1]) == (0.198, 0.202)
+    assert candidate.violation == "psi - psi_L decreasing on [0.198, 0.202]"
 
 
 def test_envelope_of_a_constructed_grid_succeeds_at_tol_0(tmp_path, capsys):
