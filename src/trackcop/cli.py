@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
+from .canonical import PsiCandidate, psi_bounds, quadruplet
 from .construction import GridCopula, _ConstructionRows, _feed, _fill, _validate_mesh, \
     region_functions
 from .errors import BadMesh, BadTolerance, IneligiblePsi, TrackcopError
@@ -138,9 +138,9 @@ def resolve_candidate(problem: ProblemSpec, request=None, tol: float = USER_TOL)
     if request == "upper":
         return quadruplet(problem.spec, bounds.psi_up, tol=tol)
     if isinstance(request, tuple) and request[0] == "blend":
-        low = quadruplet(problem.spec, bounds.psi_low, tol=tol)
-        up = quadruplet(problem.spec, bounds.psi_up, tol=tol)
-        return blend(low, up, request[1])
+        t = request[1]  # blend's arithmetic on the band's own knots, judged at tol
+        request = PLFunction(problem.spec.knots,
+                             (1.0 - t) * bounds.psi_low.y + t * bounds.psi_up.y)
     return quadruplet(problem.spec, request, tol=tol)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import PsiCandidate, _same_spec
-from .construction import GridCopula, _ConstructionRows, _fill, c_psi_value
+from .construction import GridCopula, _ConstructionRows, _fill, _require_eligible, c_psi_value
 from .errors import SpecMismatch
 from .funcspace import eval_pl
 from .trackmodel import DiagonalSpec
@@ -27,6 +27,9 @@ class SplicedFunction:
 
 
 def make_splice(upper: PsiCandidate, lower: PsiCandidate) -> SplicedFunction:
+    """Splice two eligible candidates; raises IneligiblePsi or SpecMismatch."""
+    _require_eligible(upper)
+    _require_eligible(lower)
     if not _same_spec(upper.spec, lower.spec):
         raise SpecMismatch("splice constituents were built for different specs")
     return SplicedFunction(upper, lower, upper.spec)

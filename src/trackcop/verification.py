@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import psi_bounds, quadruplet
-from .construction import CopulaCpsi, _feed, _kappa_pair, _row_blocks, _validate_mesh, make_cpsi
+from .construction import CopulaCpsi, _feed, _kappa_pair, _row_blocks, _validate_mesh
 from .errors import MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, check_tol, eval_pl
@@ -239,13 +239,20 @@ class _PsiExtraction(_GridCheck):
     at or above b are crossed, at most 2(n - 1) in all; each volume is
     weighted by the exact share of its cell's area below the track,
     A(y0) - A(y1) over the area. The shares depend on the mesh and the track
-    alone, so they are computed once; a window only gathers corner values.
+    alone, so they are computed once; a window only gathers corner values,
+    and C(x, m) at the mesh point m nearest phi(x) for deviation().
     """
 
     def __init__(self, mesh: np.ndarray, track: Track, tol: float):
         super().__init__(mesh, tol)
         self._track = track
         n, phi = len(mesh), eval_pl(track.phi, mesh)
+        # the mesh point nearest phi(x), ties to the upper one, and its distance
+        near = np.clip(np.searchsorted(mesh, phi), 1, n - 1)
+        self._near = np.where(np.abs(mesh[near] - phi) <= np.abs(mesh[near - 1] - phi),
+                              near, near - 1)
+        self._off_track = np.abs(mesh[self._near] - phi)
+        self._on_track = np.empty(n)
         a, b = phi[:-1], phi[1:]
         self._k_lo = np.clip(np.searchsorted(mesh, a, side="right") - 1, 0, n - 1)
         counts = np.clip(np.searchsorted(mesh, b), self._k_lo, n - 1) - self._k_lo
@@ -261,7 +268,9 @@ class _PsiExtraction(_GridCheck):
 
     def _add_window(self, first: int, window: np.ndarray):
         super()._add_window(first, window)
-        rows = len(window) - 1
+        rows, edge = len(window) - 1, slice(first, first + len(window))
+        # a row at a block edge is gathered in two windows, to the same value
+        self._on_track[edge] = window[np.arange(rows + 1), self._near[edge]]
         r, lo = np.arange(rows), self._k_lo[first:first + rows]
         below = window[r + 1, lo] - window[r, lo] - window[1:, 0] + window[:-1, 0]
         crossed = slice(self._start[first], self._start[first + rows])
@@ -269,6 +278,16 @@ class _PsiExtraction(_GridCheck):
         volumes = window[i + 1, j + 1] - window[i, j + 1] - window[i + 1, j] + window[i, j]
         self._col_mass[first:first + rows] = below + np.bincount(
             i, volumes * self._share[crossed], minlength=rows)
+
+    def deviation(self, delta: PLFunction) -> float:
+        """Largest |C(x, m) - delta(x)| - |m - phi(x)| over every mesh point x, m nearest phi(x).
+
+        A (quasi-)copula is 1-Lipschitz in y, so C(x, m) lies within
+        |m - phi(x)| of C(x, phi(x)): a grid whose section is delta gives 0
+        up to rounding.
+        """
+        return float(np.max(np.abs(self._on_track - eval_pl(delta, self._mesh))
+                            - self._off_track))
 
     def psi(self) -> PLFunction:
         """The extracted psi; raises NotACopula, or BadMesh for a mesh missing a track knot."""
@@ -292,49 +311,26 @@ def extract_psi(grid, track: Track, tol: float = USER_TOL) -> PLFunction:
     return extraction.psi()
 
 
-class _SectionCheck:
-    """Sink that gathers a grid's values on the track, at the mesh point nearest phi(x)."""
-
-    def __init__(self, mesh: np.ndarray, track: Track):
-        n = len(mesh)
-        self._mesh = mesh
-        phi_mesh = eval_pl(track.phi, mesh)
-        idx = np.clip(np.searchsorted(mesh, phi_mesh), 1, n - 1)
-        self._idx = np.where(np.abs(mesh[idx] - phi_mesh) <= np.abs(mesh[idx - 1] - phi_mesh),
-                             idx, idx - 1)
-        self._on_mesh = np.abs(mesh[self._idx] - phi_mesh) <= INTERNAL_TOL
-        self._section = np.empty(n)
-
-    def add(self, rows: slice, block: np.ndarray):
-        self._section[rows] = block[np.arange(len(block)), self._idx[rows]]
-
-    def deviation(self, delta: PLFunction) -> float:
-        """Largest |C(x, phi(x)) - delta(x)| over the x whose phi(x) is a mesh point."""
-        on_mesh = self._on_mesh
-        if not on_mesh.any():
-            return 0.0
-        return float(np.abs(self._section[on_mesh] - eval_pl(delta, self._mesh[on_mesh])).max())
-
-
 def dominating_envelope(grid, track: Track, spec: DiagonalSpec,
                         tol: float = USER_TOL) -> CopulaCpsi:
     """Least constructed copula dominating a gridded copula.
 
     The grid is a GridCopula or any row-block source, read in one pass that
     gathers the track section, the copula checks and the extracted mass
-    together; their failures are raised in that order afterwards. The
-    grid's track section must match the spec's diagonal to within the
-    discretization tolerance 2/n; the extracted mass function must come out
-    eligible, otherwise the mesh is too coarse.
+    together; their failures are raised in that order afterwards, then a
+    mesh missing a track knot. The track section is checked in every column
+    x: C(x, m), m the mesh point nearest phi(x), must lie within
+    |m - phi(x)| + 2/n of delta(x), the discretization tolerance 2/n beyond
+    what 1-Lipschitz continuity in y allows. The extracted mass function
+    must come out eligible, otherwise the mesh is too coarse.
     """
-    mesh = grid.mesh
-    section, extraction = _SectionCheck(mesh, track), _PsiExtraction(mesh, track, check_tol(tol))
-    _feed(grid, section, extraction)
-    mesh_tol = 2.0 / len(mesh)
-    dev = section.deviation(spec.delta)
+    extraction = _PsiExtraction(grid.mesh, track, check_tol(tol))
+    _feed(grid, extraction)
+    mesh_tol = 2.0 / len(grid.mesh)
+    dev = extraction.deviation(spec.delta)
     if dev > mesh_tol:
         raise TrackSectionMismatch(f"track section deviates by {dev:.3g} > {mesh_tol:.3g}")
     candidate = quadruplet(spec, extraction.psi(), tol=tol)
     if not candidate.eligible:
         raise IneligibleExtractedPsi(candidate.violation or "extracted psi not eligible")
-    return make_cpsi(spec, candidate)
+    return CopulaCpsi(spec, candidate)

@@ -14,9 +14,11 @@ Run it against two checkouts and diff the two manifests:
     diff old.txt new.txt
 
 The harness uses nothing of trackcop but `main`, and it makes its
-malformed `.npy` files from a grid that `build` wrote, and its drifting psi
-files from a psi_L that `bounds` wrote, so it runs against any checkout. Pytest does not collect this file; tests/test_cli_manifest.py
-runs `manifest(work, subset=True)`, a short chain only.
+malformed `.npy` files from a grid that `build` wrote, its drifting psi
+files from a psi_L that `bounds` wrote, and a grid of M = min(x, y) with
+numpy alone, so it runs against any checkout. Pytest does not collect
+this file; tests/test_cli_manifest.py runs `manifest(work, subset=True)`,
+a short chain only.
 """
 
 from __future__ import annotations
@@ -144,6 +146,16 @@ def drift_specs(work: Path, spec: str) -> tuple:
     return psi_file, spec_file
 
 
+def m_grid(work: Path) -> str:
+    """The .npy table of M = min(x, y) on 21 uniform points plus the track knots of KNOT_SPEC."""
+    mesh = np.union1d(np.linspace(0.0, 1.0, 21), json.loads(KNOT_SPEC.read_text())["track"]["x"])
+    table = np.full((len(mesh) + 1, len(mesh) + 1), np.nan)
+    table[0, 1:] = table[1:, 0] = mesh
+    table[1:, 1:] = np.minimum(mesh[:, None], mesh[None, :])
+    np.save(work / "m-grid.npy", table)
+    return "m-grid.npy"
+
+
 def invocations(work: Path, subset: bool):
     """Yield each argv in order; the malformed files are made once the knot chain has run."""
     write_specs(work)
@@ -170,6 +182,8 @@ def invocations(work: Path, subset: bool):
         tol = ["--tol", repr(DRIFT_TOL)]
         yield ["build", spec_file, "--out", f"o/drift/{spec}", *tol]
         yield ["compare", f"{spec}.json", psi_file, "upper", *tol]
+    # a copula whose track section is not the knot spec's
+    yield ["envelope", m_grid(work), "knot.json", "--out", "o/m-grid"]
 
 
 def snapshot(work: Path) -> dict:

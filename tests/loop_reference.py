@@ -33,6 +33,9 @@ the same bits, but for the extraction: `whole_extract_psi` weighs all n^2
 cells by area, the library telescopes the cells wholly below the track, and
 the two agree to len(mesh) ulps of 1. `whole_read_npy_grid` is the `.npy` grid reader as it was
 before grid files were streamed: np.load of the whole table.
+`reference_section_deviation` is dominating_envelope's track-section test
+as a loop over the columns, with a search of the whole mesh for the point
+nearest phi(x).
 
 The library once treated the identity track apart. `is_identity_track`,
 `reference_c_psi_value`, `reference_c_psi_grid_values` and the closed form
@@ -402,6 +405,21 @@ def whole_extract_psi(grid, track, tol=1e-9):
     col_mass = np.sum(volumes * frac, axis=1)
     psi_vals = np.concatenate(([0.0], np.cumsum(col_mass)))
     return PLFunction(mesh, psi_vals)
+
+
+def reference_section_deviation(grid, track, delta):
+    """dominating_envelope's track-section test, one column at a time.
+
+    For each mesh point x, m is the mesh point nearest phi(x), the upper one
+    on a tie. A (quasi-)copula is 1-Lipschitz in y, so C(x, m) may miss
+    delta(x) by |m - phi(x)|; the deviation is the largest excess over that.
+    """
+    mesh, worst = grid.mesh, -np.inf
+    for i, x in enumerate(mesh):
+        p = eval_pl(track.phi, float(x))
+        m = min(range(len(mesh)), key=lambda k: (abs(mesh[k] - p), -k))
+        worst = max(worst, abs(grid.values[i, m] - eval_pl(delta, float(x))) - abs(mesh[m] - p))
+    return worst
 
 
 def whole_npy_bytes(grid):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import trackcop.cli as cli
-from trackcop import GridCopula, construction, merge_knots, psi_bounds
-from trackcop.cli import load_problem, main, read_grid, read_grid_csv, write_grid
+from trackcop import GridCopula, blend, construction, merge_knots, psi_bounds, quadruplet
+from trackcop.cli import ProblemSpec, load_problem, main, read_grid, read_grid_csv, \
+    resolve_candidate, write_grid
 from conftest import diagonal_spec
+from test_kernels import same_bits
+from test_point_queries import decreasing_delta_spec
 
 
 def write_spec(tmp_path, name="spec.json", **payload):
@@ -360,3 +363,17 @@ def test_tol_zero_and_environment_accepted(fig2_spec_file, monkeypatch, env):
     assert main(["validate", fig2_spec_file, "--tol", "0", "--quiet"]) == 0
     args = cli.build_parser().parse_args(["validate", fig2_spec_file])
     assert args.tol == (1e-9 if env is None else float(env))
+
+
+def test_blend_request_is_read_off_the_band_at_the_callers_tol(fig2_spec_file):
+    problem = load_problem(fig2_spec_file)
+    bounds = psi_bounds(problem.spec)
+    low, up = quadruplet(problem.spec, bounds.psi_low), quadruplet(problem.spec, bounds.psi_up)
+    for t in (0.0, 0.25, 0.5, 1.0):
+        got, want = resolve_candidate(problem, ("blend", t), tol=0.0), blend(low, up, t)
+        assert same_bits(got.psi.x, want.psi.x) and same_bits(got.psi.y, want.psi.y)
+        assert got.eligible
+    # psi_U - psi_L falls by 0.05 here, an even blend's differences by 0.025:
+    # within tol 0.1, though not within the default tol
+    problem = ProblemSpec(decreasing_delta_spec(), ("blend", 0.5), 21)
+    assert resolve_candidate(problem, tol=0.1).eligible

@@ -34,11 +34,12 @@ from trackcop import (
 )
 from trackcop import construction
 from trackcop.cli import load_problem, read_grid, write_grid
-from trackcop.construction import _ConstructionRows
+from trackcop.construction import _ConstructionRows, _feed
 from trackcop.verification import _PsiExtraction
 
 from conftest import diagonal_spec
 from loop_reference import (
+    reference_section_deviation,
     whole_check_grid,
     whole_compare,
     whole_csv_bytes,
@@ -158,6 +159,35 @@ def test_extraction_weighs_only_the_cells_the_track_crosses(identity, data, n):
     if identity:
         assert crossed == len(mesh) - 1
     assert crossed <= 2 * (len(mesh) - 1)
+
+
+def frechet_mixes(mesh):
+    """Grids of M, Pi, W and four mixes of them: copulas with sections of their own."""
+    x, y = mesh[:, None], mesh[None, :]
+    m, p, w = np.minimum(x, y), x * y, np.maximum(x + y - 1.0, 0.0)
+    weights = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.5, 0.5, 0), (0.5, 0, 0.5), (0, 0.5, 0.5),
+               (0.4, 0.3, 0.3)]
+    return [GridCopula(mesh, a * m + b * p + c * w) for a, b, c in weights]
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS, ids=lambda r: f"rows{r}")
+@pytest.mark.parametrize("images", [True, False], ids=["with-images", "without-images"])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_section_deviation_matches_the_column_loop(name, images, rows, monkeypatch):
+    # without the track images phi(x) mostly falls between mesh points, and
+    # each column is read at the nearest one, with its Lipschitz allowance
+    spec = SPECS[name]()
+    images = (spec.phi_values(),) if images else ()
+    mesh = merge_knots(np.linspace(0.0, 1.0, 41), spec.knots, *images)
+    use_block_rows(monkeypatch, rows, len(mesh))
+    constructions = [materialize_grid(spec, c, mesh) for c in candidates(spec)]
+    for k, grid in enumerate(constructions + frechet_mixes(mesh)):
+        extraction = _PsiExtraction(mesh, spec.track, 1e-9)
+        _feed(grid, extraction)
+        deviation = extraction.deviation(spec.delta)
+        assert same_bits(deviation, reference_section_deviation(grid, spec.track, spec.delta))
+        if k < len(constructions):  # C_psi has the section, up to rounding
+            assert deviation <= 4 * np.finfo(float).eps
 
 
 def grid_from_cells(cells):

@@ -8,6 +8,7 @@ verdict. The grid properties take psi_L, psi_U and a blend of the two on a
 small mesh refined by the spec's knots and their track images.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trackcop import PLFunction, blend, c_psi_value, check_grid, compare, dominating_envelope, \
-    eligibility_by_variation, eval_pl, existence_check, identity_track, make_diagonal, make_pl, \
-    make_splice, materialize_grid, merge_knots, pointwise_upper_bound, psi_bounds, quadruplet, \
-    splice_grid
+from trackcop import IneligibleExtractedPsi, PLFunction, blend, c_psi_value, check_grid, \
+    compare, dominating_envelope, eligibility_by_variation, eval_pl, existence_check, \
+    identity_track, make_diagonal, make_pl, make_splice, materialize_grid, merge_knots, \
+    pointwise_upper_bound, psi_bounds, quadruplet, splice_grid
 from trackcop.construction import _ConstructionRows
 
 from strategies import sections, sections_with_points
@@ -146,6 +147,21 @@ def test_compare_takes_grids_and_construction_sources_alike(identity, data):
     for (a, grid_a), (b, grid_b) in itertools.permutations(zip(cands, grids), 2):
         assert compare(grid_a, grid_b) == compare(_ConstructionRows(spec, a, mesh),
                                                   _ConstructionRows(spec, b, mesh))
+
+
+@given(data=st.data())
+@GRIDS
+def test_envelope_accepts_the_section_of_a_construction_off_the_track_images(data):
+    # on a general track and a mesh without the track images, phi(x) mostly
+    # falls between mesh points; the section is read at the nearest one
+    spec = data.draw(sections(False, max_knots=12))
+    mesh = merge_knots(np.linspace(0.0, 1.0, data.draw(st.integers(5, 40))), spec.knots)
+    bounds = psi_bounds(spec)
+    low, up = quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up)
+    for cand in (low, up, blend(low, up, data.draw(st.floats(0.0, 1.0)))):
+        # the mesh may be too coarse for an eligible extraction; never a wrong section
+        with contextlib.suppress(IneligibleExtractedPsi):
+            dominating_envelope(materialize_grid(spec, cand, mesh), spec.track, spec)
 
 
 def identity_case(delta_at_half: float, n: int):

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from trackcop import (
+    IneligiblePsi,
+    PLFunction,
     SpecMismatch,
     check_grid,
     make_splice,
@@ -26,6 +30,17 @@ def test_splice_rejects_mismatched_specs(fig2_spec_201, indep_spec):
     b = quadruplet(indep_spec, psi_bounds(indep_spec).psi_low)
     with pytest.raises(SpecMismatch):
         make_splice(a, b)
+
+
+def test_splice_rejects_an_ineligible_constituent(fig2_spec_201):
+    # as materialize_grid, splice_value and c_psi_value do
+    bounds = psi_bounds(fig2_spec_201)
+    low = quadruplet(fig2_spec_201, bounds.psi_low)
+    bad = quadruplet(fig2_spec_201, PLFunction(bounds.psi_up.x, 1.3 * bounds.psi_up.y))
+    assert not bad.eligible
+    for upper, lower in ((bad, low), (low, bad)):
+        with pytest.raises(IneligiblePsi, match=re.escape(bad.violation)):
+            make_splice(upper, lower)
 
 
 def test_splice_continuous_on_track(fig2_spec_201, fig2_splice):

@@ -25,6 +25,8 @@ from trackcop import (
     splice_grid,
 )
 
+from test_grid_blocks import knot_track_spec
+
 MESH3 = np.array([0.0, 0.5, 1.0])
 M_GRID = GridCopula(MESH3, np.minimum(MESH3[:, None], MESH3[None, :]))
 W_GRID = GridCopula(MESH3, np.maximum(MESH3[:, None] + MESH3[None, :] - 1.0, 0.0))
@@ -274,3 +276,13 @@ def test_envelope_rejects_wrong_section(fig2_spec_201):
     grid = product_grid(201)
     with pytest.raises(TrackSectionMismatch):
         dominating_envelope(grid, identity_track(), fig2_spec_201)
+
+
+def test_envelope_checks_the_section_in_every_column():
+    # phi(x) falls on this mesh only at x = 0 and 1, where every copula has
+    # the section; in the other columns M is far from the knot spec's delta
+    spec = knot_track_spec()
+    mesh = merge_knots(np.linspace(0.0, 1.0, 21), spec.track.phi.x)
+    grid = GridCopula(mesh, np.minimum(mesh[:, None], mesh[None, :]))
+    with pytest.raises(TrackSectionMismatch, match=r"deviates by 0\.286 > 0\.087"):
+        dominating_envelope(grid, spec.track, spec)
