@@ -106,18 +106,16 @@ def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -
 
 
 def _search_right(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """np.searchsorted(vals, c, side="right") for each c in levels, called one c at a time.
+    """np.searchsorted(vals, c, side="right") for each c in levels, by a full-range bisection per c.
 
     Eligibility lets chi and eta dip by up to tol + INTERNAL_TOL: a fall of
     either over an interval is at most the fall there of psi - psi_L or of
     psi_U - psi, which the band test allows. So vals may be out of order on
     flat stretches. There a binary search's answer depends on its probe
     path, and the array form of searchsorted narrows each search from the
-    previous level's result; so unsorted vals get a vectorized copy of the
-    full-range bisection instead.
+    previous level's result; this is the probe path of a search that starts
+    afresh from the whole array for every level, all levels a step at a time.
     """
-    if np.all(vals[1:] >= vals[:-1]):
-        return np.searchsorted(vals, levels, side="right")
     lo = np.zeros(len(levels), dtype=np.intp)
     hi = np.full(len(levels), len(vals), dtype=np.intp)
     while True:
@@ -134,13 +132,20 @@ def _rightmost_level(knots: np.ndarray, vals: np.ndarray, levels: np.ndarray) ->
     """max{y : f(y) <= c} for each c in levels, for an increasing PL f given by (knots, vals).
 
     Below vals[0] the answer is knots[0] and at or above vals[-1] it is
-    knots[-1]; in between, the linear inverse on the segment holding c.
+    knots[-1]; in between, the linear inverse on the segment holding c, the
+    last knot of a flat run at its level. For nondecreasing vals that is
+    np.interp(levels, vals, knots), one pass whose search starts from the
+    previous level's segment, so sorted levels cost linear time; its
+    arithmetic is slope * (c - lo) + x0. Out-of-order vals take _search_right
+    and x0 + (c - lo) * (x1 - x0) / (hi - lo) on the segment it finds.
     """
+    if np.all(vals[1:] >= vals[:-1]):
+        return np.interp(levels, vals, knots)
     idx = _search_right(vals, levels)
     right = np.clip(idx, 1, len(vals) - 1)
     lo, hi = vals[right - 1], vals[right]
     x0, x1 = knots[right - 1], knots[right]
-    # Both searches leave lo <= c < hi for 0 < idx < len(vals), so a flat
+    # The search leaves lo <= c < hi for 0 < idx < len(vals), so a flat
     # segment only comes up at the clipped ends, whose entries are replaced.
     span = np.where(hi != lo, hi - lo, 1.0)
     out = x0 + (levels - lo) * (x1 - x0) / span

@@ -135,16 +135,15 @@ def reference_existence(spec, tol):
 def reference_band_violation(spec, psi, tol):
     """(name, witness) of the first of psi - psi_L and psi_U - psi to fall, or (None, None).
 
-    Both bounds are summed anew on the merged knots of the spec and psi.
+    Both bounds are summed anew at the spec's knots and read at psi's extra
+    knots by linear interpolation, as the library reads its band there.
+    Summed anew on the merged knots instead, they can round a difference that
+    is exactly 0 to just below it and so move the witness of an exact tie.
     """
     u = merge_knots(spec.knots, psi.x)
-    psi_u, delta_u, phi_u = eval_pl(psi, u), eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
-    dd = np.diff(delta_u)
-    dp = np.diff(phi_u)
-    du = np.diff(u)
-    cum_vm_dt = np.concatenate(([0.0], np.cumsum(np.maximum(dd - dp, 0.0))))
-    cum_vp_z = np.concatenate(([0.0], np.cumsum(np.maximum(du - dd, 0.0))))
-    for name, values in (("psi - psi_L", psi_u - cum_vm_dt), ("psi_U - psi", u - cum_vp_z - psi_u)):
+    psi_u = eval_pl(psi, u)
+    low, up = (np.interp(u, spec.knots, bound) for bound in reference_psi_bounds(spec))
+    for name, values in (("psi - psi_L", psi_u - low), ("psi_U - psi", up - psi_u)):
         witness = first_decrease_violation(values, u, tol)
         if witness is not None:
             return name, witness

@@ -1,7 +1,9 @@
 """Differential tests: the vectorized 1-D kernels against the loops they replaced.
 
-Witness pairs, psi_L, psi_U, g and h must be bit-identical to the loop
-versions in loop_reference.py.
+Witness pairs, psi_L and psi_U must be bit-identical to the loop versions in
+loop_reference.py. So must g and h where the inverted companion is out of
+order; where it is nondecreasing they come from np.interp, whose arithmetic
+rounds differently, and must be within LEVEL_ULPS of the loop.
 """
 
 import dataclasses
@@ -47,8 +49,37 @@ TOLS = st.sampled_from([0.0, 1e-9, 0.3])
 ULP = 2.0 ** -52
 
 
+# np.interp's slope * (c - lo) + x0 against the loop's x0 + (c - lo) * (x1 - x0) / (hi - lo)
+LEVEL_ULPS = 2
+
+
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def ulps_apart(a, b):
+    """Elementwise number of floats from a to b; +0.0 and -0.0 are one float."""
+    def ordered(v):
+        i = np.asarray(v, dtype=float).view(np.int64)
+        return np.where(i < 0, -(i & np.int64(0x7FFFFFFFFFFFFFFF)), i)
+    return np.abs(ordered(a) - ordered(b))
+
+
+def same_level_inverse(vals, new, expected):
+    """new is within LEVEL_ULPS of the loop's expected where vals is nondecreasing, its bits where not."""
+    if np.all(vals[1:] >= vals[:-1]):
+        return bool(np.all(ulps_apart(new, expected) <= LEVEL_ULPS))
+    return same_bits(new, expected)
+
+
+def same_region(candidate, region, reference):
+    """g and h of region_functions against reference_region's, by same_level_inverse.
+
+    g inverts chi and h inverts eta; the abscissas are psi's either way.
+    """
+    return all(same_bits(new.x, old.x) and same_level_inverse(vals, new.y, old.y)
+               for vals, new, old in ((candidate.chi.y, region["g"], reference[0]),
+                                      (candidate.eta.y, region["h"], reference[1])))
 
 
 def nudge(value, ulps):
@@ -108,7 +139,29 @@ def level_problem(draw):
 def test_rightmost_level_matches_scalar_loop(problem):
     knots, vals, levels = problem
     expected = [rightmost_level(knots, vals, c) for c in levels]
-    assert same_bits(_rightmost_level(knots, vals, levels), expected)
+    assert same_level_inverse(vals, _rightmost_level(knots, vals, levels), expected)
+
+
+@pytest.mark.parametrize("n_levels", [3, 40], ids=["levels-fewer-than-knots", "levels-more"])
+def test_rightmost_level_ties_and_ends_are_exact(n_levels):
+    # np.interp(levels, vals, knots) on nondecreasing vals, which numpy does not
+    # document: a flat run gives its last knot, a level equal to a value gives
+    # that value's knot (the last of its run), and levels below vals[0] or at
+    # or above vals[-1] give knots[0] or knots[-1]. Eight knots take np.interp's
+    # bisection, not its linear scan of four or fewer; more levels than knots
+    # take its precomputed slopes, which are infinite on the flat runs.
+    knots = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.85, 1.0])
+    vals = np.array([0.2, 0.2, 0.2, 0.4, 0.7, 0.7, 0.9, 0.9])
+    cases = {0.2: 0.25, 0.4: 0.3, 0.7: 0.6, 0.9: 1.0, -1.0: 0.0, 0.1: 0.0,
+             np.nextafter(0.2, 0.0): 0.0, 0.95: 1.0, 5.0: 1.0}
+    rng = np.random.default_rng(n_levels)
+    for order in (np.arange, rng.permutation):
+        idx = order(len(cases))
+        levels = np.resize(np.array(list(cases))[idx], n_levels)
+        expected = np.resize(np.array(list(cases.values()))[idx], n_levels)
+        assert same_bits(np.interp(levels, vals, knots), expected)
+        assert same_bits(_rightmost_level(knots, vals, levels), expected)
+        assert same_bits([rightmost_level(knots, vals, c) for c in levels], expected)
 
 
 def test_rightmost_level_unsorted_values_follow_the_scalar_search():
@@ -202,9 +255,7 @@ def test_large_sections_match_loops(n, identity):
     c_up = quadruplet(spec, bounds.psi_up)
     mix = blend(c_low, c_up, 0.37)
     for cand in (c_low, c_up, mix):
-        region = region_functions(spec, cand)
-        g, h = reference_region(spec, cand)
-        assert same_bits(region["g"].y, g.y) and same_bits(region["h"].y, h.y)
+        assert same_region(cand, region_functions(spec, cand), reference_region(spec, cand))
 
     assert eligibility_by_variation(spec, mix.psi).witness is None
     for shift in (0.01, -0.01):
