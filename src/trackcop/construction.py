@@ -5,7 +5,11 @@ copula is
 
     C(x, y) = min{ x, y, psi(x) - psi(w) + delta(w) },   w = phi_inv(y),
 
-which coincides with min(x, y) outside the band g(x) <= y <= h(x).
+which coincides with min(x, y) outside the band g(x) <= y <= h(x). With
+the quadruplet's eta(y) = delta(w) - psi(w), stored on the track-image
+knots, the third term is psi(x) + eta(y), so a point query reads psi at x
+and eta at y and nothing else; the grid kernel takes delta(w) - psi(w) on
+the mesh instead.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .canonical import PsiCandidate
 from .errors import BadMesh, IneligiblePsi
-from .funcspace import INTERNAL_TOL, PLFunction, _eval_pair, eval_pl
+from .funcspace import INTERNAL_TOL, PLFunction, eval_pl
 from .trackmodel import DiagonalSpec
 
 
@@ -48,12 +52,16 @@ class CopulaCpsi:
     candidate: PsiCandidate
 
     @cached_property
-    def g(self) -> PLFunction:
-        return region_functions(self.spec, self.candidate)["g"]
+    def _region(self) -> dict:
+        return region_functions(self.spec, self.candidate)
 
-    @cached_property
+    @property
+    def g(self) -> PLFunction:
+        return self._region["g"]
+
+    @property
     def h(self) -> PLFunction:
-        return region_functions(self.spec, self.candidate)["h"]
+        return self._region["h"]
 
 
 def _require_eligible(candidate: PsiCandidate):
@@ -61,48 +69,34 @@ def _require_eligible(candidate: PsiCandidate):
         raise IneligiblePsi(candidate.violation or "candidate is not eligible")
 
 
-def _kappa(spec: DiagonalSpec, psi: PLFunction, x: float, y: float) -> float:
-    """psi(x) - psi(w) + delta(w) at w = phi_inv(y), the third term of the case formula.
+def _c_psi(psi: PLFunction, eta: PLFunction, x: float, y: float) -> float:
+    """min(x, y, psi(x) + eta(y)), for eta the quadruplet's companion of psi.
 
-    A psi on the spec's knots shares delta's knot array, so one binary
-    search finds both values at w.
+    Two binary searches: psi at x and eta at y, each with eval_pl's scalar
+    bits, so the value is the batch form's, np.interp of psi and of eta.
     """
-    w = eval_pl(spec.track.phi_inv, y)
-    psi_w, delta_w = _eval_pair(psi, spec.delta, w)
-    return eval_pl(psi, x) - psi_w + delta_w
-
-
-def _kappa_pair(spec: DiagonalSpec, f: PLFunction, g: PLFunction, x: float, y: float) -> tuple:
-    """(_kappa(spec, f, x, y), _kappa(spec, g, x, y)), bit for bit.
-
-    For f and g on one knot array this takes four binary searches, not six:
-    phi_inv at y, f and g at x, f and g at w, and delta at w.
-    """
-    w = eval_pl(spec.track.phi_inv, y)
-    f_x, g_x = _eval_pair(f, g, x)
-    f_w, g_w = _eval_pair(f, g, w)
-    delta_w = eval_pl(spec.delta, w)
-    return f_x - f_w + delta_w, g_x - g_w + delta_w
+    return min(x, y, eval_pl(psi, x) + eval_pl(eta, y))
 
 
 def c_psi_value(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> float:
-    """Value of the constructed copula at a single point: min(x, y, kappa) on every track.
+    """Value of the constructed copula at a single point: min(x, y, psi(x) + eta(y)) on every track.
 
-    It costs a few binary searches on the knots.
+    It costs two binary searches on the knots, psi's at x and eta's at y.
     """
     _require_eligible(candidate)
-    return min(x, y, _kappa(spec, candidate.psi, x, y))
+    return _c_psi(candidate.psi, candidate.eta, x, y)
 
 
 def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> dict:
     """Sub-track and super-track mass of the rectangle [0,x] x [0,y].
 
-    s + t equals the copula value everywhere.
+    s = min(psi(x), y - eta(y)) and t = min(x - psi(x), eta(y)), from the
+    two binary searches of c_psi_value; s + t equals the copula value up to
+    rounding.
     """
     _require_eligible(candidate)
-    psi_x, xi_x = _eval_pair(candidate.psi, candidate.xi, x)
-    chi_y, eta_y = _eval_pair(candidate.chi, candidate.eta, y)
-    return {"s": min(psi_x, chi_y), "t": min(xi_x, eta_y)}
+    psi_x, eta_y = eval_pl(candidate.psi, x), eval_pl(candidate.eta, y)
+    return {"s": min(psi_x, y - eta_y), "t": min(x - psi_x, eta_y)}
 
 
 def _search_right(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:

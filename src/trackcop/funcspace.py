@@ -141,20 +141,6 @@ def _on_segment(xs, ys, j: int, t: float) -> float:
     return out
 
 
-def _eval_pair(f: PLFunction, g: PLFunction, t) -> tuple:
-    """(f(t), g(t)) at a scalar point, with the bits of eval_pl.
-
-    When f and g share their knot array (`f.x is g.x`) one binary search
-    serves both; otherwise each takes its own.
-    """
-    if f.x is not g.x:
-        return eval_pl(f, t), eval_pl(g, t)
-    t = _unit_point(t)
-    xs, fy = f._views
-    j = bisect_right(xs, t)
-    return _on_segment(xs, fy, j, t), _on_segment(xs, g._views[1], j, t)
-
-
 def merge_knots(*arrays) -> np.ndarray:
     """Sorted union of knot sets, collapsing points closer than INTERNAL_TOL."""
     xs = np.unique(np.concatenate([np.asarray(a, dtype=float) for a in arrays]))

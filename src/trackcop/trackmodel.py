@@ -62,9 +62,11 @@ class DiagonalSpec:
     zeta(x) = x - delta(x) and delta_tilde(x) = phi(x) - delta(x) live on
     the same knots and are computed on first access.
 
-    phi_values(), the band and the band's verdict are computed once per
-    spec; make_diagonal hands the spec the phi values it has already
-    computed on the knots. `_existence` maps tol to existence_check's
+    The memos, each computed once per spec: `_phi_knots` (phi_values(),
+    which make_diagonal hands the spec from the knots it has already
+    evaluated), `_band` (psi_L, psi_U and their gap), `_band_verdict` (the
+    band test of its two ends), `_band_eta` (eta_L and eta_U on the
+    track-image knots) and `_existence`, which maps tol to existence_check's
     ExistenceResult (witnesses differ by tol). A memo holds plain values
     only, never an object that refers back to the spec (a PsiCandidate
     does): such a cycle would keep every spec alive until the cyclic
@@ -126,6 +128,13 @@ class DiagonalSpec:
         """
         low, up = self._band[:2]
         return first_decrease(up.y - low.y, self.knots, USER_TOL)
+
+    @cached_property
+    def _band_eta(self) -> tuple:
+        """(eta_L, eta_U): delta - psi at the spec's knots, on phi_values(), as quadruplet stores them."""
+        low, up = self._band[:2]
+        phi = self.phi_values()
+        return PLFunction(phi, self.delta.y - low.y), PLFunction(phi, self.delta.y - up.y)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

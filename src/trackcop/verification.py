@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .canonical import psi_bounds, quadruplet
-from .construction import CopulaCpsi, _feed, _kappa_pair, _row_blocks, _validate_mesh
+from .construction import CopulaCpsi, _c_psi, _feed, _row_blocks, _validate_mesh
 from .errors import MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
 from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, check_tol, eval_pl
@@ -212,15 +212,17 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     Nelsen et al. (JMVA 2004) up to rounding. Raises NoCopulaExists when no
     copula has this track section, and IneligiblePsi, with quadruplet's
     message for psi_L, when psi_L and psi_U fail the band test at USER_TOL
-    (possible on a spec made with validate=False). Existence and the band's
-    verdict are memoized per spec, so after the first call a query costs a
-    few binary searches on any track.
+    (possible on a spec made with validate=False). Existence, the band's
+    verdict and its eta_L and eta_U are memoized per spec, so after the
+    first call a query costs four binary searches on any track: psi_L and
+    psi_U at x, eta_L and eta_U at y. Each C_psi is c_psi_value's
+    min(x, y, psi(x) + eta(y)), with its bits on quadruplet(spec, psi).
     """
     bounds = psi_bounds(spec, tol=tol)
     if spec._band_verdict is not None:
         raise IneligiblePsi(quadruplet(spec, bounds.psi_low).violation)
-    kappa_low, kappa_up = _kappa_pair(spec, bounds.psi_low, bounds.psi_up, x, y)
-    return max(min(x, y, kappa_low), min(x, y, kappa_up))
+    eta_low, eta_up = spec._band_eta
+    return max(_c_psi(bounds.psi_low, eta_low, x, y), _c_psi(bounds.psi_up, eta_up, x, y))
 
 
 def _area_below(a, b, w, t):

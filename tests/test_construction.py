@@ -137,7 +137,22 @@ def test_envelope_builds_its_region_only_when_read(fig2_spec_201, monkeypatch):
         got = getattr(cpsi, name)
         assert np.array_equal(got.x, region[name].x) and np.array_equal(got.y, region[name].y)
         assert getattr(cpsi, name) is got  # computed once
-    assert len(calls) == 2 and all(cand is cpsi.candidate for cand in calls)
+    assert len(calls) == 1 and calls[0] is cpsi.candidate
+
+
+def test_g_and_h_share_one_region(fig2_spec, fig2_cands, monkeypatch):
+    calls = []
+    region_of = construction.region_functions
+    monkeypatch.setattr(construction, "region_functions",
+                        lambda spec, cand: calls.append(cand) or region_of(spec, cand))
+    for cand in fig2_cands:
+        del calls[:]
+        cpsi = make_cpsi(fig2_spec, cand)
+        g, h, region = cpsi.g, cpsi.h, region_of(fig2_spec, cand)
+        assert cpsi.g is g and cpsi.h is h
+        for got, name in ((g, "g"), (h, "h")):
+            assert np.array_equal(got.x, region[name].x) and np.array_equal(got.y, region[name].y)
+        assert calls == [cand]
 
 
 def test_region_for_m_diagonal_collapses():

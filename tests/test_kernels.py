@@ -52,6 +52,10 @@ ULP = 2.0 ** -52
 # np.interp's slope * (c - lo) + x0 against the loop's x0 + (c - lo) * (x1 - x0) / (hi - lo)
 LEVEL_ULPS = 2
 
+# A point query's psi(x) + eta(y) against the oracle's psi(x) - psi(w) + delta(w):
+# an absolute bound on values in [0, 1], 4 ulps of 1.
+POINT_QUERY_BOUND = 4 * ULP
+
 
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()

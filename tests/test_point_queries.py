@@ -1,9 +1,10 @@
 """Per-point queries against the code they replaced, and the per-spec memos.
 
-pointwise_upper_bound, quadruplet and blend on spec-knot psi, and the
-scalar eval_pl must give the bits of the oracles in loop_reference.py.
-Functions on one knot array share one binary search per point, with the
-same bits.
+quadruplet and blend on spec-knot psi, and the scalar eval_pl must give the
+bits of the oracles in loop_reference.py. The point queries read
+C_psi = min(x, y, psi(x) + eta(y)) off the quadruplet with two binary
+searches a C_psi: they must give the bits of that form in np.interp, and
+agree with the oracle's psi(x) - psi(w) + delta(w) to POINT_QUERY_BOUND.
 Where the oracle takes the identity track's closed form, the bound must
 agree with it to CLOSED_FORM_BOUND instead.
 The memos on a DiagonalSpec must hold no reference back to it, so a spec
@@ -41,7 +42,6 @@ from trackcop import (
     s_t_split,
 )
 from trackcop import funcspace
-from trackcop.funcspace import _eval_pair
 
 from loop_reference import (
     is_identity_track,
@@ -52,7 +52,7 @@ from loop_reference import (
     reference_quadruplet,
 )
 from strategies import sections, sections_with_points
-from test_kernels import TIE_SPEC, TIE_TOL, section, same_bits
+from test_kernels import POINT_QUERY_BOUND, TIE_SPEC, TIE_TOL, section, same_bits
 
 # The band's formula and the identity closed form round differently; this
 # is an absolute bound on values in [0, 1], a few ulps of 1.
@@ -69,19 +69,17 @@ def outcome(call, *args):
 
 
 def assert_bound_is_reference(spec, x, y):
-    """pointwise_upper_bound has the oracle's bits, or is within CLOSED_FORM_BOUND of its closed form.
+    """pointwise_upper_bound raises as the oracle does, or is within POINT_QUERY_BOUND of its value.
 
     The oracle takes the closed form wherever the track's knots lie on the
     main diagonal, which Hypothesis's general tracks can also draw.
     """
     new = outcome(pointwise_upper_bound, spec, x, y, 1e-9)
     ref = outcome(reference_pointwise_upper_bound, spec, x, y, 1e-9)
-    if is_identity_track(spec.track):
-        assert new[1] == ref[1]
-        if new[1] is None:
-            assert abs(np.frombuffer(new[0])[0] - np.frombuffer(ref[0])[0]) <= CLOSED_FORM_BOUND
-    else:
-        assert new == ref
+    assert new[1] == ref[1]
+    if new[1] is None:
+        bound = CLOSED_FORM_BOUND if is_identity_track(spec.track) else POINT_QUERY_BOUND
+        assert abs(np.frombuffer(new[0])[0] - np.frombuffer(ref[0])[0]) <= bound
     return new
 
 
@@ -254,7 +252,7 @@ def test_pl_function_pickles_and_copies_after_scalar_eval():
 
 
 # ---------------------------------------------------------------------------
-# one search for functions on one knot array
+# point queries: two searches a C_psi, the bits of the batch form
 
 
 @pytest.fixture
@@ -270,50 +268,61 @@ def searches(monkeypatch):
     return calls
 
 
-def pair_functions():
-    """Pairs on one knot array, among them infinite ordinates, where np.interp retries."""
-    x = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
-    pairs = [(PLFunction(x, [0.0, 0.1, 0.4, 0.45, 1.0]),
-              PLFunction(x, [1.0, -2.0, 3.5, 1e300, -1e300])),
-             (PLFunction(x, [0.0, np.inf, np.inf, 1.0, 2.0]),
-              PLFunction(x, [-np.inf, -np.inf, 0.0, np.inf, np.inf]))]
-    return x, pairs
+def interp(f, t):
+    return np.interp(t, f.x, f.y)
 
 
-def test_eval_pair_has_the_bits_of_eval_pl_with_one_search(searches):
-    x, pairs = pair_functions()
-    for f, g in pairs:
-        assert f.x is g.x
-        for t in np.concatenate((probe_points(x), np.linspace(0.0, 1.0, 23))):
-            for arg in (float(t), np.float64(t)):
-                del searches[:]
-                pair = _eval_pair(f, g, arg)
-                assert len(searches) == 1
-                expected = [reference_eval_scalar(h, t) for h in (f, g)]
-                assert all(type(v) is float for v in pair)
-                assert same_bits(pair, expected) and same_bits(pair, [eval_pl(f, t), eval_pl(g, t)])
+def probe_pairs(cand, rng, extra):
+    """(x, y) pairs covering probe_points of psi's knots in x and of eta's in y, and random points."""
+    xs = np.concatenate((probe_points(cand.psi.x), extra[:, 0]))
+    ys = np.concatenate((probe_points(cand.eta.x), extra[:, 1]))
+    n = max(len(xs), len(ys))
+    return zip(xs[rng.permutation(n) % len(xs)], ys[rng.permutation(n) % len(ys)])
 
 
-def test_eval_pair_on_different_knot_arrays_searches_each(searches):
-    x, [(f, g), _] = pair_functions()
-    copied = PLFunction(x.copy(), g.y)  # equal knots, another array
-    other = PLFunction([0.0, 0.6, 1.0], [0.0, 0.3, 1.0])
-    for h in (copied, other):
-        for t in (0.0, 0.2, 0.33, 1.0):
-            del searches[:]
-            assert same_bits(_eval_pair(f, h, t), [eval_pl(f, t), eval_pl(h, t)])
-            assert len(searches) == 4  # two here, two for the expected values
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+@given(data=st.data(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       extra=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_scalar_point_queries_are_the_batch_form(identity, data, t, seed, extra):
+    spec = data.draw(sections(identity))
+    bounds = psi_bounds(spec)
+    low, up = quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up)
+    mix = blend(low, up, t)
+    # the blend again on knots of its own, which quadruplet merges with the spec's
+    own = np.union1d(spec.knots, np.linspace(0.051, 0.951, 7))
+    on_own_knots = quadruplet(spec, PLFunction(own, interp(mix.psi, own)))
+    assert mix.psi.x is spec.knots and on_own_knots.psi.x is not spec.knots
+    rng = np.random.default_rng(seed)
+    for cand in (mix, on_own_knots):
+        assert cand.eligible
+        for x, y in probe_pairs(cand, rng, np.array(extra)):
+            for px, py in ((float(x), float(y)), (np.float64(x), np.float64(y))):
+                psi_x, eta_y = interp(cand.psi, px), interp(cand.eta, py)
+                assert same_bits(c_psi_value(spec, cand, px, py), min(px, py, psi_x + eta_y))
+                split = s_t_split(spec, cand, px, py)
+                assert same_bits([split["s"], split["t"]],
+                                 [min(psi_x, py - eta_y), min(px - psi_x, eta_y)])
+                assert same_bits(pointwise_upper_bound(spec, px, py),
+                                 max(c_psi_value(spec, low, px, py),
+                                     c_psi_value(spec, up, px, py)))
 
 
 @pytest.mark.parametrize("t", [np.float64("nan"), float("nan"), np.float64(-0.1),
                                np.float64(1.5), -1e-300, 10**400], ids=repr)
 def test_eval_pair_rejects_points_outside_the_unit_interval(t):
-    x, [(f, g), _] = pair_functions()
-    for h in (g, PLFunction(x.copy(), g.y)):
-        with pytest.raises(OutOfDomain):
-            _eval_pair(f, h, t)
+    """Each point query at a pair (x, y), and eval_pl, raise OutOfDomain for a coordinate off [0, 1]."""
+    spec = section(np.random.default_rng(4), 50, False)
+    low = quadruplet(spec, psi_bounds(spec).psi_low)
     with pytest.raises(OutOfDomain):
-        eval_pl(f, t)
+        eval_pl(low.psi, t)
+    for x, y in ((t, 0.5), (0.5, t)):
+        for call in (c_psi_value, s_t_split):
+            with pytest.raises(OutOfDomain):
+                call(spec, low, x, y)
+        with pytest.raises(OutOfDomain):
+            pointwise_upper_bound(spec, x, y)
 
 
 @pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
@@ -323,7 +332,7 @@ def test_point_queries_share_searches(identity, searches):
     bounds = psi_bounds(spec)
     mix = blend(quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up), 0.4)
     pointwise_upper_bound(spec, 0.5, 0.5)  # fills the per-spec memos
-    for call, count in ((c_psi_value, 3), (s_t_split, 2)):
+    for call, count in ((c_psi_value, 2), (s_t_split, 2)):
         del searches[:]
         call(spec, mix, 0.3, 0.6)
         assert len(searches) == count, call.__name__
@@ -353,7 +362,7 @@ def test_spec_is_freed_by_refcount_after_every_query(identity):
     try:
         _use_every_memo(spec)
         # read from the instance dict: reading a cached_property would fill it
-        assert {"_existence", "_band", "_band_verdict"} <= vars(spec).keys()
+        assert {"_existence", "_band", "_band_verdict", "_band_eta"} <= vars(spec).keys()
         assert spec._existence
         del spec
         assert ref() is None
