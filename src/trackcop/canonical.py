@@ -35,7 +35,7 @@ from .funcspace import (
 from .trackmodel import DiagonalSpec, existence_check
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiCandidate:
     """A proposed mass function with its canonical companions and verdict."""
 
@@ -132,7 +132,7 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
     return EligibilityResult(witness is None, witness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiBounds:
     psi_low: PLFunction
     psi_up: PLFunction
@@ -145,10 +145,19 @@ def psi_bounds(spec: DiagonalSpec, tol: float = USER_TOL) -> PsiBounds:
     x minus the accumulated positive variation of x - delta(x). Both are the
     spec's cached band; NoCopulaExists is raised when the band narrows.
     """
-    result = existence_check(spec, tol=tol)
+    return PsiBounds(*_existing_band(spec, tol))
+
+
+def _existing_band(spec: DiagonalSpec, tol: float) -> tuple:
+    """(psi_L, psi_U), the spec's cached band, once existence_check at tol has passed.
+
+    Raises NoCopulaExists otherwise. After the first call at a tol it costs
+    one memo lookup and builds nothing.
+    """
+    result = existence_check(spec, tol)
     if not result.exists:
         raise NoCopulaExists(f"no copula with this track section; witness {result.witness}")
-    return PsiBounds(*spec._band[:2])
+    return spec._band[:2]
 
 
 def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:

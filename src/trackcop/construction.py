@@ -19,13 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .canonical import PsiCandidate
-from .errors import BadMesh, IneligiblePsi
+from .canonical import PsiCandidate, _same_spec
+from .errors import BadMesh, IneligiblePsi, SpecMismatch
 from .funcspace import INTERNAL_TOL, PLFunction, eval_pl
 from .trackmodel import DiagonalSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridCopula:
     """n x n values on an n-point mesh _validate_mesh accepts, first index x; a row-block source."""
 
@@ -44,7 +44,7 @@ class GridCopula:
         return self.values[rows, cols]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CopulaCpsi:
     """A constructed copula; its region boundary functions g and h are computed on first access."""
 
@@ -82,7 +82,11 @@ def c_psi_value(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float)
     """Value of the constructed copula at a single point: min(x, y, psi(x) + eta(y)) on every track.
 
     It costs two binary searches on the knots, psi's at x and eta's at y.
+    Raises SpecMismatch when candidate was built for a different spec.
     """
+    # the `is` test first: the common case costs no call
+    if candidate.spec is not spec and not _same_spec(candidate.spec, spec):
+        raise SpecMismatch("candidate was built for a different spec")
     _require_eligible(candidate)
     return _c_psi(candidate.psi, candidate.eta, x, y)
 
@@ -92,8 +96,10 @@ def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -
 
     s = min(psi(x), y - eta(y)) and t = min(x - psi(x), eta(y)), from the
     two binary searches of c_psi_value; s + t equals the copula value up to
-    rounding.
+    rounding. Raises SpecMismatch as c_psi_value does.
     """
+    if candidate.spec is not spec and not _same_spec(candidate.spec, spec):
+        raise SpecMismatch("candidate was built for a different spec")
     _require_eligible(candidate)
     psi_x, eta_y = eval_pl(candidate.psi, x), eval_pl(candidate.eta, y)
     return {"s": min(psi_x, y - eta_y), "t": min(x - psi_x, eta_y)}

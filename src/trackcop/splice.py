@@ -17,7 +17,7 @@ from .funcspace import eval_pl
 from .trackmodel import DiagonalSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplicedFunction:
     """Two constructed copulas glued along the track (ties go to upper)."""
 

@@ -31,7 +31,7 @@ from .funcspace import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Track:
     """Strictly increasing track function with its exact inverse."""
 
@@ -53,7 +53,7 @@ def identity_track() -> Track:
     return Track(f, f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalSpec:
     """A validated diagonal together with its derived gap functions.
 

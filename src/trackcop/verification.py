@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import psi_bounds, quadruplet
+from .canonical import _existing_band, quadruplet
 from .construction import CopulaCpsi, _c_psi, _feed, _row_blocks, _validate_mesh
 from .errors import MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
@@ -218,11 +218,11 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     psi_U at x, eta_L and eta_U at y. Each C_psi is c_psi_value's
     min(x, y, psi(x) + eta(y)), with its bits on quadruplet(spec, psi).
     """
-    bounds = psi_bounds(spec, tol=tol)
+    psi_low, psi_up = _existing_band(spec, tol)
     if spec._band_verdict is not None:
-        raise IneligiblePsi(quadruplet(spec, bounds.psi_low).violation)
+        raise IneligiblePsi(quadruplet(spec, psi_low).violation)
     eta_low, eta_up = spec._band_eta
-    return max(_c_psi(bounds.psi_low, eta_low, x, y), _c_psi(bounds.psi_up, eta_up, x, y))
+    return max(_c_psi(psi_low, eta_low, x, y), _c_psi(psi_up, eta_up, x, y))
 
 
 def _area_below(a, b, w, t):

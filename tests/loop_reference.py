@@ -13,6 +13,9 @@ tol + INTERNAL_TOL. `reference_diagonal_conditions` and
 `reference_quadruplet` judge condition (c) and eligibility by that rule
 too, where they once held each adjacent step to tol alone.
 
+`reference_merge_knots` is merge_knots as it was before it sorted:
+np.unique of the union, then the same INTERNAL_TOL gap mask.
+
 `reference_common_knots`, `reference_diagonal_conditions` and
 `reference_make_diagonal` build a section's common knots as they were
 before the knot-aligned path: a knot merge and np.interp of delta and phi
@@ -176,6 +179,16 @@ def reference_region(spec, candidate):
         h_vals[i] = rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y[i])
     g_vals = np.minimum(g_vals, phi_u)
     return PLFunction(u, g_vals), PLFunction(u, h_vals)
+
+
+def reference_merge_knots(*arrays):
+    """merge_knots by np.unique of the union, then the INTERNAL_TOL gap mask and +0.0, 1.0 ends."""
+    xs = np.unique(np.concatenate([np.asarray(a, dtype=float) for a in arrays]))
+    keep = np.concatenate(([True], np.diff(xs) > INTERNAL_TOL))
+    xs = xs[keep].copy()
+    xs[0] = 0.0
+    xs[-1] = 1.0
+    return xs
 
 
 def reference_common_knots(delta, track):

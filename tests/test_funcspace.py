@@ -1,16 +1,21 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loop_reference import reference_merge_knots
 from trackcop import (
     MalformedKnots,
     OutOfDomain,
     eval_pl,
     make_pl,
+    merge_knots,
     positive_variation_majorant,
     variation,
 )
+from trackcop.funcspace import INTERNAL_TOL
 
 ZIGZAG = make_pl([0, 0.25, 0.5, 1], [0, 0.2, 0.1, 0.4])
 
@@ -147,3 +152,47 @@ def test_eval_scalar_path_matches_array_path(f, t, k):
         assert value.hex() == float(np.interp(s, f.x.copy(), f.y.copy())).hex()
         assert eval_pl(f, np.float64(s)).hex() == value.hex()
         assert eval_pl(f, np.array(s)).hex() == value.hex()
+
+
+# knots in [0, 1]: 0 and 1 themselves, -0.0, and anything between
+unit_points = st.one_of(st.floats(0, 1), st.sampled_from([0.0, -0.0, 1.0]))
+# a point moved by this many INTERNAL_TOL: 0 is an exact duplicate, the rest near ones
+tol_steps = st.sampled_from([0.0, 0.0, 0.25, -0.25, 0.5, -0.5, 0.99, -0.99, 1.0, 1.5, -1.5, 3.0])
+
+
+@st.composite
+def knot_arrays(draw):
+    """1-3 arrays of points in [0, 1], drawn from a few values and their exact and near duplicates."""
+    base = draw(st.lists(unit_points, min_size=1, max_size=6))
+    arrays = []
+    for _ in range(draw(st.integers(1, 3))):
+        picks = draw(st.lists(st.tuples(st.sampled_from(base), tol_steps), max_size=12))
+        points = [p + k * INTERNAL_TOL for p, k in picks]
+        arrays.append(np.array([q if 0.0 <= q <= 1.0 else p
+                                for q, (p, _) in zip(points, picks)], dtype=float))
+    if not any(len(a) for a in arrays):
+        arrays[0] = np.array(base[:1], dtype=float)
+    return arrays
+
+
+@given(knot_arrays())
+@settings(max_examples=500, deadline=None)
+def test_merge_knots_sorts_to_np_unique_bits(arrays):
+    merged = merge_knots(*arrays)
+    assert merged.tobytes() == reference_merge_knots(*arrays).tobytes()
+    assert not np.signbit(merged[0])
+
+
+def test_merge_knots_drops_exact_and_near_duplicates():
+    near = 0.5 + 0.5 * INTERNAL_TOL
+    merged = merge_knots([-0.0, 0.5, 1.0], [0.0, near, 0.5, 1.0], [0.25, 0.25])
+    assert merged.tobytes() == np.array([0.0, 0.25, 0.5, 1.0]).tobytes()
+
+
+def test_array_holders_compare_by_identity_and_stay_frozen():
+    f, g = make_pl([0, 1], [0, 1]), make_pl([0, 1], [0, 1])
+    assert f == f and f != g and hash(f) == hash(f)
+    assert len({f, g}) == 2
+    with pytest.raises(FrozenInstanceError):
+        f.x = g.x
+    assert replace(f, y=[0.0, 0.5]).y.tolist() == [0.0, 0.5]

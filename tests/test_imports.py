@@ -4,7 +4,8 @@ No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library. `__init__.py` is skipped for imports: its
 imports are the package's re-exports. A private top-level helper must be
 named by the library itself; any other function, method or property by the
-library, its tests or the benchmark.
+library, its tests or the benchmark. No dataclass that holds arrays defines
+`__eq__` or `__hash__`.
 """
 
 import ast
@@ -12,6 +13,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from trackcop.canonical import PsiBounds, PsiCandidate
+from trackcop.construction import CopulaCpsi, GridCopula
+from trackcop.funcspace import PLFunction
+from trackcop.splice import SplicedFunction
+from trackcop.trackmodel import DiagonalSpec, Track
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "trackcop"
@@ -133,3 +140,15 @@ def test_unnamed_function_is_reported():
     }
     assert unnamed_functions(sources, ["lib.py"]) == [("lib.py", "A.unread"),
                                                       ("lib.py", "recursive")]
+
+
+ARRAY_HOLDERS = [PLFunction, Track, DiagonalSpec, PsiCandidate, PsiBounds, GridCopula,
+                 CopulaCpsi, SplicedFunction]
+
+
+@pytest.mark.parametrize("cls", ARRAY_HOLDERS, ids=lambda cls: cls.__name__)
+def test_array_holders_define_no_eq_or_hash(cls):
+    # value equality of array fields can only raise, and generating the two
+    # methods costs every import; == and hash are object's identity
+    assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    assert cls.__dataclass_params__.frozen

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from trackcop import (
     BadMesh,
     PLFunction,
+    SpecMismatch,
     blend,
+    c_psi_value,
     eligibility_by_variation,
     eval_pl,
     existence_check,
@@ -29,6 +31,7 @@ from trackcop import (
     psi_bounds,
     quadruplet,
     region_functions,
+    s_t_split,
 )
 from trackcop.cli import main
 from trackcop.construction import _rightmost_level, _validate_mesh
@@ -290,6 +293,19 @@ def test_diagonal_spec_and_track_stay_frozen(w_spec):
     assert w_spec.phi_values() is w_spec.phi_values()
     with pytest.raises(ValueError):
         w_spec.phi_values()[0] = 1.0
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "knot-track"])
+def test_point_queries_refuse_a_foreign_spec(identity):
+    rng = np.random.default_rng([7, int(identity)])
+    a, b = section(rng, 200, identity), section(rng, 200, identity)
+    candidate = quadruplet(a, psi_bounds(a).psi_low)
+    for query in (c_psi_value, s_t_split):
+        with pytest.raises(SpecMismatch):
+            query(b, candidate, 0.3, 0.6)
+        # a spec with the candidate's knot data is its own
+        twin = make_diagonal(a.delta, a.track)
+        assert query(twin, candidate, 0.3, 0.6) == query(a, candidate, 0.3, 0.6)
 
 
 # ---------------------------------------------------------------------------
