@@ -3,7 +3,9 @@
 `first_increase_violation`, `first_decrease_violation`,
 `rightmost_level` and `first_knot_off_mesh` are the loop versions of the
 witness finders, of the level inverse used by region_functions and of
-_validate_mesh's track-knot check. The `reference_*` functions compose
+_validate_mesh's track-knot check; `exact_rightmost_level` is the level
+inverse's formula taken in rational arithmetic and rounded once. The
+`reference_*` functions compose
 them exactly as existence_check, eligibility_by_variation, psi_bounds and
 region_functions did, so the vectorized code can be required to give
 bit-identical results. The witness finders follow the library's one rule
@@ -49,6 +51,7 @@ which agrees with these to rounding, not bit for bit.
 """
 
 import io
+from fractions import Fraction
 
 import numpy as np
 
@@ -113,6 +116,21 @@ def rightmost_level(knots, vals, c):
     if hi == lo:
         return float(knots[idx - 1])
     return float(knots[idx - 1] + (c - lo) * (knots[idx] - knots[idx - 1]) / (hi - lo))
+
+
+def exact_rightmost_level(knots, vals, c):
+    """rightmost_level with its segment formula exact, rounded once to the nearest float.
+
+    The float loop can be far off: its product (c - lo) * (x1 - x0) may
+    underflow to a subnormal, which keeps only a few bits before the
+    division by hi - lo scales it back up.
+    """
+    idx = np.searchsorted(vals, c, side="right")
+    if idx >= len(vals) or idx == 0 or vals[idx] == vals[idx - 1]:
+        return rightmost_level(knots, vals, c)
+    lo, hi, x0, x1 = (Fraction(float(v)) for v in (vals[idx - 1], vals[idx],
+                                                    knots[idx - 1], knots[idx]))
+    return float(x0 + (Fraction(float(c)) - lo) * (x1 - x0) / (hi - lo))
 
 
 def first_knot_off_mesh(mesh, knots):
