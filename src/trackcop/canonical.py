@@ -13,11 +13,16 @@ minus the positive variation of x - delta(x), that is, psi - psi_L and
 psi_U - psi are both nondecreasing. quadruplet and eligibility_by_variation
 both judge psi by that band test. The extremes of the band, psi_low and
 psi_up, are themselves eligible and bound every eligible psi pointwise.
+
+A PsiCandidate holds psi and its verdict; chi, eta and xi are computed on
+first read, so a candidate whose companions nothing reads costs no array
+beyond psi's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,15 +42,46 @@ from .trackmodel import DiagonalSpec, existence_check
 
 @dataclass(frozen=True, eq=False)
 class PsiCandidate:
-    """A proposed mass function with its canonical companions and verdict."""
+    """A proposed mass function with its verdict; its canonical companions on first read.
+
+    chi, eta and xi are computed from psi and the spec when first read and
+    kept from then on. The companions of the y-variable (eta, chi) are
+    carried on phi at psi's knots, so compositions with the track inverse
+    stay exact. A candidate made by dataclasses.replace starts with no
+    companions and computes them from its own psi.
+    """
 
     psi: PLFunction
-    chi: PLFunction
-    eta: PLFunction
-    xi: PLFunction
     eligible: bool
     violation: Optional[str]
     spec: DiagonalSpec
+
+    @cached_property
+    def _phi_u(self) -> np.ndarray:
+        """phi at psi's knots: the spec's memo when they are the spec's knots."""
+        u = self.psi.x
+        return self.spec.phi_values() if u is self.spec.knots else eval_pl(self.spec.track.phi, u)
+
+    def _delta_u(self) -> np.ndarray:
+        u = self.psi.x
+        return self.spec.delta.y if u is self.spec.knots else eval_pl(self.spec.delta, u)
+
+    @cached_property
+    def chi(self) -> PLFunction:
+        """y - eta(y): phi - delta + psi at psi's knots, on phi at them."""
+        values = np.subtract(self._phi_u, self._delta_u())
+        values += self.psi.y
+        return PLFunction(self._phi_u, values)
+
+    @cached_property
+    def eta(self) -> PLFunction:
+        """delta - psi at psi's knots, on phi at them."""
+        return PLFunction(self._phi_u, self._delta_u() - self.psi.y)
+
+    @cached_property
+    def xi(self) -> PLFunction:
+        """x - psi(x) on psi's knots."""
+        return PLFunction(self.psi.x, self.psi.x - self.psi.y)
 
 
 @dataclass(frozen=True)
@@ -87,36 +123,32 @@ def _band_violation(spec: DiagonalSpec, u: np.ndarray, psi_u: np.ndarray, tol: f
     """(name, witness pair) of the first of psi - psi_L and psi_U - psi to fall, or (None, None).
 
     psi_L and psi_U are read from the spec's band and interpolated onto
-    psi's extra knots, where they are linear.
+    psi's extra knots, where they are linear. psi_U - psi is computed only
+    once psi - psi_L has passed, into the same buffer.
     """
-    low, up = spec._band[0].y, spec._band[1].y
-    if u is not spec.knots:
-        low, up = np.interp(u, spec.knots, low), np.interp(u, spec.knots, up)
-    for name, values in (("psi - psi_L", psi_u - low), ("psi_U - psi", up - psi_u)):
-        witness = first_decrease(values, u, tol)
-        if witness is not None:
-            return name, witness
-    return None, None
+    merged = u is not spec.knots
+    low = np.interp(u, spec.knots, spec._band[0].y) if merged else spec._band[0].y
+    values = np.subtract(psi_u, low, out=low if merged else None)
+    witness = first_decrease(values, u, tol)
+    if witness is not None:
+        return "psi - psi_L", witness
+    up = np.interp(u, spec.knots, spec._band[1].y) if merged else spec._band[1].y
+    witness = first_decrease(np.subtract(up, psi_u, out=values), u, tol)
+    return ("psi_U - psi", witness) if witness is not None else (None, None)
 
 
 def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> PsiCandidate:
-    """Materialize the canonical quadruplet of psi and judge psi by the band test.
+    """The canonical quadruplet of psi, judged by the band test.
 
-    The companions of the y-variable (eta, chi) are carried on the
-    track-image knots so compositions with the track inverse stay exact.
-    The verdict is eligibility_by_variation's; the violation names the
-    difference that falls and its witness pair.
+    psi is carried on its knots merged with the spec's; the candidate
+    computes chi, eta and xi on them when they are first read. The verdict
+    is eligibility_by_variation's; the violation names the difference that
+    falls and its witness pair.
     """
     u, psi_u = _anchored_on_knots(spec, psi, tol)
-    if u is spec.knots:
-        delta_u, phi_u = spec.delta.y, spec.phi_values()
-    else:
-        delta_u, phi_u = eval_pl(spec.delta, u), eval_pl(spec.track.phi, u)
     name, witness = _band_violation(spec, u, psi_u, tol)
     violation = witness and f"{name} decreasing on [{witness[0]:.6g}, {witness[1]:.6g}]"
-    return PsiCandidate(PLFunction(u, psi_u), PLFunction(phi_u, phi_u - delta_u + psi_u),
-                        PLFunction(phi_u, delta_u - psi_u), PLFunction(u, u - psi_u),
-                        witness is None, violation, spec)
+    return PsiCandidate(PLFunction(u, psi_u), witness is None, violation, spec)
 
 
 def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
@@ -176,4 +208,6 @@ def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:
     else:
         u = merge_knots(a.psi.x, b.psi.x)
         a_u, b_u = eval_pl(a.psi, u), eval_pl(b.psi, u)
-    return quadruplet(a.spec, PLFunction(u, (1.0 - t) * a_u + t * b_u))
+    psi_u = np.multiply(a_u, 1.0 - t)
+    psi_u += np.multiply(b_u, t)
+    return quadruplet(a.spec, PLFunction(u, psi_u))

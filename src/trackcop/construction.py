@@ -165,7 +165,7 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
     u = candidate.psi.x
     g_vals = _rightmost_level(candidate.chi.x, candidate.chi.y, candidate.psi.y)
     h_vals = _rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y)
-    g_vals = np.minimum(g_vals, candidate.chi.x)
+    np.minimum(g_vals, candidate.chi.x, out=g_vals)
     return {"g": PLFunction(u, g_vals), "h": PLFunction(u, h_vals)}
 
 

@@ -111,11 +111,16 @@ class DiagonalSpec:
         """
         u = self.knots
         dd = np.diff(self.delta.y)
-        vm = np.maximum(dd - np.diff(self._phi_knots), 0.0)
-        vp = np.maximum(np.diff(u) - dd, 0.0)
-        low = np.concatenate(([0.0], np.cumsum(vm)))
-        up = u - np.concatenate(([0.0], np.cumsum(vp)))
-        gap = u - np.concatenate(([0.0], np.cumsum(vm + vp)))
+        vm = np.diff(self._phi_knots)
+        np.subtract(dd, vm, out=vm)
+        np.maximum(vm, 0.0, out=vm)
+        vp = np.diff(u)
+        vp -= dd
+        np.maximum(vp, 0.0, out=vp)
+        low, up = _accumulated(vm), _accumulated(vp)
+        np.subtract(u, up, out=up)
+        gap = _accumulated(np.add(vm, vp, out=dd))
+        np.subtract(u, gap, out=gap)
         return PLFunction(u, low), PLFunction(u, up), _read_only(gap)
 
     @cached_property
@@ -131,7 +136,10 @@ class DiagonalSpec:
 
     @cached_property
     def _band_eta(self) -> tuple:
-        """(eta_L, eta_U): delta - psi at the spec's knots, on phi_values(), as quadruplet stores them."""
+        """(eta_L, eta_U): delta - psi at the spec's knots, on phi_values().
+
+        These are the bits a candidate's eta computes on first read.
+        """
         low, up = self._band[:2]
         phi = self.phi_values()
         return PLFunction(phi, self.delta.y - low.y), PLFunction(phi, self.delta.y - up.y)
@@ -142,6 +150,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _accumulated(steps: np.ndarray) -> np.ndarray:
+    """[0, cumsum(steps)] in one new array: np.concatenate(([0.0], np.cumsum(steps)))'s bits."""
+    out = np.empty(len(steps) + 1)
+    out[0] = 0.0
+    np.cumsum(steps, out=out[1:])
+    return out
+
+
 def _common_knots(delta: PLFunction, track: Track) -> tuple:
     """(u, delta(u), phi(u)) on u = merge_knots(delta.x, track.phi.x).
 
@@ -149,14 +165,28 @@ def _common_knots(delta: PLFunction, track: Track) -> tuple:
     have no gap <= INTERNAL_TOL, merge_knots would give them back
     bit for bit, and np.interp at a knot returns the stored ordinate; so u
     is delta.x and delta(u) is delta.y, with no merge and no interpolation.
+    On the identity track phi(u) is u itself: u runs over [+0.0, 1.0] on
+    either path, and there np.interp(u, [0, 1], [+0.0, 1]) returns u bit
+    for bit.
     """
     x, tx = delta.x, track.phi.x
     at = np.minimum(np.searchsorted(x, tx), len(x) - 1)
     if (x[0] == 0.0 and not np.signbit(x[0]) and x[-1] == 1.0
             and np.all(x[at] == tx) and np.all(np.diff(x) > INTERNAL_TOL)):
-        return x, delta.y, eval_pl(track.phi, x)
-    u = merge_knots(x, tx)
-    return u, eval_pl(delta, u), eval_pl(track.phi, u)
+        u, d = x, delta.y
+    else:
+        u = merge_knots(x, tx)
+        d = eval_pl(delta, u)
+    return u, d, u if _is_identity(track) else eval_pl(track.phi, u)
+
+
+def _is_identity(track: Track) -> bool:
+    """Whether phi(u) = u bit for bit: a validated track of two knots whose phi(0) is +0.0.
+
+    make_track admits phi(0) = -0.0, at which np.interp returns -0.0 for u = +0.0.
+    """
+    ty = track.phi.y
+    return len(ty) == 2 and not np.signbit(ty[0])
 
 
 def _conditions(u: np.ndarray, d: np.ndarray, p: np.ndarray, tol: float) -> dict:
@@ -165,14 +195,20 @@ def _conditions(u: np.ndarray, d: np.ndarray, p: np.ndarray, tol: float) -> dict
     # (a) delta(1) = 1
     results["a"] = (abs(d[-1] - 1.0) <= tol, 1.0)
     # (b) delta <= min(x, phi(x))
-    bad = np.nonzero(d > np.minimum(u, p) + tol)[0]
+    bound = np.minimum(u, p)
+    bound += tol
+    bad = np.nonzero(d > bound)[0]
     results["b"] = (len(bad) == 0, u[bad[0]] if len(bad) else None)
     # (c) delta increasing; where is the left knot of the witness pair
     witness = first_decrease(d, u, tol)
     results["c"] = (witness is None, None if witness is None else witness[0])
     # (d) per-segment slope bound |d delta| <= dx + d phi; the lower side is
     # automatic for increasing delta and phi, so only the upper side matters.
-    bad = np.nonzero(np.diff(d) > np.diff(u) + np.diff(p) + tol)[0]
+    # np.diff(a) is a[1:] - a[:-1]; the steps of d reuse the buffer of p's.
+    bound, step = np.diff(u), np.diff(p)
+    bound += step
+    bound += tol
+    bad = np.nonzero(np.subtract(d[1:], d[:-1], out=step) > bound)[0]
     results["d"] = (len(bad) == 0, u[bad[0]] if len(bad) else None)
     return results
 
@@ -234,7 +270,9 @@ def _existence_check(spec: DiagonalSpec, tol: float) -> ExistenceResult:
     u = spec.knots
     witness_var = first_decrease(spec._band[2], u, tol)
     # Lipschitz form, an independent check: x - delta + phi nondecreasing
-    witness_lip = first_decrease(u - spec.delta.y + spec.phi_values(), u, tol)
+    lipschitz = np.subtract(u, spec.delta.y)
+    lipschitz += spec.phi_values()
+    witness_lip = first_decrease(lipschitz, u, tol)
     variational_ok = witness_var is None
     lipschitz_ok = witness_lip is None
     return ExistenceResult(

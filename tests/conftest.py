@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,22 @@ from trackcop.cli import builtin_diagonal
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def traced():
+    """tracemalloc on for the test; numpy reports its array buffers to it."""
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+def added_peak(call, *args):
+    """(result, peak bytes the call allocated beyond what was live when it started)."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    result = call(*args)
+    return result, tracemalloc.get_traced_memory()[1] - base
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,79 @@
+"""Memory of the 1-D path on a large section, measured with tracemalloc.
+
+The unit is one n-array, the n * 8 bytes of one float array on the spec's
+n knots. quadruplet allocates only the band test's buffer, about one
+n-array, and keeps nothing beyond psi's arrays: the candidate computes chi,
+eta and xi when they are first read. The whole 1-D chain, as one op of the
+benchmark's section-1d workload runs it (make_diagonal through
+region_functions and one pointwise_upper_bound), holds its results and
+temporaries in at most CHAIN_CEILING n-arrays. numpy reports its array
+buffers to tracemalloc, so the peaks count every temporary.
+"""
+
+import tracemalloc
+
+import pytest
+
+from trackcop import (
+    blend,
+    diagonal_conditions,
+    eligibility_by_variation,
+    existence_check,
+    make_diagonal,
+    pointwise_upper_bound,
+    psi_bounds,
+    quadruplet,
+    region_functions,
+)
+
+from conftest import added_peak
+from test_common_knots import case_section
+
+KNOTS = 20_001
+QUADRUPLET_CEILING = 1.5
+CHAIN_CEILING = 15.0
+
+
+def live_bytes():
+    return tracemalloc.get_traced_memory()[0]
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+def test_quadruplet_keeps_no_companion_until_one_is_read(identity, traced):
+    spec = make_diagonal(*case_section("aligned", identity, 0, n=KNOTS))
+    psi_up = psi_bounds(spec).psi_up
+    n_array = 8.0 * len(spec.knots)
+    base = live_bytes()
+    cand, peak = added_peak(quadruplet, spec, psi_up)
+    assert cand.eligible
+    assert peak / n_array <= QUADRUPLET_CEILING
+    assert (live_bytes() - base) / n_array < 0.1
+    for name in ("chi", "eta", "xi"):  # each read builds one array, once
+        before = live_bytes()
+        getattr(cand, name)
+        assert 1.0 <= (live_bytes() - before) / n_array < 1.1, name
+        before = live_bytes()
+        getattr(cand, name)
+        assert live_bytes() == before, name
+
+
+def one_d_chain(delta, track):
+    """Every result of section-1d's path on one section, held as the benchmark op holds them."""
+    spec = make_diagonal(delta, track)
+    out = {"spec": spec, "conditions": diagonal_conditions(delta, track),
+           "existence": existence_check(spec), "bounds": psi_bounds(spec)}
+    low = quadruplet(spec, out["bounds"].psi_low)
+    up = quadruplet(spec, out["bounds"].psi_up)
+    mix = blend(low, up, 0.37)
+    out.update(low=low, up=up, mix=mix, by_variation=eligibility_by_variation(spec, mix.psi),
+               region=region_functions(spec, mix),
+               bound_at=pointwise_upper_bound(spec, 0.3, 0.6))
+    return out
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+def test_one_d_chain_peak(identity, traced):
+    delta, track = case_section("aligned", identity, 0, n=KNOTS)
+    out, peak = added_peak(one_d_chain, delta, track)
+    assert out["mix"].eligible and out["by_variation"].eligible
+    assert peak / (8.0 * len(out["spec"].knots)) <= CHAIN_CEILING

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,22 +13,52 @@ from trackcop import (
     identity_track,
     make_diagonal,
     make_pl,
+    make_track,
     psi_bounds,
     quadruplet,
 )
+from trackcop.funcspace import USER_TOL
 from conftest import perturb_ineligible, random_eligible_psi
+from loop_reference import reference_quadruplet
+from test_kernels import same_bits
 
 
-def test_quadruplet_relations(fig2_spec_201):
-    spec = fig2_spec_201
+def general_track_spec():
+    track_pl = make_pl([0, 0.5, 1], [0, 0.25, 1])
+    xs = np.linspace(0, 1, 101)
+    delta_vals = np.minimum(xs, np.interp(xs, track_pl.x, track_pl.y))
+    return make_diagonal(PLFunction(xs, delta_vals), make_track(track_pl))
+
+
+def companions_are_reference(cand, spec):
+    """psi, chi, eta and xi of cand have the bits reference_quadruplet gives its psi."""
+    parts, _ = reference_quadruplet(spec, cand.psi, USER_TOL)
+    return all(same_bits(getattr(cand, name).x, x) and same_bits(getattr(cand, name).y, y)
+               for name, (x, y) in parts.items())
+
+
+@pytest.mark.parametrize("track", ["identity", "general"])
+def test_quadruplet_is_reference_bit_for_bit(track, fig2_spec_201, rng):
+    spec = fig2_spec_201 if track == "identity" else general_track_spec()
     bounds = psi_bounds(spec)
-    cand = quadruplet(spec, bounds.psi_low)
-    u = cand.psi.x
-    phi_u = spec.phi_values()
-    assert np.allclose(cand.xi.y, u - cand.psi.y, atol=1e-15)
-    assert np.allclose(cand.eta.x, phi_u, atol=1e-15)
-    assert np.allclose(cand.eta.y, spec.delta.y - cand.psi.y, atol=1e-15)
-    assert np.allclose(cand.chi.y + cand.eta.y, cand.chi.x, atol=1e-15)
+    eligible = random_eligible_psi(spec, rng)
+    # on the spec's knots: quadruplet neither merges nor interpolates
+    on_spec = [bounds.psi_low, bounds.psi_up, eligible, perturb_ineligible(spec, eligible, rng)]
+    # on merged knots: psi's own knots finer, and coarser, than the spec's
+    refined = np.union1d(spec.knots, [0.123, 0.456, 0.789])
+    merged = [PLFunction(refined, np.interp(refined, spec.knots, eligible.y)),
+              make_pl([0, 1], [0, 1 / np.pi])]
+    for psi in on_spec + merged:
+        cand = quadruplet(spec, psi)
+        parts, violation = reference_quadruplet(spec, psi, USER_TOL)
+        assert (cand.eligible, cand.violation) == (violation is None, violation)
+        assert companions_are_reference(cand, spec)
+        assert (cand.psi.x is spec.knots) == (psi in on_spec)
+        # a candidate with another psi computes its companions from that psi
+        cand.chi, cand.eta, cand.xi  # the original's companions, computed and kept
+        for other in (bounds.psi_up, merged[0]):
+            moved = dataclasses.replace(cand, psi=PLFunction(other.x, other.y))
+            assert companions_are_reference(moved, spec)
 
 
 def test_quadruplet_requires_anchor(fig2_spec_201):
@@ -122,13 +154,7 @@ def test_blend_rejects_mismatched_specs(fig2_spec_201, indep_spec):
 
 
 def test_quadruplet_on_nonidentity_track():
-    track_pl = make_pl([0, 0.5, 1], [0, 0.25, 1])
-    from trackcop import make_track
-
-    track = make_track(track_pl)
-    xs = np.linspace(0, 1, 101)
-    delta_vals = np.minimum(xs, np.interp(xs, track_pl.x, track_pl.y))
-    spec = make_diagonal(PLFunction(xs, delta_vals), track)
+    spec = general_track_spec()
     bounds = psi_bounds(spec)
     cand = quadruplet(spec, bounds.psi_low)
     assert cand.eligible

@@ -12,12 +12,15 @@ the per-term psi(x) - psi(w) + delta(w) and of the chi and xi split.
 The cases put the track's knots on delta's, off them and within
 INTERNAL_TOL of one; give delta knots closer than INTERNAL_TOL; and start
 delta at -0.0, which make_pl accepts and merge_knots rewrites to +0.0.
+On the identity track phi(u) is u itself, which must be np.interp's bits.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trackcop import (
     DiagonalConditionViolated,
@@ -224,3 +227,41 @@ def test_other_sections_take_the_merge(case, merge_calls):
     make_diagonal(delta, track, validate=False)
     diagonal_conditions(delta, track)
     assert len(merge_calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# phi(u) = u on the identity track
+
+IDENTITY_TRACKS = {
+    "identity_track": identity_track(),
+    "two-knot make_track": make_track(make_pl([0, 1], [0, 1])),
+    # phi(0) = -0.0 is admitted, and there np.interp(+0.0) is -0.0, not u
+    "negative-zero phi(0)": make_track(make_pl([-0.0, 1], [-0.0, 1])),
+}
+# near 0 and 1, subnormals among them; knots closer than INTERNAL_TOL merge
+unit_knots = st.lists(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    | st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-13, 1.0 - 2.0**-53]),
+    max_size=30, unique=True)
+
+
+@pytest.mark.parametrize("track", IDENTITY_TRACKS, ids=str)
+@given(interior=unit_knots, negative_zero=st.booleans())
+@example(interior=[0.25, 0.5], negative_zero=False)  # the fast path
+@example(interior=[5e-324, 0.5, 1.0 - 2.0**-53], negative_zero=False)
+@example(interior=[0.5], negative_zero=True)
+@settings(max_examples=60, deadline=None)
+def test_identity_phi_values_hold_interp_bits(track, interior, negative_zero):
+    track = IDENTITY_TRACKS[track]
+    x = np.unique(np.concatenate(([0.0], interior, [1.0])))
+    if negative_zero:
+        x[0] = -0.0  # takes the merge path, which starts u at +0.0
+    delta = make_pl(x, 0.5 * x)
+    spec = make_diagonal(delta, track, validate=False)
+    phi = spec.phi_values()
+    assert same_bits(phi, np.interp(spec.knots, track.phi.x, track.phi.y))
+    assert not np.signbit(spec.knots[0])
+    if not np.signbit(track.phi.y[0]):
+        assert phi is spec.knots and not np.signbit(phi[0])
+    if spec.knots is delta.x:  # the fast path: no merge
+        assert not negative_zero and np.all(np.diff(x) > INTERNAL_TOL)

@@ -9,7 +9,6 @@ its array buffers to tracemalloc, so the peak counts every temporary.
 """
 
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,26 +28,11 @@ from trackcop import (
 from trackcop.cli import MESH_BUDGET_BYTES, MeshTooLarge, default_mesh, load_problem, main, \
     read_grid, write_grid
 
-from conftest import diagonal_spec
+from conftest import added_peak, diagonal_spec
 from test_grid_blocks import knot_track_spec
 
 BUILD_CEILING = 1.25
 READ_CEILING = 0.25
-
-
-def added_peak(call, *args):
-    """(result, peak bytes the call allocated beyond what was live when it started)."""
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    result = call(*args)
-    return result, tracemalloc.get_traced_memory()[1] - base
-
-
-@pytest.fixture
-def traced():
-    tracemalloc.start()
-    yield
-    tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n", [1001, 2001])
