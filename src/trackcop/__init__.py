@@ -56,7 +56,6 @@ from .construction import (
     CopulaCpsi,
     GridCopula,
     c_psi_value,
-    make_cpsi,
     materialize_grid,
     region_functions,
     s_t_split,

@@ -15,7 +15,6 @@ the mesh instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,22 +45,10 @@ class GridCopula:
 
 @dataclass(frozen=True, eq=False)
 class CopulaCpsi:
-    """A constructed copula; its region boundary functions g and h are computed on first access."""
+    """A constructed copula: the spec and the eligible candidate whose C_psi it is."""
 
     spec: DiagonalSpec
     candidate: PsiCandidate
-
-    @cached_property
-    def _region(self) -> dict:
-        return region_functions(self.spec, self.candidate)
-
-    @property
-    def g(self) -> PLFunction:
-        return self._region["g"]
-
-    @property
-    def h(self) -> PLFunction:
-        return self._region["h"]
 
 
 def _require_eligible(candidate: PsiCandidate):
@@ -105,52 +92,27 @@ def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -
     return {"s": min(psi_x, y - eta_y), "t": min(x - psi_x, eta_y)}
 
 
-def _search_right(vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """np.searchsorted(vals, c, side="right") for each c in levels, by a full-range bisection per c.
+def _rightmost_level(knots: np.ndarray, vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """max{y : f(y) <= c} for each c in levels, for a PL f given by (knots, vals) that may dip.
+
+    One np.interp(levels, m, knots) on m, the suffix minimum of vals
+    (m[i] = min(vals[i:])); m is vals itself, with its bits, where vals is
+    nondecreasing. The last knot with vals <= c is the last with m <= c, so
+    the answer lies on the segment after that knot, as the definition's
+    does: knots[0] below m[0], knots[-1] at or above vals[-1], the last knot
+    of a flat run at its level, and slope * (c - lo) + x0 in between.
+    np.interp's search starts from the previous level's segment, so sorted
+    levels cost linear time.
 
     Eligibility lets chi and eta dip by up to tol + INTERNAL_TOL: a fall of
     either over an interval is at most the fall there of psi - psi_L or of
-    psi_U - psi, which the band test allows. So vals may be out of order on
-    flat stretches. There a binary search's answer depends on its probe
-    path, and the array form of searchsorted narrows each search from the
-    previous level's result; this is the probe path of a search that starts
-    afresh from the whole array for every level, all levels a step at a time.
+    psi_U - psi, which the band test allows. m lies at most that far below
+    vals, so between knots the answer is f's own level set to within
+    tol + INTERNAL_TOL in value.
     """
-    lo = np.zeros(len(levels), dtype=np.intp)
-    hi = np.full(len(levels), len(vals), dtype=np.intp)
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = lo + ((hi - lo) >> 1)
-        right = vals[np.minimum(mid, len(vals) - 1)] <= levels
-        lo = np.where(active & right, mid + 1, lo)
-        hi = np.where(active & ~right, mid, hi)
-
-
-def _rightmost_level(knots: np.ndarray, vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """max{y : f(y) <= c} for each c in levels, for an increasing PL f given by (knots, vals).
-
-    Below vals[0] the answer is knots[0] and at or above vals[-1] it is
-    knots[-1]; in between, the linear inverse on the segment holding c, the
-    last knot of a flat run at its level. For nondecreasing vals that is
-    np.interp(levels, vals, knots), one pass whose search starts from the
-    previous level's segment, so sorted levels cost linear time; its
-    arithmetic is slope * (c - lo) + x0. Out-of-order vals take _search_right
-    and x0 + (c - lo) * (x1 - x0) / (hi - lo) on the segment it finds.
-    """
-    if np.all(vals[1:] >= vals[:-1]):
-        return np.interp(levels, vals, knots)
-    idx = _search_right(vals, levels)
-    right = np.clip(idx, 1, len(vals) - 1)
-    lo, hi = vals[right - 1], vals[right]
-    x0, x1 = knots[right - 1], knots[right]
-    # The search leaves lo <= c < hi for 0 < idx < len(vals), so a flat
-    # segment only comes up at the clipped ends, whose entries are replaced.
-    span = np.where(hi != lo, hi - lo, 1.0)
-    out = x0 + (levels - lo) * (x1 - x0) / span
-    out = np.where(idx >= len(vals), knots[-1], out)
-    return np.where(idx == 0, knots[0], out)
+    if np.any(vals[1:] < vals[:-1]):
+        vals = np.minimum.accumulate(vals[::-1])[::-1]
+    return np.interp(levels, vals, knots)
 
 
 def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
@@ -159,7 +121,11 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
     g(x) is the largest y with chi(y) <= psi(x), clamped to phi(x) to break
     ties on flat stretches (the copula value is unaffected either way);
     h(x) is the largest y with eta(y) <= xi(x). chi is carried on phi at
-    psi's knots, so its abscissas are the clamp.
+    psi's knots, so its abscissas are the clamp. Each is one
+    _rightmost_level pass on its companion's suffix minimum: it lies on the
+    segment after the companion's last knot at or below the level, and
+    within the companion's dip, at most tol + INTERNAL_TOL in value, of the
+    companion's own level set.
     """
     _require_eligible(candidate)
     u = candidate.psi.x
@@ -167,11 +133,6 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
     h_vals = _rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y)
     np.minimum(g_vals, candidate.chi.x, out=g_vals)
     return {"g": PLFunction(u, g_vals), "h": PLFunction(u, h_vals)}
-
-
-def make_cpsi(spec: DiagonalSpec, candidate: PsiCandidate) -> CopulaCpsi:
-    _require_eligible(candidate)
-    return CopulaCpsi(spec, candidate)
 
 
 def _validate_mesh(mesh, knots=()) -> np.ndarray:

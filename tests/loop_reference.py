@@ -4,7 +4,8 @@
 `rightmost_level` and `first_knot_off_mesh` are the loop versions of the
 witness finders, of the level inverse used by region_functions and of
 _validate_mesh's track-knot check; `exact_rightmost_level` is the level
-inverse's formula taken in rational arithmetic and rounded once. The
+inverse's formula taken in rational arithmetic and rounded once, and
+`suffix_minimum` the values it is taken on where a companion dips. The
 `reference_*` functions compose
 them exactly as existence_check, eligibility_by_variation, psi_bounds and
 region_functions did, so the vectorized code can be required to give
@@ -118,6 +119,14 @@ def rightmost_level(knots, vals, c):
     return float(knots[idx - 1] + (c - lo) * (knots[idx] - knots[idx - 1]) / (hi - lo))
 
 
+def suffix_minimum(vals):
+    """min(vals[i:]) at each i: the last index with vals <= c is the last with this <= c."""
+    out = np.array(vals, dtype=float)
+    for i in range(len(out) - 2, -1, -1):
+        out[i] = min(out[i], out[i + 1])
+    return out
+
+
 def exact_rightmost_level(knots, vals, c):
     """rightmost_level with its segment formula exact, rounded once to the nearest float.
 
@@ -187,14 +196,20 @@ def reference_psi_bounds(spec):
 
 
 def reference_region(spec, candidate):
-    """(g, h) as region_functions computed them, one knot at a time."""
+    """(g, h) as region_functions defines them, one knot at a time, each level inverse exact.
+
+    Each companion's suffix minimum is taken once; once per level would be
+    O(n^2) Python.
+    """
     u = candidate.psi.x
     phi_u = eval_pl(spec.track.phi, u)
+    chi_vals = suffix_minimum(candidate.chi.y)
+    eta_vals = suffix_minimum(candidate.eta.y)
     g_vals = np.empty(len(u))
     h_vals = np.empty(len(u))
     for i in range(len(u)):
-        g_vals[i] = rightmost_level(candidate.chi.x, candidate.chi.y, candidate.psi.y[i])
-        h_vals[i] = rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y[i])
+        g_vals[i] = exact_rightmost_level(candidate.chi.x, chi_vals, candidate.psi.y[i])
+        h_vals[i] = exact_rightmost_level(candidate.eta.x, eta_vals, candidate.xi.y[i])
     g_vals = np.minimum(g_vals, phi_u)
     return PLFunction(u, g_vals), PLFunction(u, h_vals)
 

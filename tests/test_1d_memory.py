@@ -6,7 +6,10 @@ n-array, and keeps nothing beyond psi's arrays: the candidate computes chi,
 eta and xi when they are first read. The whole 1-D chain, as one op of the
 benchmark's section-1d workload runs it (make_diagonal through
 region_functions and one pointwise_upper_bound), holds its results and
-temporaries in at most CHAIN_CEILING n-arrays. numpy reports its array
+temporaries in at most CHAIN_CEILING n-arrays. region_functions on psi_U,
+whose eta dips, adds at most REGION_CEILING n-arrays to a candidate whose
+companions are built: g and h, the suffix minimum of eta, and np.interp's
+contiguous copies of its three arguments. numpy reports its array
 buffers to tracemalloc, so the peaks count every temporary.
 """
 
@@ -32,6 +35,7 @@ from test_common_knots import case_section
 KNOTS = 20_001
 QUADRUPLET_CEILING = 1.5
 CHAIN_CEILING = 15.0
+REGION_CEILING = 8.0
 
 
 def live_bytes():
@@ -55,6 +59,17 @@ def test_quadruplet_keeps_no_companion_until_one_is_read(identity, traced):
         before = live_bytes()
         getattr(cand, name)
         assert live_bytes() == before, name
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+def test_region_of_a_dipping_companion_peak(identity, traced):
+    spec = make_diagonal(*case_section("aligned", identity, 0, n=KNOTS))
+    cand = quadruplet(spec, psi_bounds(spec).psi_up)
+    cand.chi, cand.eta, cand.xi  # built before the measurement, as a candidate keeps them
+    assert (cand.eta.y[1:] < cand.eta.y[:-1]).any()
+    region, peak = added_peak(region_functions, spec, cand)
+    assert len(region["h"].x) == len(spec.knots)
+    assert peak / (8.0 * len(spec.knots)) <= REGION_CEILING
 
 
 def one_d_chain(delta, track):

@@ -5,8 +5,8 @@ when those already hold the track's knots, and merge and interpolate
 otherwise. Either way the spec, the conditions and everything read off the
 spec (band, quadruplets and region) must have the bits of
 `reference_common_knots` and of per-term scalar evaluation; g and h are
-held by test_kernels' `same_region` rule (within LEVEL_ULPS where np.interp
-inverts a nondecreasing companion). Point values, splits and bounds read
+held by test_kernels' `same_region` rule (within LEVEL_ULPS of the exact
+inverse of the companion's suffix minimum). Point values, splits and bounds read
 psi(x) + eta(y) off the quadruplet, and must be within POINT_QUERY_BOUND of
 the per-term psi(x) - psi(w) + delta(w) and of the chi and xi split.
 The cases put the track's knots on delta's, off them and within
@@ -176,7 +176,7 @@ def test_everything_read_off_the_spec_matches_reference(case, identity, seed):
                           (quadruplet(spec, on_own_knots), on_own_knots)):
         ref_cand = ref_candidate(ref, ref_psi)
         assert_candidate_is(cand, ref_cand)
-        assert same_region(cand, region_functions(spec, cand), reference_region(ref, ref_cand))
+        assert same_region(region_functions(spec, cand), reference_region(ref, ref_cand))
     rng = np.random.default_rng(seed)
     points = list(rng.random((40, 2))) + [(x, float(track.phi(x))) for x in spec.knots[::37]]
     for x, y in points:

@@ -4,10 +4,10 @@ import pytest
 from trackcop import (
     BadMesh,
     IneligiblePsi,
+    blend,
     c_psi_value,
     check_grid,
-    dominating_envelope,
-    make_cpsi,
+    make_diagonal,
     make_pl,
     materialize_grid,
     psi_bounds,
@@ -15,8 +15,9 @@ from trackcop import (
     region_functions,
     s_t_split,
 )
-from trackcop import construction
+from trackcop.funcspace import INTERNAL_TOL
 from conftest import random_eligible_psi
+from test_common_knots import case_section
 
 
 @pytest.fixture(scope="module")
@@ -95,64 +96,50 @@ def test_region_functions_fig2(fig2_spec, fig2_cands):
     assert g_up(0.5) == pytest.approx(0.1816901, abs=1e-5)
 
 
-def test_region_band_brackets_track(fig2_spec, fig2_cands):
-    for cand in fig2_cands:
-        region = region_functions(fig2_spec, cand)
+@pytest.fixture(scope="module")
+def band_cases(fig2_spec):
+    """(spec, candidate) for psi_L, psi_U and a blend, on fig2 and on a general track.
+
+    On the general track (aligned seed 3) chi of psi_L and eta of psi_U
+    both dip, by ulps.
+    """
+    cases = []
+    for spec in (fig2_spec, make_diagonal(*case_section("aligned", False, 3))):
+        bounds = psi_bounds(spec)
+        low, up = quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up)
+        cases += [(spec, cand) for cand in (low, up, blend(low, up, 0.37))]
+    return cases
+
+
+def test_region_band_brackets_track(band_cases):
+    for spec, cand in band_cases:
+        region = region_functions(spec, cand)
         g, h = region["g"], region["h"]
         for x in np.linspace(0, 1, 41):
-            phi_x = fig2_spec.track.phi(x)
+            phi_x = spec.track.phi(x)
             assert g(x) <= phi_x + 1e-12
             assert h(x) >= phi_x - 1e-12
 
 
-def test_copula_is_min_outside_band(fig2_spec, fig2_cands):
-    for cand in fig2_cands:
-        cpsi = make_cpsi(fig2_spec, cand)
+def test_copula_is_min_outside_band(band_cases):
+    # beyond the midpoints below g and above h, at every knot of eta above h
+    for spec, cand in band_cases:
+        region = region_functions(spec, cand)
+        eta_knots = cand.eta.x
         for x in np.linspace(0.05, 0.95, 19):
-            below = cpsi.g(x) / 2.0
-            above = (cpsi.h(x) + 1.0) / 2.0
-            assert c_psi_value(fig2_spec, cand, x, below) == pytest.approx(
-                min(x, below), abs=1e-12)
-            assert c_psi_value(fig2_spec, cand, x, above) == pytest.approx(
-                min(x, above), abs=1e-12)
+            g_x, h_x = region["g"](x), region["h"](x)
+            below = g_x / 2.0
+            above = (h_x + 1.0) / 2.0
+            assert c_psi_value(spec, cand, x, below) == pytest.approx(min(x, below), abs=1e-12)
+            assert c_psi_value(spec, cand, x, above) == pytest.approx(min(x, above), abs=1e-12)
+            for y in eta_knots[eta_knots > h_x]:
+                assert abs(c_psi_value(spec, cand, x, y) - min(x, y)) <= INTERNAL_TOL
 
 
-def test_make_cpsi_rejects_ineligible_before_any_region(fig2_spec):
+def test_region_rejects_ineligible(fig2_spec):
     bad = quadruplet(fig2_spec, make_pl([0, 1], [0, 1 / np.pi]))
     with pytest.raises(IneligiblePsi):
-        make_cpsi(fig2_spec, bad)
-
-
-def test_envelope_builds_its_region_only_when_read(fig2_spec_201, monkeypatch):
-    calls = []
-    region_of = construction.region_functions
-    monkeypatch.setattr(construction, "region_functions",
-                        lambda spec, cand: calls.append(cand) or region_of(spec, cand))
-    spec = fig2_spec_201
-    grid = materialize_grid(spec, quadruplet(spec, psi_bounds(spec).psi_up), spec.knots)
-    cpsi = dominating_envelope(grid, spec.track, spec)
-    assert calls == []
-    region = region_of(spec, cpsi.candidate)
-    for name in ("g", "h"):
-        got = getattr(cpsi, name)
-        assert np.array_equal(got.x, region[name].x) and np.array_equal(got.y, region[name].y)
-        assert getattr(cpsi, name) is got  # computed once
-    assert len(calls) == 1 and calls[0] is cpsi.candidate
-
-
-def test_g_and_h_share_one_region(fig2_spec, fig2_cands, monkeypatch):
-    calls = []
-    region_of = construction.region_functions
-    monkeypatch.setattr(construction, "region_functions",
-                        lambda spec, cand: calls.append(cand) or region_of(spec, cand))
-    for cand in fig2_cands:
-        del calls[:]
-        cpsi = make_cpsi(fig2_spec, cand)
-        g, h, region = cpsi.g, cpsi.h, region_of(fig2_spec, cand)
-        assert cpsi.g is g and cpsi.h is h
-        for got, name in ((g, "g"), (h, "h")):
-            assert np.array_equal(got.x, region[name].x) and np.array_equal(got.y, region[name].y)
-        assert calls == [cand]
+        region_functions(fig2_spec, bad)
 
 
 def test_region_for_m_diagonal_collapses():
