@@ -16,7 +16,8 @@ psi_up, are themselves eligible and bound every eligible psi pointwise.
 
 A PsiCandidate holds psi and its verdict; chi, eta and xi are computed on
 first read, so a candidate whose companions nothing reads costs no array
-beyond psi's.
+beyond psi's. region_functions takes chi and xi as temporaries of its own
+and leaves them unread on the candidate.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .funcspace import (
     INTERNAL_TOL,
     USER_TOL,
     PLFunction,
+    _aliased,
+    _locked,
     check_tol,
     eval_pl,
     first_decrease,
@@ -57,31 +60,44 @@ class PsiCandidate:
     spec: DiagonalSpec
 
     @cached_property
-    def _phi_u(self) -> np.ndarray:
-        """phi at psi's knots: the spec's memo when they are the spec's knots."""
-        u = self.psi.x
-        return self.spec.phi_values() if u is self.spec.knots else eval_pl(self.spec.track.phi, u)
+    def _phi_u(self) -> tuple:
+        """(phi at psi's knots, a writeable alias of it): the spec's when they are its knots."""
+        if self.psi.x is self.spec.knots:
+            on_phi = self.spec._delta_on_phi
+            return on_phi.x, on_phi._wx
+        return _locked(eval_pl(self.spec.track.phi, self.psi._wx))
 
     def _delta_u(self) -> np.ndarray:
-        u = self.psi.x
-        return self.spec.delta.y if u is self.spec.knots else eval_pl(self.spec.delta, u)
+        if self.psi.x is self.spec.knots:
+            return self.spec.delta.y
+        return eval_pl(self.spec.delta, self.psi._wx)
+
+    def _chi_values(self) -> np.ndarray:
+        """phi - delta + psi at psi's knots, a new array."""
+        values = np.subtract(self._phi_u[0], self._delta_u())
+        values += self.psi.y
+        return values
+
+    def _xi_values(self) -> np.ndarray:
+        """x - psi(x) at psi's knots, a new array."""
+        return np.subtract(self.psi.x, self.psi.y)
 
     @cached_property
     def chi(self) -> PLFunction:
         """y - eta(y): phi - delta + psi at psi's knots, on phi at them."""
-        values = np.subtract(self._phi_u, self._delta_u())
-        values += self.psi.y
-        return PLFunction(self._phi_u, values)
+        phi, wphi = self._phi_u
+        return _aliased(phi, self._chi_values(), wphi)
 
     @cached_property
     def eta(self) -> PLFunction:
         """delta - psi at psi's knots, on phi at them."""
-        return PLFunction(self._phi_u, self._delta_u() - self.psi.y)
+        phi, wphi = self._phi_u
+        return _aliased(phi, self._delta_u() - self.psi.y, wphi)
 
     @cached_property
     def xi(self) -> PLFunction:
         """x - psi(x) on psi's knots."""
-        return PLFunction(self.psi.x, self.psi.x - self.psi.y)
+        return _aliased(self.psi.x, self._xi_values(), self.psi._wx)
 
 
 @dataclass(frozen=True)
@@ -101,39 +117,42 @@ def _same_spec(a: DiagonalSpec, b: DiagonalSpec) -> bool:
     )
 
 
-def _anchored_on_knots(spec: DiagonalSpec, psi: PLFunction, tol: float) -> tuple:
-    """(u, psi(u)) on u = merge_knots(spec.knots, psi.x), once tol and psi(0) = 0 are checked.
+def _anchored_on_knots(spec: DiagonalSpec, psi: PLFunction, tol: float) -> PLFunction:
+    """psi on u = merge_knots(spec.knots, psi.x), once tol and psi(0) = 0 are checked.
 
     When psi's knots are the spec's, u is spec.knots itself and psi(u) is
-    psi.y, with no merge and no interpolation. spec.knots is a merge_knots
-    output, so merging it with itself gives it back, and np.interp at a
-    knot returns the stored ordinate: both ways give the same bits.
+    psi.y, with no merge and no interpolation, read through the aliases of
+    the spec and of psi. spec.knots is a merge_knots output, so merging it
+    with itself gives it back, and np.interp at a knot returns the stored
+    ordinate: both ways give the same bits.
     """
     check_tol(tol)
     psi_0 = eval_pl(psi, 0.0)
     if abs(psi_0) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {psi_0} must be 0")
     if psi.x is spec.knots or np.array_equal(psi.x, spec.knots):
-        return spec.knots, psi.y
+        return _aliased(spec.knots, psi.y, spec.delta._wx, psi._wy)
     u = merge_knots(spec.knots, psi.x)
-    return u, eval_pl(psi, u)
+    return PLFunction(u, eval_pl(psi, u))
 
 
-def _band_violation(spec: DiagonalSpec, u: np.ndarray, psi_u: np.ndarray, tol: float) -> tuple:
+def _band_violation(spec: DiagonalSpec, psi: PLFunction, tol: float) -> tuple:
     """(name, witness pair) of the first of psi - psi_L and psi_U - psi to fall, or (None, None).
 
-    psi_L and psi_U are read from the spec's band and interpolated onto
-    psi's extra knots, where they are linear. psi_U - psi is computed only
-    once psi - psi_L has passed, into the same buffer.
+    psi is _anchored_on_knots' output. psi_L and psi_U are read from the
+    spec's band and interpolated onto psi's extra knots, where they are
+    linear. psi_U - psi is computed only once psi - psi_L has passed, into
+    the same buffer.
     """
+    u, band = psi.x, spec._band
     merged = u is not spec.knots
-    low = np.interp(u, spec.knots, spec._band[0].y) if merged else spec._band[0].y
-    values = np.subtract(psi_u, low, out=low if merged else None)
+    low = np.interp(psi._wx, spec.delta._wx, band[0]._wy) if merged else band[0].y
+    values = np.subtract(psi.y, low, out=low if merged else None)
     witness = first_decrease(values, u, tol)
     if witness is not None:
         return "psi - psi_L", witness
-    up = np.interp(u, spec.knots, spec._band[1].y) if merged else spec._band[1].y
-    witness = first_decrease(np.subtract(up, psi_u, out=values), u, tol)
+    up = np.interp(psi._wx, spec.delta._wx, band[1]._wy) if merged else band[1].y
+    witness = first_decrease(np.subtract(up, psi.y, out=values), u, tol)
     return ("psi_U - psi", witness) if witness is not None else (None, None)
 
 
@@ -145,10 +164,10 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     is eligibility_by_variation's; the violation names the difference that
     falls and its witness pair.
     """
-    u, psi_u = _anchored_on_knots(spec, psi, tol)
-    name, witness = _band_violation(spec, u, psi_u, tol)
+    anchored = _anchored_on_knots(spec, psi, tol)
+    name, witness = _band_violation(spec, anchored, tol)
     violation = witness and f"{name} decreasing on [{witness[0]:.6g}, {witness[1]:.6g}]"
-    return PsiCandidate(PLFunction(u, psi_u), witness is None, violation, spec)
+    return PsiCandidate(anchored, witness is None, violation, spec)
 
 
 def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
@@ -160,7 +179,7 @@ def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
     variation of x - delta(x): psi - psi_L and psi_U - psi must both be
     nondecreasing. Returns the first violating pair, if any.
     """
-    _, witness = _band_violation(spec, *_anchored_on_knots(spec, psi, tol), tol)
+    _, witness = _band_violation(spec, _anchored_on_knots(spec, psi, tol), tol)
     return EligibilityResult(witness is None, witness)
 
 
@@ -204,10 +223,10 @@ def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:
     if not _same_spec(a.spec, b.spec):
         raise SpecMismatch("candidates were built for different specs")
     if a.psi.x is b.psi.x:
-        u, a_u, b_u = a.psi.x, a.psi.y, b.psi.y
+        u, wu, a_u, b_u = a.psi.x, a.psi._wx, a.psi.y, b.psi.y
     else:
         u = merge_knots(a.psi.x, b.psi.x)
-        a_u, b_u = eval_pl(a.psi, u), eval_pl(b.psi, u)
+        wu, a_u, b_u = None, eval_pl(a.psi, u), eval_pl(b.psi, u)
     psi_u = np.multiply(a_u, 1.0 - t)
     psi_u += np.multiply(b_u, t)
-    return quadruplet(a.spec, PLFunction(u, psi_u))
+    return quadruplet(a.spec, _aliased(u, psi_u, wu))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .canonical import PsiCandidate, _same_spec
 from .errors import BadMesh, IneligiblePsi, SpecMismatch
-from .funcspace import INTERNAL_TOL, PLFunction, eval_pl
+from .funcspace import INTERNAL_TOL, _aliased, eval_pl
 from .trackmodel import DiagonalSpec
 
 
@@ -56,26 +56,19 @@ def _require_eligible(candidate: PsiCandidate):
         raise IneligiblePsi(candidate.violation or "candidate is not eligible")
 
 
-def _c_psi(psi: PLFunction, eta: PLFunction, x: float, y: float) -> float:
-    """min(x, y, psi(x) + eta(y)), for eta the quadruplet's companion of psi.
-
-    Two binary searches: psi at x and eta at y, each with eval_pl's scalar
-    bits, so the value is the batch form's, np.interp of psi and of eta.
-    """
-    return min(x, y, eval_pl(psi, x) + eval_pl(eta, y))
-
-
 def c_psi_value(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> float:
     """Value of the constructed copula at a single point: min(x, y, psi(x) + eta(y)) on every track.
 
-    It costs two binary searches on the knots, psi's at x and eta's at y.
-    Raises SpecMismatch when candidate was built for a different spec.
+    It costs two binary searches on the knots, psi's at x and eta's at y,
+    each with eval_pl's scalar bits, so the value is the batch form's,
+    np.interp of psi and of eta. Raises SpecMismatch when candidate was
+    built for a different spec.
     """
     # the `is` test first: the common case costs no call
     if candidate.spec is not spec and not _same_spec(candidate.spec, spec):
         raise SpecMismatch("candidate was built for a different spec")
     _require_eligible(candidate)
-    return _c_psi(candidate.psi, candidate.eta, x, y)
+    return min(x, y, eval_pl(candidate.psi, x) + eval_pl(candidate.eta, y))
 
 
 def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> dict:
@@ -102,7 +95,13 @@ def _rightmost_level(knots: np.ndarray, vals: np.ndarray, levels: np.ndarray) ->
     does: knots[0] below m[0], knots[-1] at or above vals[-1], the last knot
     of a flat run at its level, and slope * (c - lo) + x0 in between.
     np.interp's search starts from the previous level's segment, so sorted
-    levels cost linear time.
+    levels cost linear time. The three arrays should be writeable and m is
+    built contiguous: np.interp copies any other argument.
+
+    On a segment that rises by only a few subnormals np.interp's slope
+    (x1 - x0) / (hi - lo) overflows, and the answer would be inf. Those
+    answers alone are taken again on their segment with the ratio first,
+    x0 + (c - lo) / (hi - lo) * (x1 - x0), which lies in [x0, x1].
 
     Eligibility lets chi and eta dip by up to tol + INTERNAL_TOL: a fall of
     either over an interval is at most the fall there of psi - psi_L or of
@@ -111,8 +110,17 @@ def _rightmost_level(knots: np.ndarray, vals: np.ndarray, levels: np.ndarray) ->
     tol + INTERNAL_TOL in value.
     """
     if np.any(vals[1:] < vals[:-1]):
-        vals = np.minimum.accumulate(vals[::-1])[::-1]
-    return np.interp(levels, vals, knots)
+        m = np.empty_like(vals)
+        np.minimum.accumulate(vals[::-1], out=m[::-1])
+        vals = m
+    out = np.interp(levels, vals, knots)
+    bad = np.flatnonzero(np.isinf(out))
+    if len(bad):
+        c = levels[bad]
+        j = np.searchsorted(vals, c, side="right")  # c lies in [vals[j - 1], vals[j])
+        lo, hi, x0, x1 = vals[j - 1], vals[j], knots[j - 1], knots[j]
+        out[bad] = x0 + (c - lo) / (hi - lo) * (x1 - x0)
+    return out
 
 
 def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
@@ -126,13 +134,19 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
     segment after the companion's last knot at or below the level, and
     within the companion's dip, at most tol + INTERNAL_TOL in value, of the
     companion's own level set.
+
+    The values of chi and xi are temporaries, with the bits of the
+    candidate's properties, which stay unread; eta is read, and so kept,
+    since the point queries read it too. np.interp reads the writeable
+    aliases of every locked array.
     """
     _require_eligible(candidate)
-    u = candidate.psi.x
-    g_vals = _rightmost_level(candidate.chi.x, candidate.chi.y, candidate.psi.y)
-    h_vals = _rightmost_level(candidate.eta.x, candidate.eta.y, candidate.xi.y)
-    np.minimum(g_vals, candidate.chi.x, out=g_vals)
-    return {"g": PLFunction(u, g_vals), "h": PLFunction(u, h_vals)}
+    psi, eta = candidate.psi, candidate.eta
+    phi, wphi = candidate._phi_u
+    g_vals = _rightmost_level(wphi, candidate._chi_values(), psi._wy)
+    h_vals = _rightmost_level(eta._wx, eta._wy, candidate._xi_values())
+    np.minimum(g_vals, phi, out=g_vals)
+    return {"g": _aliased(psi.x, g_vals, psi._wx), "h": _aliased(psi.x, h_vals, psi._wx)}
 
 
 def _validate_mesh(mesh, knots=()) -> np.ndarray:

@@ -24,6 +24,7 @@ from .funcspace import (
     INTERNAL_TOL,
     USER_TOL,
     PLFunction,
+    _aliased,
     check_tol,
     eval_pl,
     first_decrease,
@@ -45,7 +46,7 @@ def make_track(phi: PLFunction) -> Track:
         raise NotStrictlyIncreasing("track function must be strictly increasing")
     if phi.y[0] != 0.0 or phi.y[-1] != 1.0:
         raise EndpointViolation("track function must map 0 to 0 and 1 to 1")
-    return Track(phi, PLFunction(phi.y, phi.x))
+    return Track(phi, _aliased(phi.y, phi.x, phi._wy, phi._wx))
 
 
 def identity_track() -> Track:
@@ -62,11 +63,11 @@ class DiagonalSpec:
     zeta(x) = x - delta(x) and delta_tilde(x) = phi(x) - delta(x) live on
     the same knots and are computed on first access.
 
-    The memos, each computed once per spec: `_phi_knots` (phi_values(),
-    which make_diagonal hands the spec from the knots it has already
-    evaluated), `_band` (psi_L, psi_U and their gap), `_band_verdict` (the
-    band test of its two ends), `_band_eta` (eta_L and eta_U on the
-    track-image knots) and `_existence`, which maps tol to existence_check's
+    The memos, each computed once per spec: `_delta_on_phi` (delta along
+    the track image, y -> delta(phi_inv(y)): delta.y on phi_values(), which
+    make_diagonal hands the spec from the knots it has already evaluated),
+    `_band` (psi_L, psi_U and their gap), `_band_verdict` (the band test of
+    its two ends) and `_existence`, which maps tol to existence_check's
     ExistenceResult (witnesses differ by tol). A memo holds plain values
     only, never an object that refers back to the spec (a PsiCandidate
     does): such a cycle would keep every spec alive until the cyclic
@@ -86,15 +87,16 @@ class DiagonalSpec:
 
     @cached_property
     def delta_tilde(self) -> PLFunction:
-        return PLFunction(self.knots, self._phi_knots - self.delta.y)
+        return PLFunction(self.knots, self.phi_values() - self.delta.y)
 
     @cached_property
-    def _phi_knots(self) -> np.ndarray:
-        return _read_only(eval_pl(self.track.phi, self.delta.x))
+    def _delta_on_phi(self) -> PLFunction:
+        """delta.y on phi at the spec's knots: every eta's abscissas; eta_L's and eta_U's base."""
+        return _aliased(eval_pl(self.track.phi, self.delta._wx), self.delta.y, None, self.delta._wy)
 
     def phi_values(self) -> np.ndarray:
         """phi at the spec's knots."""
-        return self._phi_knots
+        return self._delta_on_phi.x
 
     @cached_property
     def _existence(self) -> dict:
@@ -111,7 +113,7 @@ class DiagonalSpec:
         """
         u = self.knots
         dd = np.diff(self.delta.y)
-        vm = np.diff(self._phi_knots)
+        vm = np.diff(self.phi_values())
         np.subtract(dd, vm, out=vm)
         np.maximum(vm, 0.0, out=vm)
         vp = np.diff(u)
@@ -121,7 +123,8 @@ class DiagonalSpec:
         np.subtract(u, up, out=up)
         gap = _accumulated(np.add(vm, vp, out=dd))
         np.subtract(u, gap, out=gap)
-        return PLFunction(u, low), PLFunction(u, up), _read_only(gap)
+        gap.flags.writeable = False
+        return _aliased(u, low, self.delta._wx), _aliased(u, up, self.delta._wx), gap
 
     @cached_property
     def _band_verdict(self) -> Optional[tuple]:
@@ -133,21 +136,6 @@ class DiagonalSpec:
         """
         low, up = self._band[:2]
         return first_decrease(up.y - low.y, self.knots, USER_TOL)
-
-    @cached_property
-    def _band_eta(self) -> tuple:
-        """(eta_L, eta_U): delta - psi at the spec's knots, on phi_values().
-
-        These are the bits a candidate's eta computes on first read.
-        """
-        low, up = self._band[:2]
-        phi = self.phi_values()
-        return PLFunction(phi, self.delta.y - low.y), PLFunction(phi, self.delta.y - up.y)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _accumulated(steps: np.ndarray) -> np.ndarray:
@@ -167,17 +155,17 @@ def _common_knots(delta: PLFunction, track: Track) -> tuple:
     is delta.x and delta(u) is delta.y, with no merge and no interpolation.
     On the identity track phi(u) is u itself: u runs over [+0.0, 1.0] on
     either path, and there np.interp(u, [0, 1], [+0.0, 1]) returns u bit
-    for bit.
+    for bit. np.interp reads delta's writeable alias of u where u is delta.x.
     """
     x, tx = delta.x, track.phi.x
     at = np.minimum(np.searchsorted(x, tx), len(x) - 1)
     if (x[0] == 0.0 and not np.signbit(x[0]) and x[-1] == 1.0
             and np.all(x[at] == tx) and np.all(np.diff(x) > INTERNAL_TOL)):
-        u, d = x, delta.y
+        u, wu, d = x, delta._wx, delta.y
     else:
-        u = merge_knots(x, tx)
+        u = wu = merge_knots(x, tx)
         d = eval_pl(delta, u)
-    return u, d, u if _is_identity(track) else eval_pl(track.phi, u)
+    return u, d, u if _is_identity(track) else eval_pl(track.phi, wu)
 
 
 def _is_identity(track: Track) -> bool:
@@ -236,8 +224,11 @@ def make_diagonal(delta: PLFunction, track: Track, tol: float = USER_TOL,
         for cond, (ok, where) in _conditions(u, d, p, tol).items():
             if not ok:
                 raise DiagonalConditionViolated(cond, where)
-    spec = DiagonalSpec(PLFunction(u, d), track)
-    spec.__dict__["_phi_knots"] = _read_only(p)  # seeds the cached_property behind phi_values()
+    shared = u is delta.x  # then d is delta.y: the spec reads delta's aliases
+    spec = DiagonalSpec(_aliased(u, d, delta._wx, delta._wy) if shared else PLFunction(u, d), track)
+    # seeds the cached_property behind phi_values(); on the identity track p is u
+    spec.__dict__["_delta_on_phi"] = _aliased(p, spec.delta.y, spec.delta._wx if p is u else None,
+                                              spec.delta._wy)
     return spec
 
 

@@ -17,10 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .canonical import _existing_band, quadruplet
-from .construction import CopulaCpsi, _c_psi, _feed, _row_blocks, _validate_mesh
+from .construction import CopulaCpsi, _feed, _row_blocks, _validate_mesh
 from .errors import MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
     TrackSectionMismatch
-from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, check_tol, eval_pl
+from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, _pair_at, _unit_point, check_tol, \
+    eval_pl
 from .trackmodel import DiagonalSpec, Track
 
 
@@ -212,17 +213,24 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     Nelsen et al. (JMVA 2004) up to rounding. Raises NoCopulaExists when no
     copula has this track section, and IneligiblePsi, with quadruplet's
     message for psi_L, when psi_L and psi_U fail the band test at USER_TOL
-    (possible on a spec made with validate=False). Existence, the band's
-    verdict and its eta_L and eta_U are memoized per spec, so after the
-    first call a query costs four binary searches on any track: psi_L and
-    psi_U at x, eta_L and eta_U at y. Each C_psi is c_psi_value's
-    min(x, y, psi(x) + eta(y)), with its bits on quadruplet(spec, psi).
+    (possible on a spec made with validate=False). Existence and the band's
+    verdict are memoized per spec, so after the first call a query costs
+    two binary searches on any track: psi_L and psi_U share the spec's
+    knots, searched at x, and eta_L = delta - psi_L and eta_U = delta - psi_U
+    share phi_values(), searched at y, their ordinates formed at the two
+    knots around y. Each C_psi is c_psi_value's min(x, y, psi(x) + eta(y)),
+    with its bits on quadruplet(spec, psi).
     """
     psi_low, psi_up = _existing_band(spec, tol)
     if spec._band_verdict is not None:
         raise IneligiblePsi(quadruplet(spec, psi_low).violation)
-    eta_low, eta_up = spec._band_eta
-    return max(_c_psi(psi_low, eta_low, x, y), _c_psi(psi_up, eta_up, x, y))
+    x, y = _unit_point(x), _unit_point(y)
+    knots, low = psi_low._views
+    up = psi_up._views[1]
+    phi, delta = spec._delta_on_phi._views
+    low_x, up_x = _pair_at(knots, low, up, x)
+    eta_low, eta_up = _pair_at(phi, low, up, y, delta)
+    return max(min(x, y, low_x + eta_low), min(x, y, up_x + eta_up))
 
 
 def _area_below(a, b, w, t):

@@ -6,19 +6,25 @@ n-array, and keeps nothing beyond psi's arrays: the candidate computes chi,
 eta and xi when they are first read. The whole 1-D chain, as one op of the
 benchmark's section-1d workload runs it (make_diagonal through
 region_functions and one pointwise_upper_bound), holds its results and
-temporaries in at most CHAIN_CEILING n-arrays. region_functions on psi_U,
-whose eta dips, adds at most REGION_CEILING n-arrays to a candidate whose
-companions are built: g and h, the suffix minimum of eta, and np.interp's
-contiguous copies of its three arguments. numpy reports its array
-buffers to tracemalloc, so the peaks count every temporary.
+temporaries in at most CHAIN_CEILING n-arrays, and keeps at most
+LIVE_CEILING once it returns: the band's three arrays, phi at the knots on
+a general track, the blend's psi, its eta, and g and h. region_functions on
+psi_U, whose eta dips, adds at most REGION_CEILING n-arrays to a candidate
+whose companions are built: chi and xi as temporaries, the suffix minimum
+of eta, and g and h. np.interp copies every argument that is not a
+writeable contiguous array, so no call on the chain may be handed one.
+numpy reports its array buffers to tracemalloc, so the peaks count every
+temporary.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from trackcop import (
     blend,
+    c_psi_value,
     diagonal_conditions,
     eligibility_by_variation,
     existence_check,
@@ -27,6 +33,7 @@ from trackcop import (
     psi_bounds,
     quadruplet,
     region_functions,
+    s_t_split,
 )
 
 from conftest import added_peak
@@ -34,8 +41,9 @@ from test_common_knots import case_section
 
 KNOTS = 20_001
 QUADRUPLET_CEILING = 1.5
-CHAIN_CEILING = 15.0
-REGION_CEILING = 8.0
+CHAIN_CEILING = 11.0
+LIVE_CEILING = 8.5
+REGION_CEILING = 7.0
 
 
 def live_bytes():
@@ -89,6 +97,28 @@ def one_d_chain(delta, track):
 @pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
 def test_one_d_chain_peak(identity, traced):
     delta, track = case_section("aligned", identity, 0, n=KNOTS)
+    base = live_bytes()
     out, peak = added_peak(one_d_chain, delta, track)
     assert out["mix"].eligible and out["by_variation"].eligible
-    assert peak / (8.0 * len(out["spec"].knots)) <= CHAIN_CEILING
+    n_array = 8.0 * len(out["spec"].knots)
+    assert peak / n_array <= CHAIN_CEILING
+    assert (live_bytes() - base) / n_array <= LIVE_CEILING
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+def test_one_d_chain_hands_np_interp_only_writeable_arrays(identity, monkeypatch):
+    interp, seen = np.interp, []
+
+    def checking(*args, **kwargs):
+        seen.append([a.flags.writeable for a in args if isinstance(a, np.ndarray)])
+        return interp(*args, **kwargs)
+
+    delta, track = case_section("aligned", identity, 0, n=2_001)
+    monkeypatch.setattr(np, "interp", checking)
+    out = one_d_chain(delta, track)
+    for x, y in ((0.3, 0.6), (0.8, 0.1)):
+        c_psi_value(out["spec"], out["mix"], x, y)
+        s_t_split(out["spec"], out["mix"], x, y)
+    monkeypatch.undo()
+    assert len(seen) >= 2  # the region's two level inverses at least
+    assert all(all(flags) for flags in seen), seen

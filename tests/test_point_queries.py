@@ -3,8 +3,9 @@
 quadruplet and blend on spec-knot psi, and the scalar eval_pl must give the
 bits of the oracles in loop_reference.py. The point queries read
 C_psi = min(x, y, psi(x) + eta(y)) off the quadruplet with two binary
-searches a C_psi: they must give the bits of that form in np.interp, and
-agree with the oracle's psi(x) - psi(w) + delta(w) to POINT_QUERY_BOUND.
+searches, one at x and one at y, which the upper bound's two C_psi share:
+they must give the bits of that form in np.interp, and agree with the
+oracle's psi(x) - psi(w) + delta(w) to POINT_QUERY_BOUND.
 Where the oracle takes the identity track's closed form, the bound must
 agree with it to CLOSED_FORM_BOUND instead.
 The memos on a DiagonalSpec must hold no reference back to it, so a spec
@@ -39,9 +40,11 @@ from trackcop import (
     pointwise_upper_bound,
     psi_bounds,
     quadruplet,
+    region_functions,
     s_t_split,
 )
 from trackcop import funcspace
+from trackcop.construction import _rightmost_level
 
 from loop_reference import (
     is_identity_track,
@@ -248,11 +251,13 @@ def test_pl_function_pickles_and_copies_after_scalar_eval():
     assert eval_pl(f, 0.2) == np.interp(0.2, f.x, f.y)
     for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         assert same_bits(g.x, f.x) and same_bits(g.y, f.y)
+        assert not (g.x.flags.writeable or g.y.flags.writeable)  # locked again, with new aliases
+        assert g._wx.flags.writeable and g._wy.flags.writeable
         assert eval_pl(g, 0.2) == eval_pl(f, 0.2)
 
 
 # ---------------------------------------------------------------------------
-# point queries: two searches a C_psi, the bits of the batch form
+# point queries: two searches a query, the bits of the batch form
 
 
 @pytest.fixture
@@ -337,8 +342,27 @@ def test_point_queries_share_searches(identity, searches):
         call(spec, mix, 0.3, 0.6)
         assert len(searches) == count, call.__name__
     del searches[:]
-    pointwise_upper_bound(spec, 0.3, 0.6)
-    assert len(searches) == 4
+    pointwise_upper_bound(spec, 0.3, 0.6)  # psi_L and psi_U share x's, eta_L and eta_U y's
+    assert len(searches) == 2
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+def test_region_functions_keeps_chi_and_xi_as_temporaries(identity):
+    rng = np.random.default_rng([13, int(identity)])
+    spec = section(rng, 500, identity)
+    bounds = psi_bounds(spec)
+    mix = blend(quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up), 0.37)
+    own = np.union1d(spec.knots, np.linspace(0.051, 0.951, 7))
+    for psi in (bounds.psi_low, bounds.psi_up, mix.psi, PLFunction(own, interp(mix.psi, own))):
+        cand = quadruplet(spec, psi)
+        region = region_functions(spec, cand)
+        assert "chi" not in vars(cand) and "xi" not in vars(cand) and "eta" in vars(cand)
+        # g and h as they were computed through the cached properties
+        read = quadruplet(spec, psi)
+        g = np.minimum(_rightmost_level(read.chi.x, read.chi.y, read.psi.y), read.chi.x)
+        h = _rightmost_level(read.eta.x, read.eta.y, read.xi.y)
+        assert same_bits(region["g"].y, g) and same_bits(region["h"].y, h)
+        assert region["g"].x is cand.psi.x and region["h"].x is cand.psi.x
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +386,7 @@ def test_spec_is_freed_by_refcount_after_every_query(identity):
     try:
         _use_every_memo(spec)
         # read from the instance dict: reading a cached_property would fill it
-        assert {"_existence", "_band", "_band_verdict", "_band_eta"} <= vars(spec).keys()
+        assert {"_delta_on_phi", "_existence", "_band", "_band_verdict"} <= vars(spec).keys()
         assert spec._existence
         del spec
         assert ref() is None
