@@ -33,8 +33,7 @@ from .funcspace import (
     INTERNAL_TOL,
     USER_TOL,
     PLFunction,
-    _aliased,
-    _locked,
+    _same_pl,
     check_tol,
     eval_pl,
     first_decrease,
@@ -50,8 +49,10 @@ class PsiCandidate:
     chi, eta and xi are computed from psi and the spec when first read and
     kept from then on. The companions of the y-variable (eta, chi) are
     carried on phi at psi's knots, so compositions with the track inverse
-    stay exact. A candidate made by dataclasses.replace starts with no
-    companions and computes them from its own psi.
+    stay exact. Both read `_on_phi`, delta at psi's knots on phi at them: the
+    spec's own when psi is on the spec's knots, else computed once and kept.
+    A candidate made by dataclasses.replace starts with no companions and
+    computes them from its own psi.
     """
 
     psi: PLFunction
@@ -60,21 +61,15 @@ class PsiCandidate:
     spec: DiagonalSpec
 
     @cached_property
-    def _phi_u(self) -> tuple:
-        """(phi at psi's knots, a writeable alias of it): the spec's when they are its knots."""
+    def _on_phi(self) -> PLFunction:
+        """delta at psi's knots, on phi at them: spec._delta_on_phi when they are its knots."""
         if self.psi.x is self.spec.knots:
-            on_phi = self.spec._delta_on_phi
-            return on_phi.x, on_phi._wx
-        return _locked(eval_pl(self.spec.track.phi, self.psi._wx))
-
-    def _delta_u(self) -> np.ndarray:
-        if self.psi.x is self.spec.knots:
-            return self.spec.delta.y
-        return eval_pl(self.spec.delta, self.psi._wx)
+            return self.spec._delta_on_phi
+        return PLFunction(self.spec.track.phi._at(self.psi), self.spec.delta._at(self.psi))
 
     def _chi_values(self) -> np.ndarray:
         """phi - delta + psi at psi's knots, a new array."""
-        values = np.subtract(self._phi_u[0], self._delta_u())
+        values = np.subtract(self._on_phi.x, self._on_phi.y)
         values += self.psi.y
         return values
 
@@ -85,19 +80,17 @@ class PsiCandidate:
     @cached_property
     def chi(self) -> PLFunction:
         """y - eta(y): phi - delta + psi at psi's knots, on phi at them."""
-        phi, wphi = self._phi_u
-        return _aliased(phi, self._chi_values(), wphi)
+        return self._on_phi._on_knots(self._chi_values())
 
     @cached_property
     def eta(self) -> PLFunction:
         """delta - psi at psi's knots, on phi at them."""
-        phi, wphi = self._phi_u
-        return _aliased(phi, self._delta_u() - self.psi.y, wphi)
+        return self._on_phi._on_knots(self._on_phi.y - self.psi.y)
 
     @cached_property
     def xi(self) -> PLFunction:
         """x - psi(x) on psi's knots."""
-        return _aliased(self.psi.x, self._xi_values(), self.psi._wx)
+        return self.psi._on_knots(self._xi_values())
 
 
 @dataclass(frozen=True)
@@ -107,14 +100,7 @@ class EligibilityResult:
 
 
 def _same_spec(a: DiagonalSpec, b: DiagonalSpec) -> bool:
-    if a is b:
-        return True
-    return (
-        np.array_equal(a.delta.x, b.delta.x)
-        and np.array_equal(a.delta.y, b.delta.y)
-        and np.array_equal(a.track.phi.x, b.track.phi.x)
-        and np.array_equal(a.track.phi.y, b.track.phi.y)
-    )
+    return a is b or (_same_pl(a.delta, b.delta) and _same_pl(a.track.phi, b.track.phi))
 
 
 def _anchored_on_knots(spec: DiagonalSpec, psi: PLFunction, tol: float) -> PLFunction:
@@ -131,7 +117,7 @@ def _anchored_on_knots(spec: DiagonalSpec, psi: PLFunction, tol: float) -> PLFun
     if abs(psi_0) > INTERNAL_TOL:
         raise PsiNotAnchored(f"psi(0) = {psi_0} must be 0")
     if psi.x is spec.knots or np.array_equal(psi.x, spec.knots):
-        return _aliased(spec.knots, psi.y, spec.delta._wx, psi._wy)
+        return spec.delta._on_knots(psi)
     u = merge_knots(spec.knots, psi.x)
     return PLFunction(u, eval_pl(psi, u))
 
@@ -146,12 +132,12 @@ def _band_violation(spec: DiagonalSpec, psi: PLFunction, tol: float) -> tuple:
     """
     u, band = psi.x, spec._band
     merged = u is not spec.knots
-    low = np.interp(psi._wx, spec.delta._wx, band[0]._wy) if merged else band[0].y
+    low = band[0]._at(psi) if merged else band[0].y
     values = np.subtract(psi.y, low, out=low if merged else None)
     witness = first_decrease(values, u, tol)
     if witness is not None:
         return "psi - psi_L", witness
-    up = np.interp(psi._wx, spec.delta._wx, band[1]._wy) if merged else band[1].y
+    up = band[1]._at(psi) if merged else band[1].y
     witness = first_decrease(np.subtract(up, psi.y, out=values), u, tol)
     return ("psi_U - psi", witness) if witness is not None else (None, None)
 
@@ -222,11 +208,9 @@ def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:
         raise ValueError(f"blend weight {t} outside [0, 1]")
     if not _same_spec(a.spec, b.spec):
         raise SpecMismatch("candidates were built for different specs")
-    if a.psi.x is b.psi.x:
-        u, wu, a_u, b_u = a.psi.x, a.psi._wx, a.psi.y, b.psi.y
-    else:
-        u = merge_knots(a.psi.x, b.psi.x)
-        wu, a_u, b_u = None, eval_pl(a.psi, u), eval_pl(b.psi, u)
+    shared = a.psi.x is b.psi.x
+    u = a.psi.x if shared else merge_knots(a.psi.x, b.psi.x)
+    a_u, b_u = (a.psi.y, b.psi.y) if shared else (eval_pl(a.psi, u), eval_pl(b.psi, u))
     psi_u = np.multiply(a_u, 1.0 - t)
     psi_u += np.multiply(b_u, t)
-    return quadruplet(a.spec, _aliased(u, psi_u, wu))
+    return quadruplet(a.spec, a.psi._on_knots(psi_u) if shared else PLFunction(u, psi_u))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .canonical import PsiCandidate, _same_spec
 from .errors import BadMesh, IneligiblePsi, SpecMismatch
-from .funcspace import INTERNAL_TOL, _aliased, eval_pl
+from .funcspace import INTERNAL_TOL, eval_pl
 from .trackmodel import DiagonalSpec
 
 
@@ -56,6 +56,14 @@ def _require_eligible(candidate: PsiCandidate):
         raise IneligiblePsi(candidate.violation or "candidate is not eligible")
 
 
+def _require_own_eligible(spec: DiagonalSpec, candidate: PsiCandidate):
+    """Raise SpecMismatch for a candidate built for another spec, then as _require_eligible."""
+    # the `is` test first: the common case costs no call
+    if candidate.spec is not spec and not _same_spec(candidate.spec, spec):
+        raise SpecMismatch("candidate was built for a different spec")
+    _require_eligible(candidate)
+
+
 def c_psi_value(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> float:
     """Value of the constructed copula at a single point: min(x, y, psi(x) + eta(y)) on every track.
 
@@ -64,10 +72,7 @@ def c_psi_value(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float)
     np.interp of psi and of eta. Raises SpecMismatch when candidate was
     built for a different spec.
     """
-    # the `is` test first: the common case costs no call
-    if candidate.spec is not spec and not _same_spec(candidate.spec, spec):
-        raise SpecMismatch("candidate was built for a different spec")
-    _require_eligible(candidate)
+    _require_own_eligible(spec, candidate)
     return min(x, y, eval_pl(candidate.psi, x) + eval_pl(candidate.eta, y))
 
 
@@ -78,9 +83,7 @@ def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -
     two binary searches of c_psi_value; s + t equals the copula value up to
     rounding. Raises SpecMismatch as c_psi_value does.
     """
-    if candidate.spec is not spec and not _same_spec(candidate.spec, spec):
-        raise SpecMismatch("candidate was built for a different spec")
-    _require_eligible(candidate)
+    _require_own_eligible(spec, candidate)
     psi_x, eta_y = eval_pl(candidate.psi, x), eval_pl(candidate.eta, y)
     return {"s": min(psi_x, y - eta_y), "t": min(x - psi_x, eta_y)}
 
@@ -129,24 +132,24 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
     g(x) is the largest y with chi(y) <= psi(x), clamped to phi(x) to break
     ties on flat stretches (the copula value is unaffected either way);
     h(x) is the largest y with eta(y) <= xi(x). chi is carried on phi at
-    psi's knots, so its abscissas are the clamp. Each is one
-    _rightmost_level pass on its companion's suffix minimum: it lies on the
-    segment after the companion's last knot at or below the level, and
-    within the companion's dip, at most tol + INTERNAL_TOL in value, of the
-    companion's own level set.
+    psi's knots, the candidate's `_on_phi`, so its abscissas are the clamp.
+    Each is one _rightmost_level pass on its companion's suffix minimum: it
+    lies on the segment after the companion's last knot at or below the
+    level, and within the companion's dip, at most tol + INTERNAL_TOL in
+    value, of the companion's own level set.
 
     The values of chi and xi are temporaries, with the bits of the
     candidate's properties, which stay unread; eta is read, and so kept,
-    since the point queries read it too. np.interp reads the writeable
-    aliases of every locked array.
+    since the point queries read it too. _rightmost_level is an array
+    kernel, so this is the one function outside funcspace to hand np.interp
+    PLFunction's writeable aliases itself.
     """
     _require_eligible(candidate)
-    psi, eta = candidate.psi, candidate.eta
-    phi, wphi = candidate._phi_u
-    g_vals = _rightmost_level(wphi, candidate._chi_values(), psi._wy)
+    psi, eta, on_phi = candidate.psi, candidate.eta, candidate._on_phi
+    g_vals = _rightmost_level(on_phi._wx, candidate._chi_values(), psi._wy)
     h_vals = _rightmost_level(eta._wx, eta._wy, candidate._xi_values())
-    np.minimum(g_vals, phi, out=g_vals)
-    return {"g": _aliased(psi.x, g_vals, psi._wx), "h": _aliased(psi.x, h_vals, psi._wx)}
+    np.minimum(g_vals, on_phi.x, out=g_vals)
+    return {"g": psi._on_knots(g_vals), "h": psi._on_knots(h_vals)}
 
 
 def _validate_mesh(mesh, knots=()) -> np.ndarray:
@@ -232,6 +235,6 @@ def _fill(source) -> GridCopula:
 
 
 def materialize_grid(spec: DiagonalSpec, candidate: PsiCandidate, mesh) -> GridCopula:
-    """Sample the constructed copula on a mesh containing 0 and 1."""
-    _require_eligible(candidate)
+    """Sample the constructed copula on a mesh holding 0 and 1; raises as c_psi_value does."""
+    _require_own_eligible(spec, candidate)
     return _fill(_ConstructionRows(spec, candidate, mesh))

@@ -51,25 +51,52 @@ class PLFunction:
     np.interp copies every read-only argument, O(n) a call. So each
     instance also keeps `_wx` and `_wy`, writeable aliases of x and y that
     np.interp reads in their place: views taken before the arrays were
-    locked. An array that comes in locked already, such as another
-    instance's x, is its own alias, unless the builder hands over the one
-    its owner kept (see `_aliased`).
+    locked. An array that comes in locked already is its own alias, so
+    `_on_knots` and `_swapped` build functions that share another's arrays
+    with the aliases their owner kept, and `_at` evaluates at another's
+    knots through its alias. Other modules use these three, bar the array
+    kernel that construction.region_functions feeds.
     """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x, wx = _locked(np.asarray(self.x, dtype=float))
-        y, wy = _locked(np.asarray(self.y, dtype=float))
-        for name, value in (("x", x), ("y", y), ("_wx", wx), ("_wy", wy)):
-            object.__setattr__(self, name, value)
+        for name in ("x", "y"):  # lock each; its alias is a view taken first, or itself if locked
+            a = np.asarray(getattr(self, name), dtype=float)
+            alias = a.view() if a.flags.writeable else a
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+            object.__setattr__(self, "_w" + name, alias)
 
     def __call__(self, t):
         return eval_pl(self, t)
 
     def __len__(self):
         return len(self.x)
+
+    def _on_knots(self, y) -> PLFunction:
+        """A function on these knots, sharing their alias, with ordinates y.
+
+        y may also be a PLFunction on knots of equal value; then its
+        ordinates and their alias are taken.
+        """
+        f = PLFunction(self.x, y.y if isinstance(y, PLFunction) else y)
+        object.__setattr__(f, "_wx", self._wx)
+        if isinstance(y, PLFunction):
+            object.__setattr__(f, "_wy", y._wy)
+        return f
+
+    def _swapped(self) -> PLFunction:
+        """The function with the roles of x and y swapped, each with its alias."""
+        f = PLFunction(self.y, self.x)
+        object.__setattr__(f, "_wx", self._wy)
+        object.__setattr__(f, "_wy", self._wx)
+        return f
+
+    def _at(self, g: PLFunction) -> np.ndarray:
+        """This function at g's knots, a new array; np.interp reads g's alias of them."""
+        return eval_pl(self, g._wx)
 
     @cached_property
     def _views(self) -> tuple:
@@ -87,27 +114,9 @@ class PLFunction:
         self.__post_init__()
 
 
-def _locked(a: np.ndarray) -> tuple:
-    """(a, w): a locked, and w a writeable view of it taken first, or a itself if it came locked."""
-    if not a.flags.writeable:
-        return a, a
-    w = a.view()
-    a.flags.writeable = False
-    return a, w
-
-
-def _aliased(x, y, wx=None, wy=None) -> PLFunction:
-    """PLFunction(x, y) whose np.interp reads wx for x and wy for y, where given.
-
-    For an x or y that another instance or a spec has locked already: wx or
-    wy is then the writeable alias its owner took before locking it.
-    """
-    f = PLFunction(x, y)
-    if wx is not None:
-        object.__setattr__(f, "_wx", wx)
-    if wy is not None:
-        object.__setattr__(f, "_wy", wy)
-    return f
+def _same_pl(f: PLFunction, g: PLFunction) -> bool:
+    """Whether f and g have knots and ordinates equal in value."""
+    return f is g or (np.array_equal(f.x, g.x) and np.array_equal(f.y, g.y))
 
 
 def make_pl(knots_x, knots_y) -> PLFunction:

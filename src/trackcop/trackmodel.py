@@ -24,7 +24,6 @@ from .funcspace import (
     INTERNAL_TOL,
     USER_TOL,
     PLFunction,
-    _aliased,
     check_tol,
     eval_pl,
     first_decrease,
@@ -46,7 +45,7 @@ def make_track(phi: PLFunction) -> Track:
         raise NotStrictlyIncreasing("track function must be strictly increasing")
     if phi.y[0] != 0.0 or phi.y[-1] != 1.0:
         raise EndpointViolation("track function must map 0 to 0 and 1 to 1")
-    return Track(phi, _aliased(phi.y, phi.x, phi._wy, phi._wx))
+    return Track(phi, phi._swapped())
 
 
 def identity_track() -> Track:
@@ -65,7 +64,8 @@ class DiagonalSpec:
 
     The memos, each computed once per spec: `_delta_on_phi` (delta along
     the track image, y -> delta(phi_inv(y)): delta.y on phi_values(), which
-    make_diagonal hands the spec from the knots it has already evaluated),
+    make_diagonal hands the spec from the knots it has already evaluated;
+    on the identity track it is delta itself),
     `_band` (psi_L, psi_U and their gap), `_band_verdict` (the band test of
     its two ends) and `_existence`, which maps tol to existence_check's
     ExistenceResult (witnesses differ by tol). A memo holds plain values
@@ -91,8 +91,8 @@ class DiagonalSpec:
 
     @cached_property
     def _delta_on_phi(self) -> PLFunction:
-        """delta.y on phi at the spec's knots: every eta's abscissas; eta_L's and eta_U's base."""
-        return _aliased(eval_pl(self.track.phi, self.delta._wx), self.delta.y, None, self.delta._wy)
+        """delta.y, with its alias, on phi at the spec's knots: every eta's abscissas and base."""
+        return self.delta._swapped()._on_knots(self.track.phi._at(self.delta))._swapped()
 
     def phi_values(self) -> np.ndarray:
         """phi at the spec's knots."""
@@ -124,7 +124,7 @@ class DiagonalSpec:
         gap = _accumulated(np.add(vm, vp, out=dd))
         np.subtract(u, gap, out=gap)
         gap.flags.writeable = False
-        return _aliased(u, low, self.delta._wx), _aliased(u, up, self.delta._wx), gap
+        return self.delta._on_knots(low), self.delta._on_knots(up), gap
 
     @cached_property
     def _band_verdict(self) -> Optional[tuple]:
@@ -147,25 +147,23 @@ def _accumulated(steps: np.ndarray) -> np.ndarray:
 
 
 def _common_knots(delta: PLFunction, track: Track) -> tuple:
-    """(u, delta(u), phi(u)) on u = merge_knots(delta.x, track.phi.x).
+    """(delta on u, phi(u)), u = merge_knots(delta.x, track.phi.x).
 
     When delta's knots already hold the track's, run from +0.0 to 1.0 and
     have no gap <= INTERNAL_TOL, merge_knots would give them back
-    bit for bit, and np.interp at a knot returns the stored ordinate; so u
-    is delta.x and delta(u) is delta.y, with no merge and no interpolation.
+    bit for bit, and np.interp at a knot returns the stored ordinate; so
+    delta on u is delta itself, with no merge and no interpolation.
     On the identity track phi(u) is u itself: u runs over [+0.0, 1.0] on
     either path, and there np.interp(u, [0, 1], [+0.0, 1]) returns u bit
-    for bit. np.interp reads delta's writeable alias of u where u is delta.x.
+    for bit.
     """
     x, tx = delta.x, track.phi.x
     at = np.minimum(np.searchsorted(x, tx), len(x) - 1)
-    if (x[0] == 0.0 and not np.signbit(x[0]) and x[-1] == 1.0
-            and np.all(x[at] == tx) and np.all(np.diff(x) > INTERNAL_TOL)):
-        u, wu, d = x, delta._wx, delta.y
-    else:
-        u = wu = merge_knots(x, tx)
-        d = eval_pl(delta, u)
-    return u, d, u if _is_identity(track) else eval_pl(track.phi, wu)
+    if not (x[0] == 0.0 and not np.signbit(x[0]) and x[-1] == 1.0
+                and np.all(x[at] == tx) and np.all(np.diff(x) > INTERNAL_TOL)):
+        u = merge_knots(x, tx)
+        delta = PLFunction(u, eval_pl(delta, u))
+    return delta, delta.x if _is_identity(track) else track.phi._at(delta)
 
 
 def _is_identity(track: Track) -> bool:
@@ -208,7 +206,8 @@ def diagonal_conditions(delta: PLFunction, track: Track, tol: float = USER_TOL) 
     offending knot (segment start for the slope condition "d").
     """
     check_tol(tol)
-    return _conditions(*_common_knots(delta, track), tol)
+    d, p = _common_knots(delta, track)
+    return _conditions(d.x, d.y, p, tol)
 
 
 def make_diagonal(delta: PLFunction, track: Track, tol: float = USER_TOL,
@@ -219,16 +218,14 @@ def make_diagonal(delta: PLFunction, track: Track, tol: float = USER_TOL,
     existence_check to diagnose prescriptions that are not realizable.
     """
     check_tol(tol)
-    u, d, p = _common_knots(delta, track)
+    d, p = _common_knots(delta, track)  # d is delta itself where its knots need no merge
     if validate:
-        for cond, (ok, where) in _conditions(u, d, p, tol).items():
+        for cond, (ok, where) in _conditions(d.x, d.y, p, tol).items():
             if not ok:
                 raise DiagonalConditionViolated(cond, where)
-    shared = u is delta.x  # then d is delta.y: the spec reads delta's aliases
-    spec = DiagonalSpec(_aliased(u, d, delta._wx, delta._wy) if shared else PLFunction(u, d), track)
-    # seeds the cached_property behind phi_values(); on the identity track p is u
-    spec.__dict__["_delta_on_phi"] = _aliased(p, spec.delta.y, spec.delta._wx if p is u else None,
-                                              spec.delta._wy)
+    spec = DiagonalSpec(d, track)
+    # seeds the cached_property behind phi_values() with p; on the identity track p is d.x
+    spec.__dict__["_delta_on_phi"] = d if p is d.x else d._swapped()._on_knots(p)._swapped()
     return spec
 
 

@@ -19,9 +19,9 @@ import numpy as np
 from .canonical import _existing_band, quadruplet
 from .construction import CopulaCpsi, _feed, _row_blocks, _validate_mesh
 from .errors import MeshMismatch, NotACopula, IneligibleExtractedPsi, IneligiblePsi, \
-    TrackSectionMismatch
-from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, _pair_at, _unit_point, check_tol, \
-    eval_pl
+    SpecMismatch, TrackSectionMismatch
+from .funcspace import INTERNAL_TOL, USER_TOL, PLFunction, _pair_at, _same_pl, _unit_point, \
+    check_tol, eval_pl
 from .trackmodel import DiagonalSpec, Track
 
 
@@ -129,6 +129,9 @@ class _GridCheck:
 
 def check_grid(grid, mode: str = "copula", tol: float = USER_TOL) -> VerificationReport:
     """Verify the (quasi-)copula axioms on a grid, a GridCopula or any row-block source.
+
+    Both the copula and the quasi-copula verdicts are reported; `mode` is
+    accepted and never read.
 
     Rectangle positivity for the quasi check only needs rectangles touching
     the boundary of the unit square; by additivity of volumes across mesh
@@ -332,8 +335,11 @@ def dominating_envelope(grid, track: Track, spec: DiagonalSpec,
     x: C(x, m), m the mesh point nearest phi(x), must lie within
     |m - phi(x)| + 2/n of delta(x), the discretization tolerance 2/n beyond
     what 1-Lipschitz continuity in y allows. The extracted mass function
-    must come out eligible, otherwise the mesh is too coarse.
+    must come out eligible, otherwise the mesh is too coarse. A track whose
+    phi differs in value from the spec's raises SpecMismatch first.
     """
+    if not _same_pl(track.phi, spec.track.phi):
+        raise SpecMismatch("the track is not the spec's track")
     extraction = _PsiExtraction(grid.mesh, track, check_tol(tol))
     _feed(grid, extraction)
     mesh_tol = 2.0 / len(grid.mesh)

@@ -9,9 +9,12 @@ changed anywhere under the work directory.
 
 Run it against two checkouts and diff the two manifests:
 
-    PYTHONPATH=src python tests/cli_manifest.py > new.txt
+    python tests/cli_manifest.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_manifest.py > old.txt
     diff old.txt new.txt
+
+Run as a script, it appends its own checkout's `src` to sys.path after the
+PYTHONPATH entries, so the second command runs the other checkout.
 
 The harness uses nothing of trackcop but `main`, and it makes its
 malformed `.npy` files from a grid that `build` wrote, its drifting psi
@@ -239,4 +242,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
     sys.exit(main())

@@ -12,7 +12,8 @@ a general track, the blend's psi, its eta, and g and h. region_functions on
 psi_U, whose eta dips, adds at most REGION_CEILING n-arrays to a candidate
 whose companions are built: chi and xi as temporaries, the suffix minimum
 of eta, and g and h. np.interp copies every argument that is not a
-writeable contiguous array, so no call on the chain may be handed one.
+writeable contiguous array, so no call on the chain may be handed one, nor
+on the merged path of a candidate off the spec's knots.
 numpy reports its array buffers to tracemalloc, so the peaks count every
 temporary.
 """
@@ -35,6 +36,7 @@ from trackcop import (
     region_functions,
     s_t_split,
 )
+from trackcop.funcspace import PLFunction
 
 from conftest import added_peak
 from test_common_knots import case_section
@@ -105,20 +107,48 @@ def test_one_d_chain_peak(identity, traced):
     assert (live_bytes() - base) / n_array <= LIVE_CEILING
 
 
-@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
-def test_one_d_chain_hands_np_interp_only_writeable_arrays(identity, monkeypatch):
+def watch_np_interp(monkeypatch) -> list:
+    """Patch np.interp to record, per call, whether each array argument is writeable."""
     interp, seen = np.interp, []
 
     def checking(*args, **kwargs):
         seen.append([a.flags.writeable for a in args if isinstance(a, np.ndarray)])
         return interp(*args, **kwargs)
 
-    delta, track = case_section("aligned", identity, 0, n=2_001)
     monkeypatch.setattr(np, "interp", checking)
+    return seen
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+def test_one_d_chain_hands_np_interp_only_writeable_arrays(identity, monkeypatch):
+    delta, track = case_section("aligned", identity, 0, n=2_001)
+    seen = watch_np_interp(monkeypatch)
     out = one_d_chain(delta, track)
     for x, y in ((0.3, 0.6), (0.8, 0.1)):
         c_psi_value(out["spec"], out["mix"], x, y)
         s_t_split(out["spec"], out["mix"], x, y)
     monkeypatch.undo()
     assert len(seen) >= 2  # the region's two level inverses at least
+    assert all(all(flags) for flags in seen), seen
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+def test_candidate_off_the_spec_knots_hands_np_interp_only_writeable_arrays(identity,
+                                                                           monkeypatch):
+    spec = make_diagonal(*case_section("aligned", identity, 0, n=2_001))
+    bounds = psi_bounds(spec)
+    # the 0.37 blend on the spec's knots plus 97 uniform points, where it is linear
+    u = np.union1d(spec.knots, np.linspace(0.0, 1.0, 99)[1:-1])
+    psi = PLFunction(u, np.interp(u, spec.knots, 0.63 * bounds.psi_low.y + 0.37 * bounds.psi_up.y))
+    seen = watch_np_interp(monkeypatch)
+    cand = quadruplet(spec, psi)
+    by_variation = eligibility_by_variation(spec, psi)
+    region = region_functions(spec, cand)
+    for x, y in ((0.3, 0.6), (0.8, 0.1)):
+        c_psi_value(spec, cand, x, y)
+        s_t_split(spec, cand, x, y)
+    monkeypatch.undo()
+    assert cand.eligible and by_variation.eligible
+    assert cand.psi.x is not spec.knots and len(region["g"]) == len(u)  # the merged path
+    assert len(seen) >= 10  # merges, band ends, phi and delta at psi's knots, level inverses
     assert all(all(flags) for flags in seen), seen

@@ -4,9 +4,11 @@ import pytest
 from trackcop import (
     BadMesh,
     IneligiblePsi,
+    SpecMismatch,
     blend,
     c_psi_value,
     check_grid,
+    identity_track,
     make_diagonal,
     make_pl,
     materialize_grid,
@@ -170,3 +172,19 @@ def test_materialize_grid_rejects_bad_mesh(fig2_spec_201, fig2_spec):
     for mesh in ([0.0, np.nan, 1.0], [0.0, 0.3, np.nan, 1.0], [0.0, 0.3, np.inf, 1.0]):
         with pytest.raises(BadMesh):
             materialize_grid(fig2_spec_201, cand, mesh)
+
+
+def test_materialize_grid_refuses_a_foreign_spec():
+    # gridded with the other spec, psi_L of delta(1/2) = 0.3 would take that
+    # spec's delta and be off by 0.1 at (1/2, 1/2), with nothing raised
+    track, mesh = identity_track(), np.linspace(0.0, 1.0, 5)
+    own = make_diagonal(make_pl([0.0, 0.5, 1.0], [0.0, 0.3, 1.0]), track)
+    foreign = make_diagonal(make_pl([0.0, 0.5, 1.0], [0.0, 0.4, 1.0]), track)
+    cand = quadruplet(own, psi_bounds(own).psi_low)
+    with pytest.raises(SpecMismatch):
+        materialize_grid(foreign, cand, mesh)
+    # a spec with the candidate's knot data is its own
+    twin = make_diagonal(make_pl([0.0, 0.5, 1.0], [0.0, 0.3, 1.0]), identity_track())
+    grid = materialize_grid(twin, cand, mesh)
+    assert np.array_equal(grid.values, materialize_grid(own, cand, mesh).values)
+    assert grid.values[2, 2] == 0.3

@@ -5,7 +5,9 @@ with the standard library. `__init__.py` is skipped for imports: its
 imports are the package's re-exports. A private top-level helper must be
 named by the library itself; any other function, method or property by the
 library, its tests or the benchmark. No dataclass that holds arrays defines
-`__eq__` or `__hash__`.
+`__eq__` or `__hash__`. Only funcspace knows that np.interp copies a locked
+array: PLFunction's writeable aliases `_wx` and `_wy` are named elsewhere only
+by construction.region_functions, which hands them to an array kernel.
 """
 
 import ast
@@ -140,6 +142,39 @@ def test_unnamed_function_is_reported():
     }
     assert unnamed_functions(sources, ["lib.py"]) == [("lib.py", "A.unread"),
                                                       ("lib.py", "recursive")]
+
+
+ALIAS_NAMES = ("_aliased", "_locked", "_wx", "_wy")
+
+
+def alias_uses(sources: dict) -> list:
+    """(module, top-level definition, name) for each of ALIAS_NAMES named outside funcspace.py.
+
+    A statement that defines nothing, such as an import, is labelled by its line.
+    """
+    uses = []
+    for mod, text in sources.items():
+        if mod == "funcspace.py":
+            continue
+        for node in ast.parse(text).body:
+            names, label = _names(node), getattr(node, "name", f"line {node.lineno}")
+            uses += [(mod, label, name) for name in ALIAS_NAMES if names[name]]
+    return uses
+
+
+def test_only_funcspace_handles_np_interp_aliases():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert alias_uses(sources) == [("construction.py", "region_functions", "_wx"),
+                                   ("construction.py", "region_functions", "_wy")]
+
+
+def test_alias_use_is_reported():
+    sources = {
+        "funcspace.py": "def _locked(a):\n    return a._wx\n",
+        "a.py": "from .funcspace import _locked\n\nclass K:\n    def f(self, g):\n"
+                "        return g._wy\n",
+    }
+    assert alias_uses(sources) == [("a.py", "line 1", "_locked"), ("a.py", "K", "_wy")]
 
 
 ARRAY_HOLDERS = [PLFunction, Track, DiagonalSpec, PsiCandidate, PsiBounds, GridCopula,

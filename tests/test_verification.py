@@ -7,6 +7,7 @@ from trackcop import (
     MeshMismatch,
     NoCopulaExists,
     NotACopula,
+    SpecMismatch,
     TrackSectionMismatch,
     check_grid,
     compare,
@@ -286,3 +287,15 @@ def test_envelope_checks_the_section_in_every_column():
     grid = GridCopula(mesh, np.minimum(mesh[:, None], mesh[None, :]))
     with pytest.raises(TrackSectionMismatch, match=r"deviates by 0\.286 > 0\.087"):
         dominating_envelope(grid, spec.track, spec)
+
+
+def test_envelope_refuses_a_track_not_the_specs(fig2_spec_201):
+    spec, mesh = fig2_spec_201, fig2_spec_201.knots
+    grid = materialize_grid(spec, quadruplet(spec, psi_bounds(spec).psi_low), mesh)
+    # psi along this track, judged against the spec's, would pass unnoticed
+    nearly_identity = make_track(make_pl([0.0, 0.5, 1.0], [0.0, 0.5 + 1e-9, 1.0]))
+    with pytest.raises(SpecMismatch):
+        dominating_envelope(grid, nearly_identity, spec)
+    # a track equal to the spec's in value is the spec's
+    same = dominating_envelope(grid, identity_track(), spec).candidate.psi
+    assert np.array_equal(same.y, dominating_envelope(grid, spec.track, spec).candidate.psi.y)
