@@ -69,6 +69,6 @@ from .verification import (
     extract_psi,
     pointwise_upper_bound,
 )
-from .splice import SplicedFunction, make_splice, splice_grid, splice_value
+from .splice import SplicedFunction, make_splice, splice_grid
 
 __version__ = "0.1.0"

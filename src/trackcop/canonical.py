@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoCopulaExists, PsiNotAnchored, SpecMismatch
+from .errors import NoCopulaExists, OutOfDomain, PsiNotAnchored, SpecMismatch
 from .funcspace import (
     INTERNAL_TOL,
     USER_TOL,
@@ -197,15 +197,16 @@ def _existing_band(spec: DiagonalSpec, tol: float) -> tuple:
     return spec._band[:2]
 
 
-def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:
-    """Convex combination of two eligible candidates for the same spec.
+def blend(a: PsiCandidate, b: PsiCandidate, t: float, tol: float = USER_TOL) -> PsiCandidate:
+    """Convex combination of two eligible candidates for the same spec, judged at tol.
 
     The increment constraints are linear, so the blend is again eligible.
     Candidates on one knot array (psi_L, psi_U and their blends share the
-    spec's) are combined on it without a merge.
+    spec's) are combined on it without a merge. A weight outside [0, 1],
+    or NaN, raises OutOfDomain.
     """
     if not (0.0 <= t <= 1.0):
-        raise ValueError(f"blend weight {t} outside [0, 1]")
+        raise OutOfDomain(f"blend weight {t} outside [0, 1]")
     if not _same_spec(a.spec, b.spec):
         raise SpecMismatch("candidates were built for different specs")
     shared = a.psi.x is b.psi.x
@@ -213,4 +214,4 @@ def blend(a: PsiCandidate, b: PsiCandidate, t: float) -> PsiCandidate:
     a_u, b_u = (a.psi.y, b.psi.y) if shared else (eval_pl(a.psi, u), eval_pl(b.psi, u))
     psi_u = np.multiply(a_u, 1.0 - t)
     psi_u += np.multiply(b_u, t)
-    return quadruplet(a.spec, a.psi._on_knots(psi_u) if shared else PLFunction(u, psi_u))
+    return quadruplet(a.spec, a.psi._on_knots(psi_u) if shared else PLFunction(u, psi_u), tol)

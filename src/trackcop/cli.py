@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import PsiCandidate, psi_bounds, quadruplet
+from .canonical import PsiCandidate, blend, psi_bounds, quadruplet
 from .construction import GridCopula, _ConstructionRows, _feed, _fill, _validate_mesh, \
     region_functions
 from .errors import BadMesh, BadTolerance, IneligiblePsi, TrackcopError
@@ -138,9 +138,8 @@ def resolve_candidate(problem: ProblemSpec, request=None, tol: float = USER_TOL)
     if request == "upper":
         return quadruplet(problem.spec, bounds.psi_up, tol=tol)
     if isinstance(request, tuple) and request[0] == "blend":
-        t = request[1]  # blend's arithmetic on the band's own knots, judged at tol
-        request = PLFunction(problem.spec.knots,
-                             (1.0 - t) * bounds.psi_low.y + t * bounds.psi_up.y)
+        return blend(quadruplet(problem.spec, bounds.psi_low, tol=tol),
+                     quadruplet(problem.spec, bounds.psi_up, tol=tol), request[1], tol)
     return quadruplet(problem.spec, request, tol=tol)
 
 
@@ -427,7 +426,7 @@ def cmd_bounds(args, problem: ProblemSpec) -> tuple:
 
 def cmd_build(args, problem: ProblemSpec) -> tuple:
     [candidate] = _eligible_candidates(problem, [problem.psi_request], args.tol)
-    source = _ConstructionRows(problem.spec, candidate, default_mesh(problem, args.mesh))
+    source = _ConstructionRows(candidate, default_mesh(problem, args.mesh))
     region = region_functions(problem.spec, candidate)
     out = _out_dir(args)
     check = _GridCheck(source.mesh, args.tol)
@@ -448,8 +447,7 @@ def cmd_compare(args, problem: ProblemSpec) -> tuple:
     cand_a, cand_b = _eligible_candidates(
         problem, [_psi_arg(args.psi_a), _psi_arg(args.psi_b)], args.tol)
     mesh = default_mesh(problem, args.mesh)
-    result = compare(_ConstructionRows(problem.spec, cand_a, mesh),
-                     _ConstructionRows(problem.spec, cand_b, mesh), args.tol)
+    result = compare(_ConstructionRows(cand_a, mesh), _ConstructionRows(cand_b, mesh), args.tol)
     payload = result.as_dict()
     if args.out:
         write_json(_out_dir(args) / "comparison.json", payload)
@@ -491,7 +489,7 @@ def cmd_envelope(args, problem: ProblemSpec) -> tuple:
     write_function_csv(out / "psi_extracted.csv", candidate.psi)
     gain = _Gain(grid)
     _write_table(out / f"envelope_grid.{args.format}",
-                 _ConstructionRows(problem.spec, candidate, grid.mesh), args.format, gain)
+                 _ConstructionRows(candidate, grid.mesh), args.format, gain)
     return 0, f"max pointwise gain: {gain.value():.6g}"
 
 

@@ -1,7 +1,7 @@
 """The copula construction itself: values, split, region, grid sampling.
 
-Given a validated spec and an eligible mass function psi, the constructed
-copula is
+Given an eligible candidate, which carries psi and the validated spec it
+was judged against, the constructed copula is
 
     C(x, y) = min{ x, y, psi(x) - psi(w) + delta(w) },   w = phi_inv(y),
 
@@ -45,9 +45,8 @@ class GridCopula:
 
 @dataclass(frozen=True, eq=False)
 class CopulaCpsi:
-    """A constructed copula: the spec and the eligible candidate whose C_psi it is."""
+    """A constructed copula: the eligible candidate, with its spec, whose C_psi it is."""
 
-    spec: DiagonalSpec
     candidate: PsiCandidate
 
 
@@ -142,9 +141,10 @@ def region_functions(spec: DiagonalSpec, candidate: PsiCandidate) -> dict:
     candidate's properties, which stay unread; eta is read, and so kept,
     since the point queries read it too. _rightmost_level is an array
     kernel, so this is the one function outside funcspace to hand np.interp
-    PLFunction's writeable aliases itself.
+    PLFunction's writeable aliases itself. Raises SpecMismatch as
+    c_psi_value does.
     """
-    _require_eligible(candidate)
+    _require_own_eligible(spec, candidate)
     psi, eta, on_phi = candidate.psi, candidate.eta, candidate._on_phi
     g_vals = _rightmost_level(on_phi._wx, candidate._chi_values(), psi._wy)
     h_vals = _rightmost_level(eta._wx, eta._wy, candidate._xi_values())
@@ -193,18 +193,18 @@ def _row_blocks(n_rows: int, n_cols: int):
 # kernel checks any of them.
 
 class _ConstructionRows:
-    """Row-block source of the constructed copula's values on a mesh holding 0 and 1.
+    """Row-block source of a candidate's C_psi, read off its spec, on a mesh holding 0 and 1.
 
     psi at the mesh and the column term delta(w) - psi(w), w = phi_inv(y),
     are evaluated once; a block then costs one addition and two clamps per
     cell. min is exact, so the order of the two clamps does not change a bit.
     """
 
-    def __init__(self, spec: DiagonalSpec, candidate: PsiCandidate, mesh, knots=()):
+    def __init__(self, candidate: PsiCandidate, mesh, knots=()):
         self.mesh = _validate_mesh(mesh, knots)
         self._psi = eval_pl(candidate.psi, self.mesh)
-        w = eval_pl(spec.track.phi_inv, self.mesh)
-        self._col = eval_pl(spec.delta, w) - eval_pl(candidate.psi, w)
+        w = eval_pl(candidate.spec.track.phi_inv, self.mesh)
+        self._col = eval_pl(candidate.spec.delta, w) - eval_pl(candidate.psi, w)
 
     def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
         kappa = self._psi[rows, None] + self._col[None, cols]
@@ -237,4 +237,4 @@ def _fill(source) -> GridCopula:
 def materialize_grid(spec: DiagonalSpec, candidate: PsiCandidate, mesh) -> GridCopula:
     """Sample the constructed copula on a mesh holding 0 and 1; raises as c_psi_value does."""
     _require_own_eligible(spec, candidate)
-    return _fill(_ConstructionRows(spec, candidate, mesh))
+    return _fill(_ConstructionRows(candidate, mesh))

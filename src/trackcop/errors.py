@@ -14,7 +14,7 @@ class MalformedKnots(TrackcopError):
 
 
 class OutOfDomain(TrackcopError):
-    """An evaluation point or interval lies outside [0, 1]."""
+    """An evaluation point, interval or blend weight lies outside [0, 1]."""
 
 
 class BadTolerance(TrackcopError):

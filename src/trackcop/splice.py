@@ -1,7 +1,8 @@
 """Diagonal splicing of two constructed copulas into a quasi-copula.
 
 The splice uses one constituent above the track and the other below; both
-match the shared diagonal on the track, so the result is continuous there.
+were built for one spec, so both match its diagonal on the track and the
+result is continuous there.
 """
 
 from __future__ import annotations
@@ -11,45 +12,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import PsiCandidate, _same_spec
-from .construction import GridCopula, _ConstructionRows, _fill, _require_eligible, c_psi_value
+from .construction import GridCopula, _ConstructionRows, _fill, _require_eligible
 from .errors import SpecMismatch
 from .funcspace import eval_pl
-from .trackmodel import DiagonalSpec
 
 
 @dataclass(frozen=True, eq=False)
 class SplicedFunction:
-    """Two constructed copulas glued along the track (ties go to upper)."""
+    """Two constructed copulas of one spec glued along its track (ties go to upper)."""
 
     upper: PsiCandidate  # used where y >= phi(x)
     lower: PsiCandidate  # used where y < phi(x)
-    spec: DiagonalSpec
 
 
 def make_splice(upper: PsiCandidate, lower: PsiCandidate) -> SplicedFunction:
-    """Splice two eligible candidates; raises IneligiblePsi or SpecMismatch."""
+    """Splice two eligible candidates built for one spec; raises IneligiblePsi or SpecMismatch."""
     _require_eligible(upper)
     _require_eligible(lower)
     if not _same_spec(upper.spec, lower.spec):
         raise SpecMismatch("splice constituents were built for different specs")
-    return SplicedFunction(upper, lower, upper.spec)
-
-
-def splice_value(s: SplicedFunction, u: float, v: float) -> float:
-    """Value of the spliced function; branch chosen by the side of the track."""
-    if v >= eval_pl(s.spec.track.phi, u):
-        return c_psi_value(s.spec, s.upper, u, v)
-    return c_psi_value(s.spec, s.lower, u, v)
+    return SplicedFunction(upper, lower)
 
 
 class _SpliceRows:
     """Row-block source of a splice: the upper block, with the cells below the track from the lower."""
 
     def __init__(self, s: SplicedFunction, mesh):
-        self._upper = _ConstructionRows(s.spec, s.upper, mesh, s.spec.track.phi.x)
-        self._lower = _ConstructionRows(s.spec, s.lower, self._upper.mesh)
+        phi = s.upper.spec.track.phi
+        self._upper = _ConstructionRows(s.upper, mesh, phi.x)
+        self._lower = _ConstructionRows(s.lower, self._upper.mesh)
         self.mesh = self._upper.mesh
-        self._phi = eval_pl(s.spec.track.phi, self.mesh)
+        self._phi = eval_pl(phi, self.mesh)
 
     def block(self, rows: slice, cols: slice = slice(None)) -> np.ndarray:
         values = self._upper.block(rows, cols)

@@ -7,14 +7,19 @@ the exit code, the SHA-256 of stdout and of stderr (followed by stderr's
 first line, to read), and the SHA-256 of every file the invocation wrote or
 changed anywhere under the work directory.
 
-Run it against two checkouts and diff the two manifests:
+Compare this checkout with another in one command:
 
-    python tests/cli_manifest.py > new.txt
-    PYTHONPATH=/path/to/other/checkout/src python tests/cli_manifest.py > old.txt
-    diff old.txt new.txt
+    python tests/cli_manifest.py --against /path/to/other/checkout
 
-Run as a script, it appends its own checkout's `src` to sys.path after the
-PYTHONPATH entries, so the second command runs the other checkout.
+It runs the harness here and, in a subprocess at the same time, with
+PYTHONPATH=<checkout>/src; it prints a unified diff of the other
+checkout's manifest against this one's and exits 1 when they differ, or
+prints one `#` line and exits 0 when they match; it exits 2 when the
+other checkout has no src/trackcop or the harness fails there. Without
+--against it prints this checkout's manifest. Run as a script, it appends
+its own checkout's `src` to sys.path after the PYTHONPATH entries, so
+`PYTHONPATH=/path/to/other/checkout/src python tests/cli_manifest.py`
+prints the other checkout's.
 
 The harness uses nothing of trackcop but `main`, and it makes its
 malformed `.npy` files from a grid that `build` wrote, its drifting psi
@@ -26,11 +31,14 @@ a short chain only.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -233,11 +241,42 @@ def manifest(work: Path, subset: bool = False) -> list:
         os.chdir(here)
 
 
-def main() -> int:
+def full_manifest() -> list:
+    """The lines the script prints: every invocation's, then their count."""
     with tempfile.TemporaryDirectory() as tmp:
         lines = manifest((Path(tmp) / "work").resolve())
-    print("\n".join(lines))
-    print(f"# {sum(line.startswith('$ ') for line in lines)} invocations")
+    return lines + [f"# {sum(line.startswith('$ ') for line in lines)} invocations"]
+
+
+def against(checkout: Path) -> int:
+    """Diff the manifest of checkout's src (in a subprocess) against this process's."""
+    src = checkout.resolve() / "src"
+    if not (src / "trackcop").is_dir():
+        print(f"no src/trackcop in {checkout}", file=sys.stderr)
+        return 2
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, str(Path(__file__).resolve())], env=env,
+                          stdout=subprocess.PIPE, text=True) as other:
+        ours = full_manifest()
+        theirs = other.communicate()[0].splitlines()
+    if other.returncode:
+        print(f"the harness failed against {checkout}", file=sys.stderr)
+        return 2
+    diff = list(difflib.unified_diff(theirs, ours, str(checkout), "this checkout", lineterm=""))
+    print("\n".join(diff) if diff else f"# the manifests match: {len(ours)} lines")
+    return 1 if diff else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print the CLI manifest, or diff it against"
+                                                 " another checkout's.")
+    parser.add_argument("--against", type=Path, metavar="CHECKOUT",
+                        help="a checkout whose src/ holds trackcop")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
+    print("\n".join(full_manifest()))
     return 0
 
 

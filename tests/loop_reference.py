@@ -361,10 +361,10 @@ def whole_grid_values(spec, candidate, mesh):
 
 def whole_splice_grid(s, mesh):
     """splice_grid from two whole grids and a boolean mask."""
-    mesh = _validate_mesh(mesh, s.spec.track.phi.x)
-    upper = whole_grid_values(s.spec, s.upper, mesh)
-    lower = whole_grid_values(s.spec, s.lower, mesh)
-    phi_mesh = eval_pl(s.spec.track.phi, mesh)
+    mesh = _validate_mesh(mesh, s.upper.spec.track.phi.x)
+    upper = whole_grid_values(s.upper.spec, s.upper, mesh)
+    lower = whole_grid_values(s.upper.spec, s.lower, mesh)
+    phi_mesh = eval_pl(s.upper.spec.track.phi, mesh)
     above = mesh[None, :] >= phi_mesh[:, None]
     return GridCopula(mesh, np.where(above, upper, lower))
 

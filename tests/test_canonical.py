@@ -5,6 +5,7 @@ import pytest
 
 from trackcop import (
     NoCopulaExists,
+    OutOfDomain,
     PLFunction,
     PsiNotAnchored,
     SpecMismatch,
@@ -149,8 +150,22 @@ def test_blend_rejects_mismatched_specs(fig2_spec_201, indep_spec):
     b = quadruplet(indep_spec, psi_bounds(indep_spec).psi_low)
     with pytest.raises(SpecMismatch):
         blend(a, b, 0.5)
-    with pytest.raises(ValueError):
-        blend(a, a, 1.5)
+    for t in (1.5, -0.1, float("nan")):
+        with pytest.raises(OutOfDomain):
+            blend(a, a, t)
+
+
+def test_blend_is_judged_at_its_tol():
+    # psi_L lowered by 1e-6 at 1/4 is eligible within tol 1e-5, and so is its
+    # blend with itself; blend used to judge it at USER_TOL whatever its tol
+    spec = make_diagonal(make_pl([0.0, 0.5, 1.0], [0.0, 0.3, 1.0]), identity_track())
+    knots = np.linspace(0.0, 1.0, 5)
+    y = psi_bounds(spec).psi_low(knots)
+    y[1] -= 1e-6
+    c = quadruplet(spec, PLFunction(knots, y), tol=1e-5)
+    assert c.eligible
+    assert blend(c, c, 0.5, 1e-5).eligible
+    assert blend(c, c, 0.5).violation == "psi - psi_L decreasing on [0, 0.25]"
 
 
 def test_quadruplet_on_nonidentity_track():

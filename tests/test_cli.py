@@ -1,15 +1,20 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trackcop.cli as cli
-from trackcop import GridCopula, blend, construction, merge_knots, psi_bounds, quadruplet
+from trackcop import GridCopula, PLFunction, blend, construction, merge_knots, psi_bounds, \
+    quadruplet
 from trackcop.cli import ProblemSpec, load_problem, main, read_grid, read_grid_csv, \
     resolve_candidate, write_grid
 from conftest import diagonal_spec
 from test_kernels import same_bits
 from test_point_queries import decreasing_delta_spec
+
+
+KNOT_SPEC = Path(__file__).parent / "data" / "csv_v0" / "knot_spec.json"
 
 
 def write_spec(tmp_path, name="spec.json", **payload):
@@ -377,3 +382,22 @@ def test_blend_request_is_read_off_the_band_at_the_callers_tol(fig2_spec_file):
     # within tol 0.1, though not within the default tol
     problem = ProblemSpec(decreasing_delta_spec(), ("blend", 0.5), 21)
     assert resolve_candidate(problem, tol=0.1).eligible
+
+
+def inline_blend_request(problem, t, tol):
+    """The CLI's blend before it called blend: its arithmetic on the band's knots, kept as oracle."""
+    bounds = psi_bounds(problem.spec, tol=tol)
+    return quadruplet(problem.spec, PLFunction(problem.spec.knots,
+                                               (1.0 - t) * bounds.psi_low.y + t * bounds.psi_up.y),
+                      tol=tol)
+
+
+@pytest.mark.parametrize("spec_file", ["fig2", "knot"])
+def test_blend_request_matches_the_inline_arithmetic(fig2_spec_file, spec_file):
+    problem = load_problem(fig2_spec_file if spec_file == "fig2" else KNOT_SPEC)
+    for tol in (0.0, 1e-9, 1e-3):
+        for t in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
+            got = resolve_candidate(problem, ("blend", t), tol)
+            want = inline_blend_request(problem, t, tol)
+            assert same_bits(got.psi.x, want.psi.x) and same_bits(got.psi.y, want.psi.y)
+            assert (got.eligible, got.violation) == (want.eligible, want.violation)

@@ -102,7 +102,7 @@ def assert_kernels_match(spec, mesh, tmp_path):
     cands = candidates(spec)
     grids = []
     for cand in cands:
-        values = _ConstructionRows(spec, cand, mesh).block(slice(None))
+        values = _ConstructionRows(cand, mesh).block(slice(None))
         assert same_bits(values, whole_grid_values(spec, cand, mesh))
         grids.append(materialize_grid(spec, cand, mesh))
         assert same_bits(grids[-1].values, values)

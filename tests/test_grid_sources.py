@@ -98,8 +98,7 @@ def test_compare_of_constructions_matches_their_grids(rows, monkeypatch):
     for tol in TOLS:
         for i, a in enumerate(cands):
             for j, b in enumerate(cands):
-                result = compare(_ConstructionRows(spec, a, mesh),
-                                 _ConstructionRows(spec, b, mesh), tol)
+                result = compare(_ConstructionRows(a, mesh), _ConstructionRows(b, mesh), tol)
                 assert same(result, whole_compare(grids[i], grids[j], tol))
                 assert same(result, compare(grids[i], grids[j], tol))
 
@@ -117,7 +116,7 @@ def test_streamed_checks_match_grid_copula_input(rows, monkeypatch, tmp_path):
     # extracted in one block, the library's own size at this mesh
     unblocked = [extract_psi(grid, spec.track) for grid in grids[:3]]
     use_block_rows(monkeypatch, rows, len(mesh))
-    sources = [_ConstructionRows(spec, c, mesh) for c in (low, up, mix)]
+    sources = [_ConstructionRows(c, mesh) for c in (low, up, mix)]
     sources.append(_SpliceRows(make_splice(up, low), mesh))
     for k, (source, grid) in enumerate(zip(sources, grids)):
         path = tmp_path / f"grid{k}.npy"

@@ -347,6 +347,20 @@ def test_point_queries_refuse_a_foreign_spec(identity):
         assert query(twin, candidate, 0.3, 0.6) == query(a, candidate, 0.3, 0.6)
 
 
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "knot-track"])
+def test_region_functions_refuses_a_foreign_spec(identity):
+    # as the point queries do; it used to give the region of the candidate's
+    # own spec whatever spec it was handed
+    rng = np.random.default_rng([8, int(identity)])
+    a, b = section(rng, 200, identity), section(rng, 200, identity)
+    candidate = quadruplet(a, psi_bounds(a).psi_low)
+    with pytest.raises(SpecMismatch):
+        region_functions(b, candidate)
+    own = region_functions(a, candidate)
+    twin = region_functions(make_diagonal(a.delta, a.track), candidate)
+    assert all(same_bits(twin[k].y, own[k].y) for k in ("g", "h"))
+
+
 # ---------------------------------------------------------------------------
 # the band at exact-tol ties
 

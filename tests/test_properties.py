@@ -145,8 +145,8 @@ def test_compare_takes_grids_and_construction_sources_alike(identity, data):
     spec, mesh, cands = data.draw(constructions(identity))
     grids = [materialize_grid(spec, cand, mesh) for cand in cands]
     for (a, grid_a), (b, grid_b) in itertools.permutations(zip(cands, grids), 2):
-        assert compare(grid_a, grid_b) == compare(_ConstructionRows(spec, a, mesh),
-                                                  _ConstructionRows(spec, b, mesh))
+        assert compare(grid_a, grid_b) == compare(_ConstructionRows(a, mesh),
+                                                  _ConstructionRows(b, mesh))
 
 
 @given(data=st.data())

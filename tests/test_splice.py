@@ -7,13 +7,13 @@ from trackcop import (
     IneligiblePsi,
     PLFunction,
     SpecMismatch,
+    c_psi_value,
     check_grid,
     make_splice,
     pointwise_upper_bound,
     psi_bounds,
     quadruplet,
     splice_grid,
-    splice_value,
 )
 
 
@@ -33,7 +33,7 @@ def test_splice_rejects_mismatched_specs(fig2_spec_201, indep_spec):
 
 
 def test_splice_rejects_an_ineligible_constituent(fig2_spec_201):
-    # as materialize_grid, splice_value and c_psi_value do
+    # as materialize_grid and c_psi_value do
     bounds = psi_bounds(fig2_spec_201)
     low = quadruplet(fig2_spec_201, bounds.psi_low)
     bad = quadruplet(fig2_spec_201, PLFunction(bounds.psi_up.x, 1.3 * bounds.psi_up.y))
@@ -44,9 +44,11 @@ def test_splice_rejects_an_ineligible_constituent(fig2_spec_201):
 
 
 def test_splice_continuous_on_track(fig2_spec_201, fig2_splice):
+    # on the identity track the upper constituent holds from y = x up, the lower below
     for x in np.linspace(0, 1, 21):
-        upper_side = splice_value(fig2_splice, x, x)
-        lower_side = splice_value(fig2_splice, x, x - 1e-12) if x > 0 else upper_side
+        upper_side = c_psi_value(fig2_spec_201, fig2_splice.upper, x, x)
+        lower_side = (c_psi_value(fig2_spec_201, fig2_splice.lower, x, x - 1e-12) if x > 0
+                      else upper_side)
         assert upper_side == pytest.approx(fig2_spec_201.delta(x), abs=1e-12)
         assert lower_side == pytest.approx(upper_side, abs=1e-9)
 

@@ -15,6 +15,7 @@ import pytest
 from trackcop import (
     BadTolerance,
     PLFunction,
+    blend,
     check_grid,
     compare,
     diagonal_conditions,
@@ -62,6 +63,7 @@ def calls(tmp_path_factory):
         "psi_bounds": lambda tol: psi_bounds(spec, tol),
         "quadruplet": lambda tol: quadruplet(spec, psi, tol),
         "eligibility_by_variation": lambda tol: eligibility_by_variation(spec, psi, tol),
+        "blend": lambda tol: blend(cand, cand, 0.5, tol),
         "pointwise_upper_bound": lambda tol: pointwise_upper_bound(spec, 0.3, 0.6, tol),
         "check_grid": lambda tol: check_grid(grid, "quasi", tol),
         "compare": lambda tol: compare(grid, grid, tol),
@@ -73,7 +75,7 @@ def calls(tmp_path_factory):
 
 
 FUNCTIONS = ["diagonal_conditions", "make_diagonal", "make_diagonal-unvalidated",
-             "existence_check", "psi_bounds", "quadruplet", "eligibility_by_variation",
+             "existence_check", "psi_bounds", "quadruplet", "eligibility_by_variation", "blend",
              "pointwise_upper_bound", "check_grid", "compare", "extract_psi",
              "dominating_envelope", "load_problem", "resolve_candidate"]
 
