@@ -26,12 +26,9 @@ from .errors import (
 )
 from .funcspace import (
     PLFunction,
-    VariationTriple,
     eval_pl,
     make_pl,
     merge_knots,
-    positive_variation_majorant,
-    variation,
 )
 from .trackmodel import (
     DiagonalSpec,

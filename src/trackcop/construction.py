@@ -169,7 +169,7 @@ def _validate_mesh(mesh, knots=()) -> np.ndarray:
     gap = np.minimum(np.abs(mesh[right] - knots), np.abs(mesh[np.maximum(right - 1, 0)] - knots))
     far = np.flatnonzero(gap > INTERNAL_TOL)
     if len(far):
-        raise BadMesh(f"mesh must include track knot {knots[far[0]]}")
+        raise BadMesh(f"mesh must include knot {knots[far[0]]}")
     return mesh
 
 

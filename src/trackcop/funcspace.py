@@ -1,10 +1,9 @@
-"""Exact piecewise-linear functions on [0, 1] with variation calculus.
+"""Exact piecewise-linear functions on [0, 1].
 
 All univariate objects in trackcop (tracks, diagonals, mass functions,
 region boundaries) are piecewise-linear functions given by explicit knots.
-On that class, total/positive/negative variations, monotone majorants
-and exact inverses are finite computations with no quadrature or search
-involved.
+On that class, evaluation, exact inverses and monotone tests are finite
+computations on the knots, with no quadrature or search involved.
 """
 
 from __future__ import annotations
@@ -121,8 +120,11 @@ def _same_pl(f: PLFunction, g: PLFunction) -> bool:
 
 def make_pl(knots_x, knots_y) -> PLFunction:
     """Validate knot lists and build a PLFunction."""
-    x = np.asarray(knots_x, dtype=float)
-    y = np.asarray(knots_y, dtype=float)
+    try:
+        x = np.asarray(knots_x, dtype=float)
+        y = np.asarray(knots_y, dtype=float)
+    except (TypeError, ValueError):
+        raise MalformedKnots("knots must be numbers") from None
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
         raise MalformedKnots("knot lists must be 1-d and of equal length")
     if len(x) < 2:
@@ -225,44 +227,6 @@ def merge_knots(*arrays) -> np.ndarray:
     xs[0] = 0.0
     xs[-1] = 1.0
     return xs
-
-
-@dataclass(frozen=True)
-class VariationTriple:
-    """Total, positive and negative variation of a function on an interval."""
-
-    tv: float
-    vplus: float
-    vminus: float
-
-
-def variation(f: PLFunction, a: float, b: float) -> VariationTriple:
-    """Exact variations of f on [a, b].
-
-    The endpoints are inserted as virtual knots, then positive and negative
-    knot increments are summed; tv = vplus + vminus by construction.
-    """
-    if not (0.0 <= a <= b <= 1.0):
-        raise OutOfDomain(f"invalid interval [{a}, {b}]")
-    if a == b:
-        return VariationTriple(0.0, 0.0, 0.0)
-    lo = np.searchsorted(f.x, a, side="right")
-    hi = np.searchsorted(f.x, b, side="left")
-    vals = np.concatenate(([eval_pl(f, a)], f.y[lo:hi], [eval_pl(f, b)]))
-    d = np.diff(vals)
-    vp = float(np.sum(d[d > 0]))
-    vm = float(-np.sum(d[d < 0]))
-    return VariationTriple(vp + vm, vp, vm)
-
-
-def positive_variation_majorant(f: PLFunction) -> PLFunction:
-    """x -> running positive variation of f.
-
-    This is the minimal increasing function m with m(0) = 0 such that m - f
-    is increasing.
-    """
-    vp = np.concatenate(([0.0], np.cumsum(np.maximum(np.diff(f.y), 0.0))))
-    return PLFunction(f.x, vp)
 
 
 def first_decrease(values, knots, tol: float = 0.0):

@@ -55,12 +55,10 @@ def identity_track() -> Track:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalSpec:
-    """A validated diagonal together with its derived gap functions.
+    """A validated diagonal on its track, and the band it admits.
 
     delta is carried on the common refinement of the diagonal's and the
-    track's knots, so knot-level checks are exact. The gap functions
-    zeta(x) = x - delta(x) and delta_tilde(x) = phi(x) - delta(x) live on
-    the same knots and are computed on first access.
+    track's knots, so knot-level checks are exact.
 
     The memos, each computed once per spec: `_delta_on_phi` (delta along
     the track image, y -> delta(phi_inv(y)): delta.y on phi_values(), which
@@ -82,14 +80,6 @@ class DiagonalSpec:
         return self.delta.x
 
     @cached_property
-    def zeta(self) -> PLFunction:
-        return PLFunction(self.knots, self.knots - self.delta.y)
-
-    @cached_property
-    def delta_tilde(self) -> PLFunction:
-        return PLFunction(self.knots, self.phi_values() - self.delta.y)
-
-    @cached_property
     def _delta_on_phi(self) -> PLFunction:
         """delta.y, with its alias, on phi at the spec's knots: every eta's abscissas and base."""
         return self.delta._swapped()._on_knots(self.track.phi._at(self.delta))._swapped()
@@ -107,8 +97,8 @@ class DiagonalSpec:
         """(psi_L, psi_U, psi_U - psi_L): both ends as PLFunctions on the spec's knots.
 
         psi_L accumulates the negative variation of phi - delta; psi_U is x
-        minus the accumulated positive variation of zeta. The gap, an array,
-        is summed in one pass, x - cumsum(vm + vp): psi_U - psi_L rounds
+        minus the accumulated positive variation of x - delta. The gap, an
+        array, is summed in one pass, x - cumsum(vm + vp): psi_U - psi_L rounds
         differently, which moves witnesses at exact-tol ties.
         """
         u = self.knots
@@ -212,7 +202,7 @@ def diagonal_conditions(delta: PLFunction, track: Track, tol: float = USER_TOL) 
 
 def make_diagonal(delta: PLFunction, track: Track, tol: float = USER_TOL,
                   validate: bool = True) -> DiagonalSpec:
-    """Validate a diagonal against a track and materialize the gap functions.
+    """Validate a diagonal against a track and carry it on their common knots.
 
     With validate=False the admissibility checks are skipped, which allows
     existence_check to diagnose prescriptions that are not realizable.
@@ -241,9 +231,9 @@ def existence_check(spec: DiagonalSpec, tol: float = USER_TOL) -> ExistenceResul
     """Decide whether any copula has the prescribed track section.
 
     The variational criterion requires, for every knot pair x <= y, that the
-    negative variation of phi - delta plus the positive variation of zeta on
-    [x, y] does not exceed y - x, i.e. that the band's gap psi_U - psi_L is
-    nondecreasing. The Lipschitz form requires
+    negative variation of phi - delta plus the positive variation of
+    x - delta on [x, y] does not exceed y - x, i.e. that the band's gap
+    psi_U - psi_L is nondecreasing. The Lipschitz form requires
     delta(y) - delta(x) <= (y - x) + (phi(y) - phi(x)); the two are
     equivalent and both are reported. The result is memoized per spec and
     tol.

@@ -335,11 +335,11 @@ def dominating_envelope(grid, track: Track, spec: DiagonalSpec,
     x: C(x, m), m the mesh point nearest phi(x), must lie within
     |m - phi(x)| + 2/n of delta(x), the discretization tolerance 2/n beyond
     what 1-Lipschitz continuity in y allows. The extracted mass function
-    must come out eligible, otherwise the mesh is too coarse. The mesh
-    should also hold the spec's knots, as the CLI's default_mesh does: only
-    the track's are checked, and on a mesh missing a knot of delta the
-    extracted psi can come out ineligible however fine the mesh. A track
-    whose phi differs in value from the spec's raises SpecMismatch first.
+    must come out eligible, otherwise the mesh is too coarse, or it misses
+    a knot of the spec, as the CLI's default_mesh never does: there the
+    extracted psi can come out ineligible however fine the mesh, so that
+    case raises BadMesh naming the knot. A track whose phi differs in value
+    from the spec's raises SpecMismatch first.
     """
     if not _same_pl(track.phi, spec.track.phi):
         raise SpecMismatch("the track is not the spec's track")
@@ -351,5 +351,6 @@ def dominating_envelope(grid, track: Track, spec: DiagonalSpec,
         raise TrackSectionMismatch(f"track section deviates by {dev:.3g} > {mesh_tol:.3g}")
     candidate = quadruplet(spec, extraction.psi(), tol=tol)
     if not candidate.eligible:
+        _validate_mesh(grid.mesh, spec.knots)
         raise IneligibleExtractedPsi(candidate.violation or "extracted psi not eligible")
     return CopulaCpsi(candidate)

@@ -89,14 +89,3 @@ def perturb_ineligible(spec, psi, rng, bump=0.01):
     excess = hi[k - 1] - (vals[k] - vals[k - 1])
     vals[k] += excess + bump
     return PLFunction(psi.x, vals)
-
-
-def random_pl(rng, max_knots=12):
-    """Random piecewise-linear function with values in [0, 1]."""
-    n = int(rng.integers(2, max_knots + 1))
-    interior = np.sort(rng.random(n - 2)) if n > 2 else np.array([])
-    xs = np.concatenate(([0.0], interior, [1.0]))
-    xs = np.unique(xs)
-    while len(xs) < 2:
-        xs = np.array([0.0, 1.0])
-    return PLFunction(xs, rng.random(len(xs)))

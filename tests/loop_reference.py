@@ -278,7 +278,7 @@ def reference_blend_psi(a_psi, b_psi, t):
 
 
 def _reference_tv(f, a, b):
-    """Total variation of f on [a, b] as variation() summed it."""
+    """Total variation of f on [a, b]: its increments over the knots inside and the two ends."""
     if a == b:
         return 0.0
     lo = np.searchsorted(f.x, a, side="right")
@@ -297,7 +297,8 @@ def reference_pointwise_upper_bound(spec, x, y, tol):
     if is_identity_track(spec.track):
         zx = x - reference_eval_scalar(spec.delta, x)
         zy = y - reference_eval_scalar(spec.delta, y)
-        tv = _reference_tv(spec.zeta, min(x, y), max(x, y))
+        zeta = PLFunction(spec.knots, spec.knots - spec.delta.y)
+        tv = _reference_tv(zeta, min(x, y), max(x, y))
         return min(x, y, max(x, y) - 0.5 * (tv + zx + zy))
     values = []
     for bound in reference_psi_bounds(spec):
@@ -319,7 +320,7 @@ def is_identity_track(track):
 
 def _zeta_zeros(spec):
     """Knots at which zeta = x - delta(x) is exactly zero."""
-    return spec.delta.x[spec.zeta.y == 0.0]
+    return spec.delta.x[spec.knots - spec.delta.y == 0.0]
 
 
 def _zero_between(spec, lo, hi):

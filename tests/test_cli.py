@@ -401,3 +401,82 @@ def test_blend_request_matches_the_inline_arithmetic(fig2_spec_file, spec_file):
             want = inline_blend_request(problem, t, tol)
             assert same_bits(got.psi.x, want.psi.x) and same_bits(got.psi.y, want.psi.y)
             assert (got.eligible, got.violation) == (want.eligible, want.violation)
+
+
+NOT_NUMBERS = {"x": [0, 1], "y": ["a", "b"]}
+# each subcommand's operands after its spec; envelope loads the spec before it reads the grid
+OPERANDS = {"validate": [], "bounds": [], "build": [], "compare": ["lower", "upper"],
+            "envelope": [], "splice": ["lower", "upper"]}
+
+
+def run_on_spec(tmp_path, command, spec):
+    argv = [command, *([str(tmp_path / "grid.npy")] if command == "envelope" else []),
+            spec, *OPERANDS[command]]
+    return main(argv + ([] if command == "validate" else ["--out", str(tmp_path / "out")]))
+
+
+@pytest.mark.parametrize("command", list(OPERANDS))
+@pytest.mark.parametrize("shape", [
+    {"diagonal": NOT_NUMBERS},
+    {"track": NOT_NUMBERS, "diagonal": "fig2"},
+    {"diagonal": "fig2", "psi": NOT_NUMBERS},
+    {"diagonal": {"x": "abc", "y": [0, 1]}},
+    {"diagonal": {"x": {"a": 0}, "y": [0, 1]}},
+], ids=["diagonal", "track", "psi", "string-abscissas", "dict-abscissas"])
+def test_knots_that_are_not_numbers_exit_2(tmp_path, command, shape, capsys):
+    spec = write_spec(tmp_path, mesh=11, **shape)
+    assert run_on_spec(tmp_path, command, spec) == 2
+    assert capsys.readouterr().err.startswith("error: expected a valid knot object")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "splice"])
+def test_psi_file_of_knots_that_are_not_numbers_blames_the_knots(tmp_path, fig2_spec_file,
+                                                                 command, capsys):
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text(json.dumps(NOT_NUMBERS))
+    assert main([command, fig2_spec_file, str(psi_path), "upper",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: expected a valid knot object")
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("[1, 2]", ["build"], "spec file must contain a JSON object"),
+    ('{"diagonal": "fig2", "mesh": 2}', ["build"], "mesh must be an integer >= 3, got 2"),
+    ('{"diagonal": "fig2", "mesh": "51"}', ["build"], "mesh must be an integer >= 3, got '51'"),
+    ('{"mesh": 51}', ["build"], "spec file must name a diagonal"),
+    ('{"diagonal": "fig2", "psi": "blend:half"}', ["build"], "bad blend weight in 'blend:half'"),
+    ('{"diagonal": "fig2", "psi": "middle"}', ["build"], "bad psi request 'middle'"),
+    ('{"diagonal": {"x": [0, 1], "y": [0, 0.5, 1]}}', ["build"],
+     "expected a valid knot object {'x': [...], 'y': [...]}:"
+     " knot lists must be 1-d and of equal length"),
+    ('{"diagonal": {"x": [0, 0.5, 1], "y": [0, NaN, 1]}}', ["build"],
+     "expected a valid knot object {'x': [...], 'y': [...]}: knots must be finite"),
+    ('{"diagonal": "fig2", "mesh": 11}', ["envelope", "{grid}"],
+     "grid file {grid}: 4 columns cannot form a square table in 9 bytes"),
+], ids=["not-an-object", "small-mesh", "string-mesh", "no-diagonal", "blend-word",
+        "unknown-psi", "unequal-lengths", "not-finite", "csv-too-small"])
+def test_spec_and_grid_refusals_exit_2(tmp_path, text, argv, message, capsys):
+    spec, grid, out = tmp_path / "spec.json", tmp_path / "grid.csv", tmp_path / "out"
+    spec.write_text(text)
+    grid.write_text(",0,0.5,1\n")
+    argv = [a.replace("{grid}", str(grid)) for a in argv]
+    assert main([*argv, str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.replace('{grid}', str(grid))}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec_file", ["fig2", "knot"])
+def test_psi_as_knots_builds_the_bytes_of_its_request(tmp_path, fig2_spec_file, spec_file):
+    # psi_L's knots, as bounds writes them, build what "lower" builds
+    raw = json.loads(Path(fig2_spec_file if spec_file == "fig2" else KNOT_SPEC).read_text())
+    lower = write_spec(tmp_path, "lower.json", **{**raw, "psi": "lower"})
+    assert main(["bounds", lower, "--out", str(tmp_path / "bounds"), "--quiet"]) == 0
+    rows = (tmp_path / "bounds" / "psi_lower.csv").read_text().splitlines()[1:]
+    x, y = zip(*([float(v) for v in row.split(",")] for row in rows))
+    knots = write_spec(tmp_path, "knots.json", **{**raw, "psi": {"x": x, "y": y}})
+    for name, spec in (("lower", lower), ("knots", knots)):
+        assert main(["build", spec, "--out", str(tmp_path / name), "--quiet"]) == 0
+    for fname in ("grid.npy", "region.csv"):
+        assert (tmp_path / "knots" / fname).read_bytes() == \
+            (tmp_path / "lower" / fname).read_bytes()

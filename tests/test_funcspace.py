@@ -12,8 +12,6 @@ from trackcop import (
     eval_pl,
     make_pl,
     merge_knots,
-    positive_variation_majorant,
-    variation,
 )
 from trackcop.funcspace import INTERNAL_TOL
 
@@ -43,6 +41,20 @@ def test_make_pl_rejects_bad_endpoints():
         make_pl([0], [0])
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([0, 1], [0, 0.5, 1]),
+    ([0, 0.5, 1], [0, np.nan, 1]),
+    ([0, np.inf, 1], [0, 0.5, 1]),
+    ([0, 1], ["a", "b"]),
+    ("abc", [0, 1]),
+    ({"x": 0}, [0, 1]),
+    ([0, [0.5], 1], [0, 0.5, 1]),
+], ids=["unequal-lengths", "nan", "inf", "strings", "a-string", "a-dict", "ragged"])
+def test_make_pl_rejects_malformed_knot_lists(xs, ys):
+    with pytest.raises(MalformedKnots):
+        make_pl(xs, ys)
+
+
 def test_eval_out_of_domain():
     with pytest.raises(OutOfDomain):
         eval_pl(make_pl([0, 1], [0, 1]), 1.5)
@@ -60,50 +72,6 @@ def test_eval_empty_array():
     assert eval_pl(ZIGZAG, np.array([])).shape == (0,)
 
 
-def test_variation_zigzag():
-    v = variation(ZIGZAG, 0, 1)
-    assert v.vplus == pytest.approx(0.5, abs=1e-15)
-    assert v.vminus == pytest.approx(0.1, abs=1e-15)
-    assert v.tv == v.vplus + v.vminus
-
-
-def test_variation_degenerate_interval():
-    v = variation(ZIGZAG, 0.3, 0.3)
-    assert (v.tv, v.vplus, v.vminus) == (0.0, 0.0, 0.0)
-
-
-def test_variation_dense_sine_sample():
-    # PL sampling of sin(pi x)/pi peaks at 1/pi; up- and down-variation both 1/pi
-    xs = np.linspace(0, 1, 1001)
-    f = make_pl(xs, np.sin(np.pi * xs) / np.pi)
-    v = variation(f, 0, 1)
-    assert v.vplus == pytest.approx(1 / np.pi, abs=1e-5)
-    assert v.vminus == pytest.approx(1 / np.pi, abs=1e-5)
-
-
-def test_variation_bad_interval():
-    with pytest.raises(OutOfDomain):
-        variation(ZIGZAG, 0.7, 0.3)
-
-
-def test_majorant_of_increasing_is_itself():
-    f = make_pl([0, 0.5, 1], [0, 0.2, 0.9])
-    m = positive_variation_majorant(f)
-    assert np.allclose(m.y, f.y)
-
-
-def test_majorant_clips_decrease():
-    f = make_pl([0, 0.5, 1], [0, 0.3, 0.1])
-    m = positive_variation_majorant(f)
-    assert list(m.y) == [0, 0.3, 0.3]
-
-
-def test_majorant_of_constant_is_zero():
-    f = make_pl([0, 1], [0.4, 0.4])
-    m = positive_variation_majorant(f)
-    assert list(m.y) == [0, 0]
-
-
 pl_strategy = st.builds(
     lambda xs, ys: make_pl(np.concatenate(([0.0], np.sort(np.array(xs)), [1.0])),
                            ys[: len(xs) + 2]),
@@ -111,34 +79,6 @@ pl_strategy = st.builds(
              max_size=8, unique=True),
     st.lists(st.floats(0, 1), min_size=10, max_size=10),
 )
-
-
-@given(pl_strategy, st.floats(0, 1), st.floats(0, 1))
-@settings(max_examples=300, deadline=None)
-def test_variation_identities(f, a, b):
-    a, b = min(a, b), max(a, b)
-    v = variation(f, a, b)
-    fa, fb = eval_pl(f, a), eval_pl(f, b)
-    assert v.tv == v.vplus + v.vminus
-    assert v.vplus - v.vminus == pytest.approx(fb - fa, abs=1e-12)
-    assert v.vplus == pytest.approx(0.5 * (v.tv + fb - fa), abs=1e-12)
-    assert v.vminus == pytest.approx(0.5 * (v.tv + fa - fb), abs=1e-12)
-    # sign flip
-    neg = make_pl(f.x, -f.y)
-    assert variation(neg, a, b).vplus == v.vminus
-    # additivity through an interior point
-    mid = 0.5 * (a + b)
-    assert variation(f, a, mid).vplus + variation(f, mid, b).vplus == \
-        pytest.approx(v.vplus, abs=1e-12)
-
-
-@given(pl_strategy)
-@settings(max_examples=200, deadline=None)
-def test_majorant_properties(f):
-    m = positive_variation_majorant(f)
-    assert m.y[0] == 0.0
-    assert np.all(np.diff(m.y) >= 0)
-    assert np.all(np.diff(m.y - f.y) >= -1e-12)
 
 
 @given(pl_strategy, st.floats(0, 1), st.integers(0, 9))

@@ -4,10 +4,12 @@ No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library. `__init__.py` is skipped for imports: its
 imports are the package's re-exports. A private top-level helper must be
 named by the library itself; any other function, method or property by the
-library, its tests or the benchmark. No dataclass that holds arrays defines
-`__eq__` or `__hash__`. Only funcspace knows that np.interp copies a locked
-array: PLFunction's writeable aliases `_wx` and `_wy` are named elsewhere only
-by construction.region_functions, which hands them to an array kernel.
+library, its tests or the benchmark, and one that only tests name must be
+listed in UNCALLED_PUBLIC with its reason. No dataclass that holds arrays
+defines `__eq__` or `__hash__`. Only funcspace knows that np.interp copies a
+locked array: PLFunction's writeable aliases `_wx` and `_wy` are named
+elsewhere only by construction.region_functions, which hands them to an
+array kernel.
 """
 
 import ast
@@ -129,6 +131,30 @@ def test_every_function_is_named():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(files)}
     library = [name for name in sources if name.startswith("src")]
     assert unnamed_functions(sources, library) == []
+
+
+# Public functions that neither the library nor the benchmark calls, each with
+# why it stays. Tests and the package's re-exports do not count as callers.
+UNCALLED_PUBLIC = {
+    ("src/trackcop/canonical.py", "PsiCandidate.chi"):
+        "the canonical quadruplet's public companion",
+    ("src/trackcop/canonical.py", "PsiCandidate.xi"):
+        "the canonical quadruplet's public companion",
+    ("src/trackcop/cli.py", "read_grid"):
+        "the grid file API; the CLI streams through _grid_rows",
+    ("src/trackcop/cli.py", "write_grid"):
+        "the grid file API; the CLI streams through _write_table",
+    ("src/trackcop/verification.py", "extract_psi"):
+        "the paper's map C -> psi_C, whose sink dominating_envelope runs",
+}
+
+
+def test_every_uncalled_public_function_is_listed():
+    files = [*(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+             *(ROOT / "bench").rglob("*.py")]
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(files)}
+    library = [name for name in sources if name.startswith("src")]
+    assert sorted(unnamed_functions(sources, library)) == sorted(UNCALLED_PUBLIC)
 
 
 def test_unnamed_function_is_reported():

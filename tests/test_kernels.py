@@ -233,7 +233,7 @@ def test_mesh_knot_check_matches_loop():
         if rng.random() < 0.2:
             knots[rng.integers(6)] = rng.random()
         knot = first_knot_off_mesh(mesh, knots)
-        expected = None if knot is None else f"mesh must include track knot {knot}"
+        expected = None if knot is None else f"mesh must include knot {knot}"
         try:
             _validate_mesh(mesh, knots)
             message = None
@@ -325,7 +325,7 @@ def test_large_sections_match_loops(n, identity):
 
 def test_diagonal_spec_and_track_stay_frozen(w_spec):
     with pytest.raises(dataclasses.FrozenInstanceError):
-        w_spec.delta = w_spec.zeta
+        w_spec.delta = w_spec.track.phi
     with pytest.raises(dataclasses.FrozenInstanceError):
         w_spec.track.phi = w_spec.track.phi_inv
     # the cached arrays are computed once and cannot be written through

@@ -79,8 +79,8 @@ def test_make_diagonal_raises_with_condition_tag():
 
 def test_make_diagonal_gap_functions(indep_spec):
     x = indep_spec.knots
-    assert np.allclose(indep_spec.zeta.y, x - x**2, atol=1e-15)
-    assert np.allclose(indep_spec.delta_tilde.y, x - x**2, atol=1e-15)
+    assert np.allclose(x - indep_spec.delta.y, x - x**2, atol=1e-15)
+    assert np.allclose(indep_spec.phi_values() - indep_spec.delta.y, x - x**2, atol=1e-15)
 
 
 def test_make_diagonal_refines_against_track_knots():

@@ -299,3 +299,17 @@ def test_envelope_refuses_a_track_not_the_specs(fig2_spec_201):
     # a track equal to the spec's in value is the spec's
     same = dominating_envelope(grid, identity_track(), spec).candidate.psi
     assert np.array_equal(same.y, dominating_envelope(grid, spec.track, spec).candidate.psi.y)
+
+
+@pytest.mark.parametrize("n", [201, 1001])
+def test_envelope_names_a_missing_knot_of_delta(n):
+    # psi_L gridded off the spec's knots comes back ineligible however fine
+    # the mesh; the error names the first knot of delta the mesh misses
+    spec = knot_track_spec()
+    cand = quadruplet(spec, psi_bounds(spec).psi_low)
+    uniform = np.linspace(0.0, 1.0, n)
+    grid = materialize_grid(spec, cand, merge_knots(uniform, spec.track.phi.x))
+    with pytest.raises(BadMesh, match=r"^mesh must include knot 0\.128628"):
+        dominating_envelope(grid, spec.track, spec)
+    grid = materialize_grid(spec, cand, merge_knots(uniform, spec.track.phi.x, spec.knots))
+    assert dominating_envelope(grid, spec.track, spec).candidate.eligible
