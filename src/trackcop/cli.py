@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import math
 import os
 import sys
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,8 +117,12 @@ def load_problem(path, tol: float = USER_TOL, validate: bool = True) -> ProblemS
     track_raw = raw.get("track", "identity")
     if track_raw == "identity":
         track = identity_track()
-    else:
+    elif isinstance(track_raw, str):
+        raise SpecFileError(f"unknown track {track_raw!r}")
+    elif isinstance(track_raw, dict):
         track = make_track(_knot_function(track_raw))
+    else:
+        raise SpecFileError('track must be "identity" or a knot object')
     diag_raw = raw.get("diagonal")
     if isinstance(diag_raw, str):
         _check_mesh_budget(n)  # before the built-in diagonal is sampled at n points
@@ -350,6 +356,10 @@ class _NpyRows:
         return table[:, 1:][:, cols]
 
 
+# the starts of a file that np.load opens as an .npz archive
+_ZIP_PREFIXES = (b"PK\x03\x04", b"PK\x05\x06")
+
+
 def _grid_rows(path):
     """The grid file at path as a row-block source, `.npy` or `.csv` by its suffix.
 
@@ -363,8 +373,13 @@ def _grid_rows(path):
     if suffix != ".npy":
         raise SpecFileError(f"grid file {path}: expected a .npy or .csv suffix")
     try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
+        # np.load would take any other start for a pickle it then refuses
+        if magic and magic != np.lib.format.MAGIC_PREFIX and not magic.startswith(_ZIP_PREFIXES):
+            raise SpecFileError(f"grid file {path} is not an .npy file")
         table = np.load(path, mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise SpecFileError(f"cannot read grid file {path}: {exc}")
     if not isinstance(table, np.ndarray):  # an .npz archive
         table.close()
@@ -608,5 +623,21 @@ def main(argv=None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry point: freeze the import-time heap, then exit with main()'s code.
+
+    Frozen, the objects the imports built (numpy's modules, types and ufuncs,
+    and trackcop's own) are left out of the collections the interpreter runs
+    at exit, which would otherwise walk and free that graph; the OS reclaims
+    the memory instead. Objects main() makes are collected as before, and
+    every output file is closed before main() returns. The freeze is not in
+    main(): tests and the benchmark call main() many times in one process,
+    and each call would put every object then alive, earlier calls'
+    uncollected cyclic garbage included, out of the collector's reach.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

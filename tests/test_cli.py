@@ -454,8 +454,12 @@ def test_psi_file_of_knots_that_are_not_numbers_blames_the_knots(tmp_path, fig2_
      "expected a valid knot object {'x': [...], 'y': [...]}: knots must be finite"),
     ('{"diagonal": "fig2", "mesh": 11}', ["envelope", "{grid}"],
      "grid file {grid}: 4 columns cannot form a square table in 9 bytes"),
+    ('{"track": "circle", "diagonal": "fig2"}', ["build"], "unknown track 'circle'"),
+    ('{"track": 5, "diagonal": "fig2"}', ["build"],
+     'track must be "identity" or a knot object'),
 ], ids=["not-an-object", "small-mesh", "string-mesh", "no-diagonal", "blend-word",
-        "unknown-psi", "unequal-lengths", "not-finite", "csv-too-small"])
+        "unknown-psi", "unequal-lengths", "not-finite", "csv-too-small", "unknown-track",
+        "track-not-an-object"])
 def test_spec_and_grid_refusals_exit_2(tmp_path, text, argv, message, capsys):
     spec, grid, out = tmp_path / "spec.json", tmp_path / "grid.csv", tmp_path / "out"
     spec.write_text(text)

@@ -168,12 +168,16 @@ MALFORMED = {
     "npy-int-dtype": ("grid.npy", npy_bytes(np.zeros((4, 4), dtype=np.int64))),
     "npy-not-npy": ("grid.npy", b"0,0.5,1\n"),
     "npy-npz-archive": ("grid.npy", npz_bytes()),
+    "npy-broken-zip": ("grid.npy", b"PK\x03\x04junk"),
+    "npy-truncated-npz": ("grid.npy", npz_bytes()[:40]),
     "npy-mesh-mismatch": ("grid.npy", npy_bytes(table(MESH, [0.0, 0.4, 1.0]))),
     "npy-mesh-unsorted": ("grid.npy", npy_bytes(table([0.0, 0.7, 0.5, 1.0]))),
     "npy-mesh-nan": ("grid.npy", npy_bytes(table([0.0, np.nan, 1.0]))),
     "npy-mesh-misses-0": ("grid.npy", npy_bytes(table([0.1, 0.5, 1.0]))),
     "unknown-suffix": ("grid.txt", VALID["grid.csv"]),
 }
+# the whole error line of the cases that pin it
+MESSAGES = {"npy-not-npy": "error: grid file {path} is not an .npy file\n"}
 
 
 @pytest.mark.parametrize("name", sorted(VALID))
@@ -195,6 +199,9 @@ def test_envelope_malformed_grid_exits_2(tmp_path, case, capsys):
     assert main(["envelope", str(path), str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert "allow_pickle" not in err  # no advice to load a file unsafely
+    if case in MESSAGES:
+        assert err == MESSAGES[case].format(path=path)
     assert not out.exists()
 
 
