@@ -148,10 +148,17 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     psi is carried on its knots merged with the spec's; the candidate
     computes chi, eta and xi on them when they are first read. The verdict
     is eligibility_by_variation's; the violation names the difference that
-    falls and its witness pair.
+    falls and its witness pair. An end of the spec's band, judged at
+    USER_TOL, takes the spec's memoized `_band_verdict`: for psi_L the
+    difference that can fall is psi_U - psi, for psi_U it is psi - psi_L,
+    and either is psi_U - psi_L in the bits the band test computes.
     """
     anchored = _anchored_on_knots(spec, psi, tol)
-    name, witness = _band_violation(spec, anchored, tol)
+    low, up = spec._band[:2]
+    if tol == USER_TOL and (psi is low or psi is up):
+        name, witness = ("psi_U - psi" if psi is low else "psi - psi_L"), spec._band_verdict
+    else:
+        name, witness = _band_violation(spec, anchored, tol)
     violation = witness and f"{name} decreasing on [{witness[0]:.6g}, {witness[1]:.6g}]"
     return PsiCandidate(anchored, witness is None, violation, spec)
 

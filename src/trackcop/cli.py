@@ -475,9 +475,12 @@ def _psi_arg(value):
         return parse_psi_request(value)
     try:
         with open(value) as fh:
-            return _knot_function(json.load(fh))
+            raw = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or non-UTF-8 bytes
         raise SpecFileError(f"cannot read psi file {value}: {exc}")
+    if not isinstance(raw, dict):
+        raise SpecFileError(f'psi file {value} must hold a knot object {{"x": [...], "y": [...]}}')
+    return _knot_function(raw)
 
 
 class _Gain:

@@ -66,24 +66,24 @@ def _require_own_eligible(spec: DiagonalSpec, candidate: PsiCandidate):
 def c_psi_value(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> float:
     """Value of the constructed copula at a single point: min(x, y, psi(x) + eta(y)) on every track.
 
-    It costs two binary searches on the knots, psi's at x and eta's at y,
-    each with eval_pl's scalar bits, so the value is the batch form's,
-    np.interp of psi and of eta. Raises SpecMismatch when candidate was
-    built for a different spec.
+    It costs two knot searches, psi's at x and eta's at y, each through its
+    function's scalar evaluator with eval_pl's scalar bits, so the value is
+    the batch form's, np.interp of psi and of eta. Raises SpecMismatch when
+    candidate was built for a different spec.
     """
     _require_own_eligible(spec, candidate)
-    return min(x, y, eval_pl(candidate.psi, x) + eval_pl(candidate.eta, y))
+    return min(x, y, candidate.psi._point(x) + candidate.eta._point(y))
 
 
 def s_t_split(spec: DiagonalSpec, candidate: PsiCandidate, x: float, y: float) -> dict:
     """Sub-track and super-track mass of the rectangle [0,x] x [0,y].
 
     s = min(psi(x), y - eta(y)) and t = min(x - psi(x), eta(y)), from the
-    two binary searches of c_psi_value; s + t equals the copula value up to
+    two knot searches of c_psi_value; s + t equals the copula value up to
     rounding. Raises SpecMismatch as c_psi_value does.
     """
     _require_own_eligible(spec, candidate)
-    psi_x, eta_y = eval_pl(candidate.psi, x), eval_pl(candidate.eta, y)
+    psi_x, eta_y = candidate.psi._point(x), candidate.eta._point(y)
     return {"s": min(psi_x, y - eta_y), "t": min(x - psi_x, eta_y)}
 
 

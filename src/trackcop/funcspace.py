@@ -99,11 +99,49 @@ class PLFunction:
 
     @cached_property
     def _views(self) -> tuple:
-        """memoryviews of x and y for the scalar path of eval_pl: no copy, float items."""
+        """memoryviews of x and y for the scalar paths: no copy, float items."""
         return memoryview(self.x), memoryview(self.y)
 
+    @cached_property
+    def _point(self):
+        """The scalar evaluator of eval_pl: t -> f(t), a Python float with np.interp's bits.
+
+        It checks t as _unit_point does, finds the segment holding t with
+        _knot_search, and does np.interp's arithmetic on it inline (the
+        stored ordinate at an exact knot hit and at or beyond the ends, else
+        slope * (t - x0) + y0); _between only retries a NaN from infinite
+        ordinates. A one-point np.interp on the writeable aliases costs
+        about 1.1 us at 25 000 knots (2-vCPU shared host, numpy 2.4.6) and
+        returns an np.float64. The evaluator closes over the memoryviews
+        alone, never over the function, so a spec whose functions hold one
+        is still freed by reference counting.
+        """
+        xs, ys = self._views
+        n = len(xs)
+
+        def point(t):
+            try:
+                t = float(t)  # compared as a float, an np.float64 is several times faster
+            except OverflowError:  # an int beyond the float range
+                raise OutOfDomain(f"evaluation point {t} outside [0, 1]") from None
+            if not 0.0 <= t <= 1.0:
+                raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
+            j = _knot_search(xs, t)
+            if j == 0:
+                return ys[0]
+            if j == n:
+                return ys[-1]
+            x0, y0 = xs[j - 1], ys[j - 1]
+            if x0 == t:
+                return y0
+            x1, y1 = xs[j], ys[j]
+            out = (y1 - y0) / (x1 - x0) * (t - x0) + y0
+            return _between(x0, y0, x1, y1, t) if out != out else out
+
+        return point
+
     def __getstate__(self):
-        # memoryviews do not pickle; the cache is rebuilt on first use
+        # memoryviews and closures do not pickle; the caches are rebuilt on first use
         return {"x": self.x, "y": self.y}
 
     def __setstate__(self, state):
@@ -141,21 +179,15 @@ def make_pl(knots_x, knots_y) -> PLFunction:
 def eval_pl(f: PLFunction, t):
     """Evaluate f at t (scalar or array); exact at knots.
 
-    A Python float or int, or an np.float64, takes a scalar path that returns
-    a Python float with the bits np.interp(t, f.x, f.y) returns: a binary
-    search on the knots, then np.interp's own arithmetic on the segment
-    holding t (the stored ordinate at an exact knot hit and at or beyond the
-    ends, else slope * (t - x0) + y0). An array goes to np.interp, which
-    reads f's writeable aliases; a locked t is copied. Points outside
-    [0, 1], and NaN, raise OutOfDomain.
+    A Python float or int, or an np.float64, goes to f's cached scalar
+    evaluator, which returns a Python float with the bits
+    np.interp(t, f.x, f.y) returns: _knot_search on the knots, then
+    np.interp's own arithmetic on the segment holding t. An array goes to
+    np.interp, which reads f's writeable aliases; a locked t is copied.
+    Points outside [0, 1], and NaN, raise OutOfDomain.
     """
     if isinstance(t, (float, int)):  # Python scalars and np.float64
-        t = _unit_point(t)
-        # A one-point np.interp on the writeable aliases costs about 1.1 us at
-        # 25 000 knots, this path about 1.0 us (2-vCPU shared host, numpy
-        # 2.4.6), and it returns a Python float.
-        xs, ys = f._views
-        return _on_segment(xs, ys, bisect_right(xs, t), t)
+        return f._point(t)
     t_arr = np.asarray(t, dtype=float)
     if t_arr.size and not (t_arr.min() >= 0.0 and t_arr.max() <= 1.0):
         raise OutOfDomain("evaluation point outside [0, 1]")
@@ -164,23 +196,39 @@ def eval_pl(f: PLFunction, t):
 
 
 def _unit_point(t) -> float:
-    """t as a Python float; raises OutOfDomain outside [0, 1] and for NaN."""
+    """t as a Python float; raises OutOfDomain outside [0, 1] and for NaN, as PLFunction._point does."""
     try:
-        t = float(t)  # compared as a float, an np.float64 is several times faster
-    except OverflowError:  # an int beyond the float range
+        t = float(t)
+    except OverflowError:
         raise OutOfDomain(f"evaluation point {t} outside [0, 1]") from None
     if not 0.0 <= t <= 1.0:
         raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
     return t
 
 
-def _on_segment(xs, ys, j: int, t: float) -> float:
-    """np.interp's value at t, given j = bisect_right(xs, t): its arithmetic on segment j - 1."""
-    if j == 0:
-        return ys[0]
-    if j == len(xs):
-        return ys[-1]
-    return _between(xs[j - 1], ys[j - 1], xs[j], ys[j], t)
+def _knot_search(xs, t: float) -> int:
+    """bisect_right(xs, t) for sorted knots xs and t in [0, 1], started where t is.
+
+    Knots spread about evenly over [0, 1] put t in [xs[j], xs[j + 1]) for
+    j = int(t * (len(xs) - 1)): the spec's knots are near-uniform meshes,
+    and psi, its band and eta on the identity track live on them. So that
+    segment is tried first, with two reads. When it misses, it has settled
+    on which side of it t lies, and the next segment on that side is tried
+    with one more read: jittered knots, or a few track knots merged in,
+    leave t there on most misses. Only then is the rest of that side
+    bisected.
+    """
+    last = len(xs) - 1
+    j = int(t * last)  # t * last rounds to at most last for t <= 1
+    if xs[j] > t:
+        if j == 0 or xs[j - 1] <= t:
+            return j
+        return bisect_right(xs, t, 0, j - 1)
+    if j == last or t < xs[j + 1]:
+        return j + 1
+    if j + 1 == last or t < xs[j + 2]:
+        return j + 2
+    return bisect_right(xs, t, j + 3)
 
 
 def _between(x0: float, y0: float, x1: float, y1: float, t: float) -> float:
@@ -199,11 +247,11 @@ def _between(x0: float, y0: float, x1: float, y1: float, t: float) -> float:
 def _pair_at(xs, ya, yb, t: float, base=None) -> tuple:
     """(f_a(t), f_b(t)) with eval_pl's scalar bits, for f_a on (xs, ya) and f_b on (xs, yb).
 
-    One binary search serves both, as they share their knots. With `base`,
+    One _knot_search serves both, as they share their knots. With `base`,
     the ordinates are base - ya and base - yb, formed at the one or two
     knots read: the bits of those differences taken as arrays.
     """
-    j = bisect_right(xs, t)
+    j = _knot_search(xs, t)
     i, k = max(j - 1, 0), min(j, len(xs) - 1)  # the knots around t; one knot at or beyond an end
     a0, a1, b0, b1 = ya[i], ya[k], yb[i], yb[k]
     if base is not None:

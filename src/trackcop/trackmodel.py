@@ -122,7 +122,8 @@ class DiagonalSpec:
 
         For either end one of psi - psi_L and psi_U - psi is exactly 0 and
         the other is psi_U - psi_L, so both ends get this first_decrease of
-        psi_U - psi_L, with the bits quadruplet computes it in.
+        psi_U - psi_L, with the bits the band test computes it in; quadruplet
+        of either end at USER_TOL reads it here.
         """
         low, up = self._band[:2]
         return first_decrease(up.y - low.y, self.knots, USER_TOL)

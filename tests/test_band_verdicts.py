@@ -3,12 +3,15 @@
 `DiagonalSpec._band_verdict` is the one verdict psi_L and psi_U share: the
 witness at which psi_U - psi_L falls, at USER_TOL. It must be the witness
 quadruplet gives each end, and pointwise_upper_bound must raise psi_L's
-message. Sections come from strategies.py on both track kinds, admissible
-ones and validate=False ones whose delta dips, which no copula realizes and
-whose band ends are ineligible.
+message. quadruplet of either end at USER_TOL reads that verdict, and must
+judge as the band test does on a stand-in for the end. Sections come from
+strategies.py on both track kinds, admissible ones and validate=False ones
+whose delta dips, which no copula realizes and whose band ends are
+ineligible.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from trackcop import (
     psi_bounds,
     quadruplet,
 )
+from trackcop import canonical
+from trackcop.funcspace import USER_TOL
 
 from loop_reference import reference_blend_psi, reference_quadruplet
 from strategies import sections
@@ -39,8 +44,14 @@ def dipped(spec, k, drop):
     return make_diagonal(make_pl(spec.knots, d), spec.track, validate=False)
 
 
+def stand_in(f):
+    """f's arrays in a new PLFunction: not the band's own end, so quadruplet runs the band test."""
+    return PLFunction(f.x, f.y)
+
+
 def quadruplet_verdicts(spec, ends):
-    return tuple((c.eligible, c.violation) for c in (quadruplet(spec, f) for f in ends))
+    """(eligible, violation) of each end as the band test computes it."""
+    return tuple((c.eligible, c.violation) for c in (quadruplet(spec, stand_in(f)) for f in ends))
 
 
 def band_verdicts(spec):
@@ -79,6 +90,23 @@ def test_band_verdicts_of_a_dipping_delta_raise_ineligible(identity, data, drop)
     with pytest.raises(IneligiblePsi) as raised:
         pointwise_upper_bound(spec, 0.5, 0.5, tol=tol)
     assert str(raised.value) == verdicts[0][1]
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+@given(data=st.data(), drop=st.floats(1e-6, 0.05), dip=st.booleans(),
+       tol=st.sampled_from([USER_TOL, 0.0, 1e-3, 0.1]))
+@settings(max_examples=100, deadline=None)
+def test_band_ends_judge_themselves_from_the_spec(identity, data, drop, dip, tol):
+    spec = data.draw(sections(identity))
+    if dip:
+        spec = dipped(spec, data.draw(st.integers(1, len(spec.knots) - 2)), drop)
+    with mock.patch.object(canonical, "_band_violation", wraps=canonical._band_violation) as test:
+        for end in spec._band[:2]:
+            fast, computed = quadruplet(spec, end, tol), quadruplet(spec, stand_in(end), tol)
+            assert (fast.eligible, fast.violation) == (computed.eligible, computed.violation)
+            assert fast.psi.x is computed.psi.x and same_bits(fast.psi.y, computed.psi.y)
+    # the stand-ins always run the band test; the ends themselves only at another tol
+    assert test.call_count == (2 if tol == USER_TOL else 4)
 
 
 @pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])

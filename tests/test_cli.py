@@ -440,6 +440,19 @@ def test_psi_file_of_knots_that_are_not_numbers_blames_the_knots(tmp_path, fig2_
     assert capsys.readouterr().err.startswith("error: expected a valid knot object")
 
 
+@pytest.mark.parametrize("command", ["compare", "splice"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"lower"'], ids=["list", "string"])
+def test_psi_file_that_is_not_an_object_asks_for_a_knot_object(tmp_path, fig2_spec_file,
+                                                                 command, text, capsys):
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text(text)
+    assert main([command, fig2_spec_file, str(psi_path), "upper",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f'error: psi file {psi_path} must hold a knot object {{"x": [...], "y": [...]}}\n'
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, argv, message", [
     ("[1, 2]", ["build"], "spec file must contain a JSON object"),
     ('{"diagonal": "fig2", "mesh": 2}', ["build"], "mesh must be an integer >= 3, got 2"),

@@ -1,8 +1,9 @@
 """Per-point queries against the code they replaced, and the per-spec memos.
 
 quadruplet and blend on spec-knot psi, and the scalar eval_pl must give the
-bits of the oracles in loop_reference.py. The point queries read
-C_psi = min(x, y, psi(x) + eta(y)) off the quadruplet with two binary
+bits of the oracles in loop_reference.py; its knot search must be
+bisect_right's, on knots spread however unevenly. The point queries read
+C_psi = min(x, y, psi(x) + eta(y)) off the quadruplet with two knot
 searches, one at x and one at y, which the upper bound's two C_psi share:
 they must give the bits of that form in np.interp, and agree with the
 oracle's psi(x) - psi(w) + delta(w) to POINT_QUERY_BOUND.
@@ -54,7 +55,7 @@ from loop_reference import (
     reference_pointwise_upper_bound,
     reference_quadruplet,
 )
-from strategies import sections, sections_with_points
+from strategies import knot_positions, sections, sections_with_points, tracks
 from test_kernels import POINT_QUERY_BOUND, TIE_SPEC, TIE_TOL, section, same_bits
 
 # The band's formula and the identity closed form round differently; this
@@ -246,6 +247,41 @@ def test_scalar_eval_pl_follows_interp_on_infinite_ordinates():
         assert same_bits(eval_pl(f, t), np.interp(t, f.x.copy(), f.y.copy()))
 
 
+@st.composite
+def adversarial_knots(draw):
+    """Sorted knots on which the search's first guess, at t's proportional place, often misses.
+
+    Clustered knots (all in [0, 1e-3], then 1), geometric spacing, two
+    knots, a general track's image phi(u) of spread knots, and knots that
+    start above 0, so above some of the points searched.
+    """
+    kind = draw(st.sampled_from(["clustered", "geometric", "two", "track-image", "late-start"]))
+    if kind == "clustered":
+        return np.append(np.unique(draw(st.lists(st.floats(0.0, 1e-3), min_size=1, max_size=30))),
+                         1.0)
+    if kind == "geometric":
+        start = 2.0 ** -draw(st.integers(1, 1000))
+        return np.unique(np.append(0.0, np.geomspace(start, 1.0, draw(st.integers(1, 60)))))
+    if kind == "two":
+        lo = draw(st.floats(0.0, 1.0, exclude_max=True))
+        return np.array([lo, draw(st.floats(lo, 1.0, exclude_min=True))])
+    if kind == "track-image":
+        return np.unique(draw(tracks(False)).phi(draw(knot_positions(draw(st.integers(2, 80))))))
+    return np.unique(draw(st.lists(st.floats(0.5, 1.0), min_size=2, max_size=30, unique=True)))
+
+
+@given(adversarial_knots(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_knot_search_is_bisect_right_and_the_evaluator_is_interp(x, data):
+    ordinates = st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf])
+    f = PLFunction(x, data.draw(st.lists(ordinates, min_size=len(x), max_size=len(x))))
+    xs, listed = f._views[0], x.tolist()
+    for t in np.concatenate((probe_points(x), [0.0, -0.0, 1.0])):
+        t = float(t)
+        assert funcspace._knot_search(xs, t) == bisect.bisect_right(listed, t)
+        assert same_bits(f._point(t), np.interp(t, x, f.y.copy()))
+
+
 def test_pl_function_pickles_and_copies_after_scalar_eval():
     f = make_pl([0.0, 0.3, 1.0], [0.0, 0.5, 1.0])
     assert eval_pl(f, 0.2) == np.interp(0.2, f.x, f.y)
@@ -262,14 +298,19 @@ def test_pl_function_pickles_and_copies_after_scalar_eval():
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The number of binary searches the scalar evaluators have made, counted from here on."""
+    """The knot searches the scalar evaluators have made, counted from here on.
+
+    Counted at the one search routine, funcspace._knot_search, whether its
+    first guess hits or it bisects.
+    """
     calls = []
+    search = funcspace._knot_search
 
     def counting(xs, t):
         calls.append(t)
-        return bisect.bisect_right(xs, t)
+        return search(xs, t)
 
-    monkeypatch.setattr(funcspace, "bisect_right", counting)
+    monkeypatch.setattr(funcspace, "_knot_search", counting)
     return calls
 
 
