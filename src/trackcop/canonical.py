@@ -34,12 +34,14 @@ from .funcspace import (
     USER_TOL,
     PLFunction,
     _same_pl,
+    _scalar_reader,
+    _unit_point,
     check_tol,
     eval_pl,
     first_decrease,
     merge_knots,
 )
-from .trackmodel import DiagonalSpec, existence_check
+from .trackmodel import DiagonalSpec, _is_identity, existence_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +55,10 @@ class PsiCandidate:
     spec's own when psi is on the spec's knots, else computed once and kept.
     A candidate made by dataclasses.replace starts with no companions and
     computes them from its own psi.
+
+    `_reads(x, y)`, built on first use, is the point queries' one read:
+    (x, y, psi(x), eta(y)) as Python floats, each with eval_pl's scalar
+    bits, once x and then y pass _unit_point's check.
     """
 
     psi: PLFunction
@@ -91,6 +97,37 @@ class PsiCandidate:
     def xi(self) -> PLFunction:
         """x - psi(x) on psi's knots."""
         return self.psi._on_knots(self._xi_values())
+
+    @cached_property
+    def _reads(self):
+        """(x, y) -> (x, y, psi(x), eta(y)), the coordinates checked and read in one frame.
+
+        The coordinates come back as Python floats. In range they cost one
+        float() and one comparison each; otherwise _unit_point raises for x
+        first, then for y. psi is read by its cached reader; so is eta on the
+        identity track, while on a general track, whose phi(u) knots defeat
+        the proportional guess, eta gets a bisecting reader of its own. The
+        closure holds the two readers, which close over memoryviews alone,
+        never the candidate or its spec.
+        """
+        read_psi = self.psi._read
+        read_eta = self.eta._read if _is_identity(self.spec.track) else \
+            _scalar_reader(*self.eta._views, proportional=False)
+
+        def reads(x, y):
+            try:
+                fx, fy = float(x), float(y)
+            except OverflowError:
+                fx, fy = _unit_point(x), _unit_point(y)
+            if not (0.0 <= fx <= 1.0 and 0.0 <= fy <= 1.0):
+                fx, fy = _unit_point(x), _unit_point(y)
+            return fx, fy, read_psi(fx), read_eta(fy)
+
+        return reads
+
+    def __getstate__(self):
+        # the readers do not pickle; they are rebuilt on first use
+        return {k: v for k, v in vars(self).items() if k != "_reads"}
 
 
 @dataclass(frozen=True)

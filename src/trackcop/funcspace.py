@@ -103,45 +103,16 @@ class PLFunction:
         return memoryview(self.x), memoryview(self.y)
 
     @cached_property
-    def _point(self):
-        """The scalar evaluator of eval_pl: t -> f(t), a Python float with np.interp's bits.
+    def _read(self):
+        """The unchecked scalar reader t -> f(t), t a float in [0, 1]: _scalar_reader on _views."""
+        return _scalar_reader(*self._views)
 
-        It checks t as _unit_point does, finds the segment holding t with
-        _knot_search, and does np.interp's arithmetic on it inline (the
-        stored ordinate at an exact knot hit and at or beyond the ends, else
-        slope * (t - x0) + y0); _between only retries a NaN from infinite
-        ordinates. A one-point np.interp on the writeable aliases costs
-        about 1.1 us at 25 000 knots (2-vCPU shared host, numpy 2.4.6) and
-        returns an np.float64. The evaluator closes over the memoryviews
-        alone, never over the function, so a spec whose functions hold one
-        is still freed by reference counting.
-        """
-        xs, ys = self._views
-        n = len(xs)
-
-        def point(t):
-            try:
-                t = float(t)  # compared as a float, an np.float64 is several times faster
-            except OverflowError:  # an int beyond the float range
-                raise OutOfDomain(f"evaluation point {t} outside [0, 1]") from None
-            if not 0.0 <= t <= 1.0:
-                raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
-            j = _knot_search(xs, t)
-            if j == 0:
-                return ys[0]
-            if j == n:
-                return ys[-1]
-            x0, y0 = xs[j - 1], ys[j - 1]
-            if x0 == t:
-                return y0
-            x1, y1 = xs[j], ys[j]
-            out = (y1 - y0) / (x1 - x0) * (t - x0) + y0
-            return _between(x0, y0, x1, y1, t) if out != out else out
-
-        return point
+    def _point(self, t) -> float:
+        """f(t) as a Python float with np.interp's bits, once _unit_point has checked t."""
+        return self._read(_unit_point(t))
 
     def __getstate__(self):
-        # memoryviews and closures do not pickle; the caches are rebuilt on first use
+        # memoryviews and the reader do not pickle; the caches are rebuilt on first use
         return {"x": self.x, "y": self.y}
 
     def __setstate__(self, state):
@@ -179,10 +150,9 @@ def make_pl(knots_x, knots_y) -> PLFunction:
 def eval_pl(f: PLFunction, t):
     """Evaluate f at t (scalar or array); exact at knots.
 
-    A Python float or int, or an np.float64, goes to f's cached scalar
-    evaluator, which returns a Python float with the bits
-    np.interp(t, f.x, f.y) returns: _knot_search on the knots, then
-    np.interp's own arithmetic on the segment holding t. An array goes to
+    A Python float or int, or an np.float64, is checked by _unit_point and
+    read by f's cached scalar reader, which returns a Python float with the
+    bits np.interp(t, f.x, f.y) returns (see _scalar_reader). An array goes to
     np.interp, which reads f's writeable aliases; a locked t is copied.
     Points outside [0, 1], and NaN, raise OutOfDomain.
     """
@@ -196,39 +166,97 @@ def eval_pl(f: PLFunction, t):
 
 
 def _unit_point(t) -> float:
-    """t as a Python float; raises OutOfDomain outside [0, 1] and for NaN, as PLFunction._point does."""
+    """t as a Python float; raises OutOfDomain outside [0, 1] and for NaN.
+
+    Every scalar point query checks its coordinates here, or defers to it to
+    raise. The message of a number too large for a float leaves its digits
+    out: an int's may run past what str() will print.
+    """
     try:
         t = float(t)
     except OverflowError:
-        raise OutOfDomain(f"evaluation point {t} outside [0, 1]") from None
+        raise OutOfDomain("evaluation point beyond the float range, outside [0, 1]") from None
     if not 0.0 <= t <= 1.0:
         raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
     return t
 
 
-def _knot_search(xs, t: float) -> int:
-    """bisect_right(xs, t) for sorted knots xs and t in [0, 1], started where t is.
+def _scalar_reader(xs, ys, proportional=True):
+    """t -> f(t) for f on knots xs with ordinates ys (sorted memoryviews), t a float in [0, 1].
 
-    Knots spread about evenly over [0, 1] put t in [xs[j], xs[j + 1]) for
-    j = int(t * (len(xs) - 1)): the spec's knots are near-uniform meshes,
-    and psi, its band and eta on the identity track live on them. So that
-    segment is tried first, with two reads. When it misses, it has settled
-    on which side of it t lies, and the next segment on that side is tried
-    with one more read: jittered knots, or a few track knots merged in,
-    leave t there on most misses. Only then is the rest of that side
-    bisected.
+    It returns a Python float with the bits np.interp(t, xs, ys) returns, and
+    checks nothing: callers pass t through _unit_point first. In one frame it
+    finds the segment [xs[j - 1], xs[j]) holding t, j = bisect_right(xs, t),
+    and does np.interp's arithmetic on it: the stored ordinate at an exact
+    knot hit and at or beyond the ends, else slope * (t - x0) + y0, with
+    _between only to retry a NaN from infinite ordinates.
+
+    The search starts where t is. Knots spread about evenly over [0, 1] put
+    t in [xs[i], xs[i + 1]) for i = floor(t * (len(xs) - 1)): the spec's knots
+    are near-uniform meshes, and psi, its band and eta on the identity
+    track live on them. So that segment is tried first, with two reads.
+    When it misses, it has settled on which side of it t lies, and the next
+    segment on that side is tried with one more read: jittered knots, or a
+    few track knots merged in, leave t there on most misses. Only then is
+    the rest of that side bisected. The knots read on the way are kept as
+    the segment's ends. A call into a shared search routine would cost a
+    Python frame a read, most of what the guess saves. Knots that are not
+    spread so, such as eta's phi(u) on a general track, where the guess
+    misses by a hundred knots, take `proportional=False`: a plain
+    bisect_right, without the guess's reads.
+
+    The reader closes over the memoryviews alone, never over a function or
+    a spec, so a spec whose functions hold one is still freed by reference
+    counting. A one-point np.interp on the writeable aliases costs about
+    1.1 us at 25 000 knots (2-vCPU shared host, numpy 2.4.6) and returns an
+    np.float64.
     """
     last = len(xs) - 1
-    j = int(t * last)  # t * last rounds to at most last for t <= 1
-    if xs[j] > t:
-        if j == 0 or xs[j - 1] <= t:
-            return j
-        return bisect_right(xs, t, 0, j - 1)
-    if j == last or t < xs[j + 1]:
-        return j + 1
-    if j + 1 == last or t < xs[j + 2]:
-        return j + 2
-    return bisect_right(xs, t, j + 3)
+    floor = math.floor  # int() of a float costs about three times as much
+
+    def read(t):
+        if proportional:
+            j = floor(t * last)  # t * last rounds to at most last for t <= 1
+            x1 = xs[j]
+            if x1 > t:  # t lies left of knot j
+                if j == 0:
+                    return ys[0]
+                x0 = xs[j - 1]
+                if x0 > t:  # and left of knot j - 1
+                    j = bisect_right(xs, t, 0, j - 1)
+                    if j == 0:
+                        return ys[0]
+                    x0, x1 = xs[j - 1], xs[j]
+            else:  # t lies at or right of knot j
+                if j == last:
+                    return ys[last]
+                j += 1
+                x0, x1 = x1, xs[j]
+                if x1 <= t:  # and at or right of knot j + 1
+                    if j == last:
+                        return ys[last]
+                    j += 1
+                    x0, x1 = x1, xs[j]
+                    if x1 <= t:
+                        j = bisect_right(xs, t, j + 1)
+                        if j > last:
+                            return ys[last]
+                        x0, x1 = xs[j - 1], xs[j]
+        else:
+            j = bisect_right(xs, t)
+            if j == 0:
+                return ys[0]
+            if j > last:
+                return ys[last]
+            x0, x1 = xs[j - 1], xs[j]
+        y0 = ys[j - 1]
+        if x0 == t:
+            return y0
+        y1 = ys[j]
+        out = (y1 - y0) / (x1 - x0) * (t - x0) + y0
+        return _between(x0, y0, x1, y1, t) if out != out else out
+
+    return read
 
 
 def _between(x0: float, y0: float, x1: float, y1: float, t: float) -> float:
@@ -247,11 +275,11 @@ def _between(x0: float, y0: float, x1: float, y1: float, t: float) -> float:
 def _pair_at(xs, ya, yb, t: float, base=None) -> tuple:
     """(f_a(t), f_b(t)) with eval_pl's scalar bits, for f_a on (xs, ya) and f_b on (xs, yb).
 
-    One _knot_search serves both, as they share their knots. With `base`,
+    One bisect_right serves both, as they share their knots. With `base`,
     the ordinates are base - ya and base - yb, formed at the one or two
     knots read: the bits of those differences taken as arrays.
     """
-    j = _knot_search(xs, t)
+    j = bisect_right(xs, t)
     i, k = max(j - 1, 0), min(j, len(xs) - 1)  # the knots around t; one knot at or beyond an end
     a0, a1, b0, b1 = ya[i], ya[k], yb[i], yb[k]
     if base is not None:

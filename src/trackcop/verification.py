@@ -218,11 +218,12 @@ def pointwise_upper_bound(spec: DiagonalSpec, x: float, y: float, tol: float = U
     message for psi_L, when psi_L and psi_U fail the band test at USER_TOL
     (possible on a spec made with validate=False). Existence and the band's
     verdict are memoized per spec, so after the first call a query costs
-    two knot searches on any track: psi_L and psi_U share the spec's knots,
-    searched at x, and eta_L = delta - psi_L and eta_U = delta - psi_U share
-    phi_values(), searched at y, their ordinates formed at the two knots
-    around y. Each C_psi is c_psi_value's min(x, y, psi(x) + eta(y)),
-    with its bits on quadruplet(spec, psi).
+    two bisect_right searches on any track: psi_L and psi_U share the spec's
+    knots, searched at x, and eta_L = delta - psi_L and eta_U = delta - psi_U
+    share phi_values(), searched at y, their ordinates formed at the two
+    knots around y. Each C_psi is c_psi_value's min(x, y, psi(x) + eta(y)),
+    with its bits on quadruplet(spec, psi). The coordinates pass
+    _unit_point's check, the one c_psi_value's reads defer to.
     """
     psi_low, psi_up = _existing_band(spec, tol)
     if spec._band_verdict is not None:

@@ -248,17 +248,21 @@ def full_manifest() -> list:
     return lines + [f"# {sum(line.startswith('$ ') for line in lines)} invocations"]
 
 
-def against(checkout: Path) -> int:
-    """Diff the manifest of checkout's src (in a subprocess) against this process's."""
+def against(checkout: Path, script: str = __file__, lines=full_manifest) -> int:
+    """Diff the lines `script` prints on checkout's src (in a subprocess) against lines() here.
+
+    The script must print its manifest when run without arguments, and put
+    its own checkout's src after the PYTHONPATH entries, as this one does.
+    """
     src = checkout.resolve() / "src"
     if not (src / "trackcop").is_dir():
         print(f"no src/trackcop in {checkout}", file=sys.stderr)
         return 2
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    with subprocess.Popen([sys.executable, str(Path(__file__).resolve())], env=env,
+    with subprocess.Popen([sys.executable, str(Path(script).resolve())], env=env,
                           stdout=subprocess.PIPE, text=True) as other:
-        ours = full_manifest()
+        ours = lines()
         theirs = other.communicate()[0].splitlines()
     if other.returncode:
         print(f"the harness failed against {checkout}", file=sys.stderr)
@@ -268,15 +272,16 @@ def against(checkout: Path) -> int:
     return 1 if diff else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Print the CLI manifest, or diff it against"
-                                                 " another checkout's.")
+def main(argv=None, script: str = __file__, lines=full_manifest) -> int:
+    """Print lines(), or with --against diff them against those `script` prints elsewhere."""
+    parser = argparse.ArgumentParser(description="Print this checkout's manifest, or diff it"
+                                                 " against another checkout's.")
     parser.add_argument("--against", type=Path, metavar="CHECKOUT",
                         help="a checkout whose src/ holds trackcop")
     args = parser.parse_args(argv)
     if args.against is not None:
-        return against(args.against)
-    print("\n".join(full_manifest()))
+        return against(args.against, script, lines)
+    print("\n".join(lines()))
     return 0
 
 

@@ -8,6 +8,10 @@ min(x, phi(x)) is concave on each knot interval, so the piecewise-linear
 interpolant keeps conditions (a)-(d) and the existence criterion. A bumped
 section raises delta at one interior knot past the slope bound, which breaks
 the Lipschitz form of existence on that segment.
+
+A shuffle section is the track section of a straight shuffle of Min, an
+exact copula whose section sits on the bounds of conditions (c) and (d)
+over whole segments; it comes with the copula itself, vectorized.
 """
 
 import numpy as np
@@ -32,13 +36,13 @@ def knot_positions(n: int):
 
 
 @st.composite
-def tracks(draw, identity=None):
-    """The identity track, or a general track of 3 to 20 knots."""
+def tracks(draw, identity=None, max_knots=20):
+    """The identity track, or a general track of 3 to max_knots knots."""
     if identity is None:
         identity = draw(st.booleans())
     if identity:
         return identity_track()
-    k = draw(st.integers(3, 20))
+    k = draw(st.integers(3, max_knots))
     return make_track(make_pl(draw(knot_positions(k)), draw(knot_positions(k))))
 
 
@@ -74,3 +78,47 @@ def sections_with_points(draw, identity=None):
         y = float(spec.track.phi(x)) if draw(st.booleans()) else draw(coord)
         points.append((x, y))
     return spec, points
+
+
+def shuffle_copula(sigma):
+    """C(x, y), vectorized, of the straight shuffle of Min moving strip i of n to place sigma[i].
+
+    Strip i carries mass 1/n on the segment y = x + (sigma[i] - i)/n over
+    [i/n, (i+1)/n], so C(x, y) = sum_i max(0, min(x, (i+1)/n, y - shift_i) - i/n).
+    """
+    n = len(sigma)
+    lo, hi = np.arange(n) / n, np.arange(1, n + 1) / n
+    shift = (np.asarray(sigma) - np.arange(n)) / n
+
+    def copula(x, y):
+        x, y = np.asarray(x, dtype=float)[..., None], np.asarray(y, dtype=float)[..., None]
+        return np.maximum(np.minimum(np.minimum(x, hi), y - shift) - lo, 0.0).sum(axis=-1)
+
+    return copula, shift
+
+
+@st.composite
+def shuffle_sections(draw, identity=None):
+    """(spec, C): delta(u) = C(u, phi(u)) for C a straight shuffle of Min with 2-8 strips.
+
+    The track is the identity or has 3-5 knots. delta's knots are every
+    kink of C along the track: i/n, phi_inv(j/n), the track's knots, and
+    where each track segment crosses a strip's mass segment. So delta is
+    C's section up to rounding, with slopes in {0, 1, phi', 1 + phi'}.
+    """
+    sigma = draw(st.permutations(range(draw(st.integers(2, 8)))))
+    copula, shift = shuffle_copula(sigma)
+    n = len(sigma)
+    track = draw(tracks(identity, max_knots=5))
+    tx, ty = track.phi.x, track.phi.y
+    slope = np.diff(ty) / np.diff(tx)
+    with np.errstate(divide="ignore", invalid="ignore"):  # slope 1: parallel, or on the segment
+        cross = (ty[:-1, None] - slope[:, None] * tx[:-1, None] - shift) / (1.0 - slope[:, None])
+    strip = np.arange(n) / n
+    inside = (tx[:-1, None] < cross) & (cross < tx[1:, None]) \
+        & (strip < cross) & (cross < strip + 1.0 / n)
+    u = np.unique(np.concatenate((np.linspace(0.0, 1.0, n + 1), track.phi_inv(strip), tx,
+                                  cross[inside])))
+    d = copula(u, track.phi(u))
+    d[0], d[-1] = 0.0, 1.0
+    return make_diagonal(make_pl(u, d), track), copula

@@ -1,19 +1,19 @@
 """Per-point queries against the code they replaced, and the per-spec memos.
 
 quadruplet and blend on spec-knot psi, and the scalar eval_pl must give the
-bits of the oracles in loop_reference.py; its knot search must be
-bisect_right's, on knots spread however unevenly. The point queries read
-C_psi = min(x, y, psi(x) + eta(y)) off the quadruplet with two knot
-searches, one at x and one at y, which the upper bound's two C_psi share:
-they must give the bits of that form in np.interp, and agree with the
-oracle's psi(x) - psi(w) + delta(w) to POINT_QUERY_BOUND.
+bits of the oracles in loop_reference.py; its reader must give np.interp's,
+on knots spread however unevenly. The point queries read
+C_psi = min(x, y, psi(x) + eta(y)) off the quadruplet with one read of psi
+at x and one of eta at y, the candidate's `_reads`, and the upper bound's
+two C_psi share one search at x and one at y: they must give the bits of
+that form in np.interp, and agree with the oracle's psi(x) - psi(w) +
+delta(w) to POINT_QUERY_BOUND.
 Where the oracle takes the identity track's closed form, the bound must
 agree with it to CLOSED_FORM_BOUND instead.
 The memos on a DiagonalSpec must hold no reference back to it, so a spec
 is freed by reference counting alone.
 """
 
-import bisect
 import copy
 import gc
 import pickle
@@ -44,7 +44,7 @@ from trackcop import (
     region_functions,
     s_t_split,
 )
-from trackcop import funcspace
+from trackcop import canonical, funcspace, verification
 from trackcop.construction import _rightmost_level
 
 from loop_reference import (
@@ -55,7 +55,7 @@ from loop_reference import (
     reference_pointwise_upper_bound,
     reference_quadruplet,
 )
-from strategies import knot_positions, sections, sections_with_points, tracks
+from strategies import knot_positions, sections, sections_with_points, shuffle_sections, tracks
 from test_kernels import POINT_QUERY_BOUND, TIE_SPEC, TIE_TOL, section, same_bits
 
 # The band's formula and the identity closed form round differently; this
@@ -272,14 +272,16 @@ def adversarial_knots(draw):
 
 @given(adversarial_knots(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_knot_search_is_bisect_right_and_the_evaluator_is_interp(x, data):
+def test_scalar_reader_is_interp_on_uneven_knots(x, data):
     ordinates = st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf])
     f = PLFunction(x, data.draw(st.lists(ordinates, min_size=len(x), max_size=len(x))))
-    xs, listed = f._views[0], x.tolist()
+    bisecting = funcspace._scalar_reader(*f._views, proportional=False)
     for t in np.concatenate((probe_points(x), [0.0, -0.0, 1.0])):
         t = float(t)
-        assert funcspace._knot_search(xs, t) == bisect.bisect_right(listed, t)
-        assert same_bits(f._point(t), np.interp(t, x, f.y.copy()))
+        expected = np.interp(t, x, f.y.copy())
+        for read in (f._read, bisecting, f._point):
+            value = read(t)
+            assert type(value) is float and same_bits(value, expected)
 
 
 def test_pl_function_pickles_and_copies_after_scalar_eval():
@@ -292,25 +294,47 @@ def test_pl_function_pickles_and_copies_after_scalar_eval():
         assert eval_pl(g, 0.2) == eval_pl(f, 0.2)
 
 
+def test_candidate_pickles_and_copies_after_point_queries():
+    spec = section(np.random.default_rng(6), 50, False)
+    low = quadruplet(spec, psi_bounds(spec).psi_low)
+    value = c_psi_value(spec, low, 0.3, 0.6)
+    assert "_reads" in vars(low)
+    for copied in (pickle.loads(pickle.dumps(low)), copy.deepcopy(low)):
+        assert "_reads" not in vars(copied)
+        assert same_bits(c_psi_value(copied.spec, copied, 0.3, 0.6), value)
+
+
 # ---------------------------------------------------------------------------
 # point queries: two searches a query, the bits of the batch form
 
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The knot searches the scalar evaluators have made, counted from here on.
+    """The knot searches made from here on, as (knot array searched, point) pairs.
 
-    Counted at the one search routine, funcspace._knot_search, whether its
-    first guess hits or it bisects.
+    A read of a scalar reader built from here on is one search, whether its
+    first guess hits or it bisects; so is one _pair_at, which reads two
+    functions on shared knots.
     """
     calls = []
-    search = funcspace._knot_search
+    make_reader, pair_at = funcspace._scalar_reader, verification._pair_at
 
-    def counting(xs, t):
-        calls.append(t)
-        return search(xs, t)
+    def counting_reader(xs, ys, proportional=True):
+        read = make_reader(xs, ys, proportional)
 
-    monkeypatch.setattr(funcspace, "_knot_search", counting)
+        def counting(t):
+            calls.append((xs.obj, t))
+            return read(t)
+
+        return counting
+
+    def counting_pair(xs, ya, yb, t, base=None):
+        calls.append((xs.obj, t))
+        return pair_at(xs, ya, yb, t, base)
+
+    for module in (funcspace, canonical):  # canonical builds eta's reader on a general track
+        monkeypatch.setattr(module, "_scalar_reader", counting_reader)
+    monkeypatch.setattr(verification, "_pair_at", counting_pair)
     return calls
 
 
@@ -356,9 +380,15 @@ def test_scalar_point_queries_are_the_batch_form(identity, data, t, seed, extra)
 
 
 @pytest.mark.parametrize("t", [np.float64("nan"), float("nan"), np.float64(-0.1),
-                               np.float64(1.5), -1e-300, 10**400], ids=repr)
+                               np.float64(1.5), -1e-300, 10**400,
+                               pytest.param(10**5000, id="10**5000"),
+                               pytest.param(-10**5000, id="-10**5000")], ids=repr)
 def test_eval_pair_rejects_points_outside_the_unit_interval(t):
-    """Each point query at a pair (x, y), and eval_pl, raise OutOfDomain for a coordinate off [0, 1]."""
+    """Each point query at (x, y), and eval_pl, raise OutOfDomain for a coordinate off [0, 1].
+
+    An int past str()'s digit limit must raise it too, not the ValueError
+    of printing the int in the message.
+    """
     spec = section(np.random.default_rng(4), 50, False)
     low = quadruplet(spec, psi_bounds(spec).psi_low)
     with pytest.raises(OutOfDomain):
@@ -378,13 +408,61 @@ def test_point_queries_share_searches(identity, searches):
     bounds = psi_bounds(spec)
     mix = blend(quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up), 0.4)
     pointwise_upper_bound(spec, 0.5, 0.5)  # fills the per-spec memos
-    for call, count in ((c_psi_value, 2), (s_t_split, 2)):
+    for call in (c_psi_value, s_t_split):  # psi once at x, eta once at y
         del searches[:]
         call(spec, mix, 0.3, 0.6)
-        assert len(searches) == count, call.__name__
+        assert len(searches) == 2, call.__name__
+        assert searches[0][0] is mix.psi.x and searches[1][0] is mix.eta.x
+        assert [t for _, t in searches] == [0.3, 0.6]
     del searches[:]
     pointwise_upper_bound(spec, 0.3, 0.6)  # psi_L and psi_U share x's, eta_L and eta_U y's
     assert len(searches) == 2
+    assert searches[0][0] is spec.knots and searches[1][0] is spec.phi_values()
+
+
+# off [0, 1], each named in its own words: NaN, below 0, above 1, and ints past a float
+OFF_UNIT = [float("nan"), np.float64(-0.1), 1.5, -1e-300, np.nextafter(1.0, 2.0), 10**400,
+            -10**5000]
+
+
+def out_of_domain(call, *args):
+    with pytest.raises(OutOfDomain) as raised:
+        call(*args)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
+@given(data=st.data(), t=st.floats(0.0, 1.0), shuffle=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_reads_are_the_two_checked_point_reads(identity, data, t, shuffle):
+    """_reads(x, y) is (x, y, psi._point(x), eta._point(y)) bit for bit, or raises as they do.
+
+    On Frechet-mix and shuffle-of-Min sections, for a blend on the spec's
+    knots and on knots of its own merged with them, at every knot of psi
+    (x) and of eta (y), their float neighbours, -0.0, 0.0 and 1.0; a pair
+    with a coordinate off [0, 1] raises the OutOfDomain of its first such
+    coordinate.
+    """
+    spec = data.draw(shuffle_sections(identity).map(lambda drawn: drawn[0]) if shuffle
+                     else sections(identity))
+    bounds = psi_bounds(spec)
+    mix = blend(quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up), t)
+    own = np.union1d(spec.knots, np.linspace(0.051, 0.951, 7))
+    on_own_knots = quadruplet(spec, PLFunction(own, interp(mix.psi, own)))
+    for cand in (mix, on_own_knots):
+        xs = np.append(probe_points(cand.psi.x), -0.0)
+        ys = np.append(probe_points(cand.eta.x), -0.0)
+        n = max(len(xs), len(ys))
+        for x, y in zip(xs[np.arange(n) % len(xs)], ys[np.arange(n) % len(ys)]):
+            for px, py in ((float(x), float(y)), (np.float64(x), np.float64(y))):
+                reads = cand._reads(px, py)
+                assert all(type(v) is float for v in reads)
+                assert same_bits(reads, [px, py, cand.psi._point(px), cand.eta._point(py)])
+        for bad in OFF_UNIT:
+            first = out_of_domain(cand.psi._point, bad)
+            assert out_of_domain(cand._reads, bad, 0.5) == first
+            assert out_of_domain(cand._reads, bad, 10**5000) == first
+            assert out_of_domain(cand._reads, 0.5, bad) == out_of_domain(cand.eta._point, bad)
 
 
 @pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])

@@ -6,6 +6,8 @@ read off the band under one monotone rule: the band's ends and blends are
 eligible at tol 0, and quadruplet and eligibility_by_variation give one
 verdict. The grid properties take psi_L, psi_U and a blend of the two on a
 small mesh refined by the spec's knots and their track images.
+Shuffle-of-Min sections come with their copula C: the extremal constructed
+copulas keep the section at its knots, and C stays below the upper bound.
 """
 
 import contextlib
@@ -21,8 +23,9 @@ from trackcop import IneligibleExtractedPsi, PLFunction, blend, c_psi_value, che
     identity_track, make_diagonal, make_pl, make_splice, materialize_grid, merge_knots, \
     pointwise_upper_bound, psi_bounds, quadruplet, splice_grid
 from trackcop.construction import _ConstructionRows
+from trackcop.funcspace import INTERNAL_TOL
 
-from strategies import sections, sections_with_points
+from strategies import sections, sections_with_points, shuffle_sections
 from test_kernels import same_bits
 
 TRACKS = pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
@@ -44,6 +47,30 @@ def test_upper_bound_is_the_larger_extremal_copula(identity, data, t):
         bound = pointwise_upper_bound(spec, x, y)
         assert same_bits(bound, max(c_psi_value(spec, low, x, y), c_psi_value(spec, up, x, y)))
         assert c_psi_value(spec, mix, x, y) <= bound + BLEND_SLACK
+
+
+@TRACKS
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_extremal_copulas_keep_a_shuffle_section_at_its_knots(identity, data):
+    spec, _ = data.draw(shuffle_sections(identity))
+    bounds = psi_bounds(spec)
+    for psi in (bounds.psi_low, bounds.psi_up):
+        cand = quadruplet(spec, psi)
+        values = [c_psi_value(spec, cand, u, p) for u, p in zip(spec.knots, spec.phi_values())]
+        assert np.all(np.abs(np.subtract(values, spec.delta.y)) <= INTERNAL_TOL)
+
+
+@TRACKS
+@given(data=st.data(), points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                                       min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_a_shuffle_of_min_stays_below_the_upper_bound(identity, data, points):
+    # C is summed over strips and the bound read off the band: they may round apart
+    spec, copula = data.draw(shuffle_sections(identity))
+    x, y = np.array(points).T
+    bound = [pointwise_upper_bound(spec, px, py) for px, py in points]
+    assert np.all(copula(x, y) <= np.add(bound, INTERNAL_TOL))
 
 
 @TRACKS
