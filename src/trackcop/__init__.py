@@ -41,7 +41,6 @@ from .trackmodel import (
     make_track,
 )
 from .canonical import (
-    EligibilityResult,
     PsiBounds,
     PsiCandidate,
     blend,

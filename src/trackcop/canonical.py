@@ -10,9 +10,11 @@ determines three companions:
 psi is *eligible* when all four are increasing; equivalently its increments
 sit between the negative variation of phi - delta and the interval length
 minus the positive variation of x - delta(x), that is, psi - psi_L and
-psi_U - psi are both nondecreasing. quadruplet and eligibility_by_variation
-both judge psi by that band test. The extremes of the band, psi_low and
-psi_up, are themselves eligible and bound every eligible psi pointwise.
+psi_U - psi are both nondecreasing. quadruplet judges psi by that band test,
+and its candidate carries the verdict and the witness pair;
+eligibility_by_variation returns the same candidate. The extremes of the
+band, psi_low and psi_up, are themselves eligible and bound every eligible
+psi pointwise.
 
 A PsiCandidate holds psi and its verdict; chi, eta and xi are computed on
 first read, so a candidate whose companions nothing reads costs no array
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoCopulaExists, OutOfDomain, PsiNotAnchored, SpecMismatch
+from .errors import NoCopulaExists, PsiNotAnchored, SpecMismatch
 from .funcspace import (
     INTERNAL_TOL,
     USER_TOL,
@@ -48,6 +50,10 @@ from .trackmodel import DiagonalSpec, _is_identity, existence_check
 class PsiCandidate:
     """A proposed mass function with its verdict; its canonical companions on first read.
 
+    `witness` is the knot pair on which the band test found psi - psi_L or
+    psi_U - psi falling, None when psi is eligible; `violation` names that
+    difference and prints the pair to 6 significant digits.
+
     chi, eta and xi are computed from psi and the spec when first read and
     kept from then on. The companions of the y-variable (eta, chi) are
     carried on phi at psi's knots, so compositions with the track inverse
@@ -65,6 +71,7 @@ class PsiCandidate:
     eligible: bool
     violation: Optional[str]
     spec: DiagonalSpec
+    witness: Optional[tuple]
 
     @cached_property
     def _on_phi(self) -> PLFunction:
@@ -130,12 +137,6 @@ class PsiCandidate:
         return {k: v for k, v in vars(self).items() if k != "_reads"}
 
 
-@dataclass(frozen=True)
-class EligibilityResult:
-    eligible: bool
-    witness: Optional[tuple]
-
-
 def _same_spec(a: DiagonalSpec, b: DiagonalSpec) -> bool:
     return a is b or (_same_pl(a.delta, b.delta) and _same_pl(a.track.phi, b.track.phi))
 
@@ -183,12 +184,13 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     """The canonical quadruplet of psi, judged by the band test.
 
     psi is carried on its knots merged with the spec's; the candidate
-    computes chi, eta and xi on them when they are first read. The verdict
-    is eligibility_by_variation's; the violation names the difference that
-    falls and its witness pair. An end of the spec's band, judged at
-    USER_TOL, takes the spec's memoized `_band_verdict`: for psi_L the
-    difference that can fall is psi_U - psi, for psi_U it is psi - psi_L,
-    and either is psi_U - psi_L in the bits the band test computes.
+    computes chi, eta and xi on them when they are first read. The
+    candidate keeps the witness pair of the difference that falls, and its
+    violation names that difference and prints the pair. An end of the
+    spec's band, judged at USER_TOL, takes the spec's memoized
+    `_band_verdict`: for psi_L the difference that can fall is psi_U - psi,
+    for psi_U it is psi - psi_L, and either is psi_U - psi_L in the bits the
+    band test computes.
     """
     anchored = _anchored_on_knots(spec, psi, tol)
     low, up = spec._band[:2]
@@ -197,20 +199,16 @@ def quadruplet(spec: DiagonalSpec, psi: PLFunction, tol: float = USER_TOL) -> Ps
     else:
         name, witness = _band_violation(spec, anchored, tol)
     violation = witness and f"{name} decreasing on [{witness[0]:.6g}, {witness[1]:.6g}]"
-    return PsiCandidate(anchored, witness is None, violation, spec)
+    return PsiCandidate(anchored, witness is None, violation, spec, witness)
 
 
 def eligibility_by_variation(spec: DiagonalSpec, psi: PLFunction,
-                             tol: float = USER_TOL) -> EligibilityResult:
-    """Check the increment bounds of psi over all knot pairs.
+                             tol: float = USER_TOL) -> PsiCandidate:
+    """quadruplet(spec, psi, tol): the band test's candidate, its witness pair included.
 
-    For every x <= y the increment psi(y) - psi(x) must lie between the
-    negative variation of phi - delta and (y - x) minus the positive
-    variation of x - delta(x): psi - psi_L and psi_U - psi must both be
-    nondecreasing. Returns the first violating pair, if any.
+    It stays only because bench/workloads.py calls it.
     """
-    _, witness = _band_violation(spec, _anchored_on_knots(spec, psi, tol), tol)
-    return EligibilityResult(witness is None, witness)
+    return quadruplet(spec, psi, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +247,7 @@ def blend(a: PsiCandidate, b: PsiCandidate, t: float, tol: float = USER_TOL) -> 
     spec's) are combined on it without a merge. A weight outside [0, 1],
     or NaN, raises OutOfDomain.
     """
-    if not (0.0 <= t <= 1.0):
-        raise OutOfDomain(f"blend weight {t} outside [0, 1]")
+    t = _unit_point(t, "blend weight")
     if not _same_spec(a.spec, b.spec):
         raise SpecMismatch("candidates were built for different specs")
     shared = a.psi.x is b.psi.x

@@ -107,10 +107,6 @@ class PLFunction:
         """The unchecked scalar reader t -> f(t), t a float in [0, 1]: _scalar_reader on _views."""
         return _scalar_reader(*self._views)
 
-    def _point(self, t) -> float:
-        """f(t) as a Python float with np.interp's bits, once _unit_point has checked t."""
-        return self._read(_unit_point(t))
-
     def __getstate__(self):
         # memoryviews and the reader do not pickle; the caches are rebuilt on first use
         return {"x": self.x, "y": self.y}
@@ -157,7 +153,7 @@ def eval_pl(f: PLFunction, t):
     Points outside [0, 1], and NaN, raise OutOfDomain.
     """
     if isinstance(t, (float, int)):  # Python scalars and np.float64
-        return f._point(t)
+        return f._read(_unit_point(t))
     t_arr = np.asarray(t, dtype=float)
     if t_arr.size and not (t_arr.min() >= 0.0 and t_arr.max() <= 1.0):
         raise OutOfDomain("evaluation point outside [0, 1]")
@@ -165,19 +161,20 @@ def eval_pl(f: PLFunction, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def _unit_point(t) -> float:
+def _unit_point(t, noun="evaluation point") -> float:
     """t as a Python float; raises OutOfDomain outside [0, 1] and for NaN.
 
     Every scalar point query checks its coordinates here, or defers to it to
-    raise. The message of a number too large for a float leaves its digits
-    out: an int's may run past what str() will print.
+    raise, and blend its weight, with noun "blend weight". The message of a
+    number too large for a float leaves its digits out: an int's may run
+    past what str() will print.
     """
     try:
         t = float(t)
     except OverflowError:
-        raise OutOfDomain("evaluation point beyond the float range, outside [0, 1]") from None
+        raise OutOfDomain(f"{noun} beyond the float range, outside [0, 1]") from None
     if not 0.0 <= t <= 1.0:
-        raise OutOfDomain(f"evaluation point {t} outside [0, 1]")
+        raise OutOfDomain(f"{noun} {t} outside [0, 1]")
     return t
 
 

@@ -7,14 +7,26 @@ _validate_mesh's track-knot check; `exact_rightmost_level` is the level
 inverse's formula taken in rational arithmetic and rounded once, and
 `suffix_minimum` the values it is taken on where a companion dips. The
 `reference_*` functions compose
-them exactly as existence_check, eligibility_by_variation, psi_bounds and
-region_functions did, so the vectorized code can be required to give
+them exactly as existence_check, the band test of quadruplet, psi_bounds
+and region_functions did, so the vectorized code can be required to give
 bit-identical results. The witness finders follow the library's one rule
 for monotone tests: a value may fall below the running maximum (or rise
 above the running minimum) of the values before it by up to
 tol + INTERNAL_TOL. `reference_diagonal_conditions` and
 `reference_quadruplet` judge condition (c) and eligibility by that rule
 too, where they once held each adjacent step to tol alone.
+
+`companion_steps` and `companion_witness` are the paper's definition of
+eligibility, evaluated exactly in Fraction from the float knot data: psi is
+eligible when psi, chi, eta and xi are all nondecreasing. They share no
+code with the band test, so the verdict is checked against something other
+than itself. `off_tie` picks the psi on which the two must agree.
+
+`exact_shuffle_copula`, `exact_shuffle_knots` and `exact_at` are the
+straight shuffle of Min of strategies.py, the knot rule of its track
+section, and a piecewise-linear function's value, all in Fraction, with
+the track's float knots read as exact rationals. `bertino` is the least
+copula with a given diagonal.
 
 `reference_merge_knots` is merge_knots as it was before it sorted:
 np.unique of the union, then the same INTERNAL_TOL gap mask.
@@ -52,6 +64,7 @@ which agrees with these to rounding, not bit for bit.
 """
 
 import io
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +195,113 @@ def reference_band_violation(spec, psi, tol):
 
 def reference_eligibility_witness(spec, psi, tol):
     return reference_band_violation(spec, psi, tol)[1]
+
+
+def exact_at(xs, ys, t):
+    """The piecewise-linear function on knots xs (increasing) with ordinates ys at t, exactly.
+
+    xs, ys and t are Fractions, or floats read as such; t lies in [xs[0], xs[-1]].
+    """
+    j = bisect_right(xs, t)
+    if j == len(xs):
+        return Fraction(ys[-1])
+    x0, x1, y0, y1 = (Fraction(v) for v in (xs[j - 1], xs[j], ys[j - 1], ys[j]))
+    return y0 + (y1 - y0) * (Fraction(t) - x0) / (x1 - x0)
+
+
+def companion_steps(spec, psi):
+    """(u, {name: increments}) of psi, chi, eta and xi on each segment of u, exactly.
+
+    u is psi's knots merged with the spec's, as floats. psi, delta and phi
+    are read at u exactly from their float knots, and the companions are
+    formed in Fraction: xi = u - psi, eta = delta - psi and
+    chi = phi - delta + psi, each on u (eta and chi as functions of phi(u)).
+    """
+    u = [float(t) for t in merge_knots(spec.knots, psi.x)]
+    psi_u, delta_u, phi_u = ([exact_at(f.x, f.y, t) for t in u]
+                             for f in (psi, spec.delta, spec.track.phi))
+    values = {"psi": psi_u,
+              "chi": [p - d + q for p, d, q in zip(phi_u, delta_u, psi_u)],
+              "eta": [d - q for d, q in zip(delta_u, psi_u)],
+              "xi": [Fraction(t) - q for t, q in zip(u, psi_u)]}
+    return u, {name: [b - a for a, b in zip(v, v[1:])] for name, v in values.items()}
+
+
+def off_tie(spec, psi) -> bool:
+    """Whether every companion's increment on every segment is farther than 1e-9 from 0.
+
+    There the band test's INTERNAL_TOL and the rounding of its sums cannot
+    move a verdict or a witness, so it must agree with companion_witness.
+    """
+    _, steps = companion_steps(spec, psi)
+    return all(abs(step) > 1e-9 for name in steps for step in steps[name])
+
+
+def companion_witness(spec, psi):
+    """(name, pair) of the first knot pair where psi fails the paper's definition, or (None, None).
+
+    On a segment psi - psi_L rises by min(d psi, d chi) and psi_U - psi by
+    min(d eta, d xi), so the first pair where psi or chi falls is
+    reported as "psi - psi_L", else the first where eta or xi falls as
+    "psi_U - psi": the order in which the band test reports.
+    """
+    u, steps = companion_steps(spec, psi)
+    for name, pair in (("psi - psi_L", ("psi", "chi")), ("psi_U - psi", ("eta", "xi"))):
+        for i, falls in enumerate(zip(*(steps[k] for k in pair))):
+            if min(falls) < 0:
+                return name, (u[i], u[i + 1])
+    return None, None
+
+
+def exact_shuffle_copula(sigma):
+    """C(x, y) of the straight shuffle of Min moving strip i of n to place sigma[i], in Fraction.
+
+    C(x, y) = sum_i max(0, min(x, (i+1)/n, y - (sigma[i] - i)/n) - i/n).
+    """
+    n = len(sigma)
+    strips = [(Fraction(i, n), Fraction(i + 1, n), Fraction(s - i, n))
+              for i, s in enumerate(sigma)]
+
+    def copula(x, y):
+        x, y = Fraction(x), Fraction(y)
+        return sum(max(Fraction(0), min(x, hi, y - shift) - lo) for lo, hi, shift in strips)
+
+    return copula
+
+
+def exact_shuffle_knots(sigma, track):
+    """The knots of delta(x) = C(x, phi(x)) by shuffle_sections' rule, exactly, sorted.
+
+    They are i/n, phi_inv(j/n), the track's knots, and each point inside a
+    track segment and inside strip i where the track crosses the strip's
+    mass segment y = x + (sigma[i] - i)/n. A track segment of slope 1 runs
+    parallel to every mass segment, or along one, and crosses none.
+    """
+    n = len(sigma)
+    tx, ty = [Fraction(float(v)) for v in track.phi.x], [Fraction(float(v)) for v in track.phi.y]
+    knots = {Fraction(i, n) for i in range(n + 1)} | set(tx)
+    knots |= {exact_at(ty, tx, Fraction(j, n)) for j in range(n + 1)}
+    for x0, x1, y0, y1 in zip(tx, tx[1:], ty, ty[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        if slope == 1:
+            continue
+        for i, s in enumerate(sigma):
+            cross = (y0 - slope * x0 - Fraction(s - i, n)) / (1 - slope)
+            if x0 < cross < x1 and Fraction(i, n) < cross < Fraction(i + 1, n):
+                knots.add(cross)
+    return sorted(knots)
+
+
+def bertino(delta, x, y):
+    """B_delta(x, y) = min(x, y) - min of t - delta(t) over t between x and y.
+
+    Bertino's copula, the least copula with diagonal delta. For a
+    piecewise-linear delta the minimum is taken over the knots strictly
+    between x and y and the two ends.
+    """
+    lo, hi = min(x, y), max(x, y)
+    ts = np.concatenate(([lo], delta.x[(delta.x > lo) & (delta.x < hi)], [hi]))
+    return lo - float(np.min(ts - eval_pl(delta, ts)))
 
 
 def reference_psi_bounds(spec):

@@ -6,16 +6,20 @@ on the identity track and on a 9-knot general track, at 300, 3 000 and
 SHA-256 of its float64 bytes or of its text:
 
     band                   psi_L and psi_U on the spec's knots
-    verdicts               existence, quadruplet and eligibility_by_variation verdicts
+    verdicts               existence, and the quadruplet and eligibility_by_variation
+                           verdicts of every candidate and of four more psi
     region                 g and h of every candidate
     c_psi_value            every candidate at every point
     s_t_split              s and t of every candidate at every point
     pointwise_upper_bound  the bound at every point
 
 The candidates are psi_L, psi_U, a blend of the two, and the blend again on
-knots of its own, which quadruplet merges with the spec's. The points are
-random pairs and pairs at knots of psi and of eta and their float
-neighbours, passed as Python floats and as np.float64.
+knots of its own, which quadruplet merges with the spec's. The four more
+psi are judged only: psi_L and psi_U, psi_L lowered by 1e-6 at one interior
+knot and psi_U raised by 1e-6 at one, each at the default tol and at tol 0,
+so that ineligible verdicts and their witnesses are digested too. The
+points are random pairs and pairs at knots of psi and of eta and their
+float neighbours, passed as Python floats and as np.float64.
 
 Compare this checkout with another in one command:
 
@@ -74,6 +78,26 @@ def probe_points(rng, knots: np.ndarray) -> np.ndarray:
     return pts[(pts >= 0.0) & (pts <= 1.0)]
 
 
+def band_and_off_band(tc, bounds) -> list:
+    """psi_L, psi_U, psi_L lowered by 1e-6 at one interior knot and psi_U raised at another."""
+    low, up = bounds.psi_low, bounds.psi_up
+    n = len(low.x)
+    lowered, raised = low.y.copy(), up.y.copy()
+    lowered[n // 3] -= 1e-6
+    raised[2 * n // 3] += 1e-6
+    return [low, up, tc.PLFunction(low.x, lowered), tc.PLFunction(up.x, raised)]
+
+
+def judged(tc, spec, psi, tol) -> str:
+    """quadruplet's eligible and violation, then eligibility_by_variation's eligible and witness.
+
+    tol None is each function's default tol.
+    """
+    args = (spec, psi) if tol is None else (spec, psi, tol)
+    cand, by_variation = tc.quadruplet(*args), tc.eligibility_by_variation(*args)
+    return repr((cand.eligible, cand.violation, by_variation.eligible, by_variation.witness))
+
+
 def section_lines(tc, seed: int, n: int, identity: bool) -> list:
     rng = np.random.default_rng([seed, n, int(identity)])
     spec = section(tc, rng, n, identity)
@@ -87,6 +111,8 @@ def section_lines(tc, seed: int, n: int, identity: bool) -> list:
     verdicts = [repr((existence.exists, existence.witness))]
     verdicts += [repr((c.eligible, c.violation, tc.eligibility_by_variation(spec, c.psi).witness))
                  for c in cands]
+    verdicts += [judged(tc, spec, psi, tol) for psi in band_and_off_band(tc, bounds)
+                 for tol in (None, 0.0)]
     regions = [tc.region_functions(spec, c) for c in cands]
     xs = np.concatenate((rng.random(N_POINTS), probe_points(rng, mix.psi.x)))
     ys = np.concatenate((rng.random(N_POINTS), probe_points(rng, mix.eta.x)))

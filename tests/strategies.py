@@ -98,18 +98,27 @@ def shuffle_copula(sigma):
 
 
 @st.composite
-def shuffle_sections(draw, identity=None):
-    """(spec, C): delta(u) = C(u, phi(u)) for C a straight shuffle of Min with 2-8 strips.
-
-    The track is the identity or has 3-5 knots. delta's knots are every
-    kink of C along the track: i/n, phi_inv(j/n), the track's knots, and
-    where each track segment crosses a strip's mass segment. So delta is
-    C's section up to rounding, with slopes in {0, 1, phi', 1 + phi'}.
-    """
+def shuffles(draw, identity=None):
+    """(sigma, track): a permutation of 2-8 strips, and the identity or a 3-5 knot track."""
     sigma = draw(st.permutations(range(draw(st.integers(2, 8)))))
+    return sigma, draw(tracks(identity, max_knots=5))
+
+
+def shuffle_sections(identity=None):
+    """(spec, C) for the shuffle and track of shuffles(identity); see shuffle_section."""
+    return shuffles(identity).map(lambda drawn: shuffle_section(*drawn))
+
+
+def shuffle_section(sigma, track):
+    """(spec, C): delta(u) = C(u, phi(u)) for C the straight shuffle of Min sigma.
+
+    delta's knots are every kink of C along the track: i/n, phi_inv(j/n),
+    the track's knots, and where each track segment crosses a strip's mass
+    segment. So delta is C's section up to rounding, with slopes in
+    {0, 1, phi', 1 + phi'}.
+    """
     copula, shift = shuffle_copula(sigma)
     n = len(sigma)
-    track = draw(tracks(identity, max_knots=5))
     tx, ty = track.phi.x, track.phi.y
     slope = np.diff(ty) / np.diff(tx)
     with np.errstate(divide="ignore", invalid="ignore"):  # slope 1: parallel, or on the segment

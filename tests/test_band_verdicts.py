@@ -3,7 +3,8 @@
 `DiagonalSpec._band_verdict` is the one verdict psi_L and psi_U share: the
 witness at which psi_U - psi_L falls, at USER_TOL. It must be the witness
 quadruplet gives each end, and pointwise_upper_bound must raise psi_L's
-message. quadruplet of either end at USER_TOL reads that verdict, and must
+message. quadruplet of either end at USER_TOL reads that verdict, and so does
+eligibility_by_variation, which returns quadruplet's candidate; both must
 judge as the band test does on a stand-in for the end. Sections come from
 strategies.py on both track kinds, admissible ones and validate=False ones
 whose delta dips, which no copula realizes and whose band ends are
@@ -22,6 +23,7 @@ from trackcop import (
     IneligiblePsi,
     PLFunction,
     blend,
+    eligibility_by_variation,
     existence_check,
     make_diagonal,
     make_pl,
@@ -103,10 +105,14 @@ def test_band_ends_judge_themselves_from_the_spec(identity, data, drop, dip, tol
     with mock.patch.object(canonical, "_band_violation", wraps=canonical._band_violation) as test:
         for end in spec._band[:2]:
             fast, computed = quadruplet(spec, end, tol), quadruplet(spec, stand_in(end), tol)
-            assert (fast.eligible, fast.violation) == (computed.eligible, computed.violation)
+            assert (fast.eligible, fast.violation, fast.witness) == \
+                (computed.eligible, computed.violation, computed.witness)
             assert fast.psi.x is computed.psi.x and same_bits(fast.psi.y, computed.psi.y)
-    # the stand-ins always run the band test; the ends themselves only at another tol
-    assert test.call_count == (2 if tol == USER_TOL else 4)
+            by_variation = eligibility_by_variation(spec, end, tol)
+            assert (by_variation.eligible, by_variation.witness) == (fast.eligible, fast.witness)
+    # the stand-ins always run the band test; the ends themselves, through
+    # quadruplet or eligibility_by_variation, only at another tol
+    assert test.call_count == (2 if tol == USER_TOL else 6)
 
 
 @pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])

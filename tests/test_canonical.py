@@ -20,7 +20,7 @@ from trackcop import (
 )
 from trackcop.funcspace import USER_TOL
 from conftest import perturb_ineligible, random_eligible_psi
-from loop_reference import reference_quadruplet
+from loop_reference import companion_witness, off_tie, reference_quadruplet
 from test_kernels import same_bits
 
 
@@ -123,15 +123,23 @@ def test_every_eligible_psi_between_bounds(fig2_spec_201, rng):
 
 
 def test_eligibility_by_variation_matches_quadruplet(fig2_spec_201, indep_spec, rng):
-    for spec in (fig2_spec_201, indep_spec):
+    # both give quadruplet's candidate, whose verdict and witness at tol 0 are
+    # the paper's definition wherever no companion step is within 1e-9 of 0
+    compared = []
+    for spec in (fig2_spec_201, indep_spec, general_track_spec()):
         for _ in range(20):
             psi = random_eligible_psi(spec, rng)
-            assert eligibility_by_variation(spec, psi).eligible
-            bad = perturb_ineligible(spec, psi, rng)
-            cand = quadruplet(spec, bad)
-            result = eligibility_by_variation(spec, bad)
-            assert not cand.eligible and not result.eligible
-            assert result.witness is not None
+            for case in (psi, perturb_ineligible(spec, psi, rng)):
+                cand = quadruplet(spec, case, 0.0)
+                by_variation = eligibility_by_variation(spec, case, 0.0)
+                assert (by_variation.eligible, by_variation.witness, by_variation.violation) == \
+                    (cand.eligible, cand.witness, cand.violation)
+                if off_tie(spec, case):
+                    name, witness = companion_witness(spec, case)
+                    assert (cand.eligible, cand.witness) == (witness is None, witness)
+                    assert witness is None or cand.violation.startswith(name)
+                    compared.append(cand.eligible)
+    assert compared.count(True) >= 20 and compared.count(False) >= 20
 
 
 def test_blend_stays_eligible(fig2_spec_201):
@@ -150,8 +158,12 @@ def test_blend_rejects_mismatched_specs(fig2_spec_201, indep_spec):
     b = quadruplet(indep_spec, psi_bounds(indep_spec).psi_low)
     with pytest.raises(SpecMismatch):
         blend(a, b, 0.5)
-    for t in (1.5, -0.1, float("nan")):
-        with pytest.raises(OutOfDomain):
+    for t in (1.5, -0.1, float("nan"), 10**400, 10**5000, -10**5000):
+        with pytest.raises(OutOfDomain) as raised:
+            blend(a, a, t)
+        assert len(str(raised.value)) < 100
+    for t in (1.5, float("nan"), np.float64(1.5)):
+        with pytest.raises(OutOfDomain, match=rf"^blend weight {t} outside \[0, 1\]$"):
             blend(a, a, t)
 
 

@@ -279,7 +279,7 @@ def test_scalar_reader_is_interp_on_uneven_knots(x, data):
     for t in np.concatenate((probe_points(x), [0.0, -0.0, 1.0])):
         t = float(t)
         expected = np.interp(t, x, f.y.copy())
-        for read in (f._read, bisecting, f._point):
+        for read in (f._read, bisecting, lambda t: eval_pl(f, t)):
             value = read(t)
             assert type(value) is float and same_bits(value, expected)
 
@@ -435,7 +435,7 @@ def out_of_domain(call, *args):
 @given(data=st.data(), t=st.floats(0.0, 1.0), shuffle=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_reads_are_the_two_checked_point_reads(identity, data, t, shuffle):
-    """_reads(x, y) is (x, y, psi._point(x), eta._point(y)) bit for bit, or raises as they do.
+    """_reads(x, y) is (x, y, eval_pl(psi, x), eval_pl(eta, y)) bit for bit, or raises as they do.
 
     On Frechet-mix and shuffle-of-Min sections, for a blend on the spec's
     knots and on knots of its own merged with them, at every knot of psi
@@ -457,12 +457,12 @@ def test_reads_are_the_two_checked_point_reads(identity, data, t, shuffle):
             for px, py in ((float(x), float(y)), (np.float64(x), np.float64(y))):
                 reads = cand._reads(px, py)
                 assert all(type(v) is float for v in reads)
-                assert same_bits(reads, [px, py, cand.psi._point(px), cand.eta._point(py)])
+                assert same_bits(reads, [px, py, eval_pl(cand.psi, px), eval_pl(cand.eta, py)])
         for bad in OFF_UNIT:
-            first = out_of_domain(cand.psi._point, bad)
+            first = out_of_domain(eval_pl, cand.psi, bad)
             assert out_of_domain(cand._reads, bad, 0.5) == first
             assert out_of_domain(cand._reads, bad, 10**5000) == first
-            assert out_of_domain(cand._reads, 0.5, bad) == out_of_domain(cand.eta._point, bad)
+            assert out_of_domain(cand._reads, 0.5, bad) == out_of_domain(eval_pl, cand.eta, bad)
 
 
 @pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])

@@ -3,19 +3,25 @@
 Sections come from strategies.py: admissible Frechet-mix sections with
 points anywhere, at knots, or on the track. Existence and eligibility are
 read off the band under one monotone rule: the band's ends and blends are
-eligible at tol 0, and quadruplet and eligibility_by_variation give one
-verdict. The grid properties take psi_L, psi_U and a blend of the two on a
+eligible at tol 0, and the one verdict, quadruplet's, which
+eligibility_by_variation returns, is the paper's definition evaluated
+exactly (loop_reference.companion_witness) wherever no companion step is
+near 0. The grid properties take psi_L, psi_U and a blend of the two on a
 small mesh refined by the spec's knots and their track images.
 Shuffle-of-Min sections come with their copula C: the extremal constructed
-copulas keep the section at its knots, and C stays below the upper bound.
+copulas keep the section at its knots, C stays below the upper bound, and
+on the identity track Bertino's copula B_delta stays below C and both
+extremal constructions. In Fraction, the section of a shuffle is linear
+between the knots of shuffle_sections' rule.
 """
 
 import contextlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trackcop import IneligibleExtractedPsi, PLFunction, blend, c_psi_value, check_grid, \
@@ -25,7 +31,11 @@ from trackcop import IneligibleExtractedPsi, PLFunction, blend, c_psi_value, che
 from trackcop.construction import _ConstructionRows
 from trackcop.funcspace import INTERNAL_TOL
 
-from strategies import sections, sections_with_points, shuffle_sections
+from conftest import perturb_ineligible, random_eligible_psi
+from loop_reference import bertino, companion_witness, exact_at, exact_shuffle_copula, \
+    exact_shuffle_knots, off_tie
+from strategies import sections, sections_with_points, shuffle_section, shuffle_sections, \
+    shuffles
 from test_kernels import same_bits
 
 TRACKS = pytest.mark.parametrize("identity", [True, False], ids=["identity", "general-track"])
@@ -74,6 +84,49 @@ def test_a_shuffle_of_min_stays_below_the_upper_bound(identity, data, points):
 
 
 @TRACKS
+@given(drawn=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_shuffle_section_is_linear_between_its_knots(identity, drawn):
+    # exact: C along the track has no kink between two knots of the rule,
+    # so at their midpoint m, C(m, phi(m)) is the chord of the exact delta
+    sigma, track = drawn.draw(shuffles(identity))
+    copula = exact_shuffle_copula(sigma)
+    phi = [float(v) for v in track.phi.x], [float(v) for v in track.phi.y]
+    knots = exact_shuffle_knots(sigma, track)
+    delta = [copula(u, exact_at(*phi, u)) for u in knots]
+    for a, b, da, db in zip(knots, knots[1:], delta, delta[1:]):
+        m = (a + b) / 2
+        assert copula(m, exact_at(*phi, m)) == (da + db) / 2
+    # the strategy's float section has the rule's knots, and is delta there
+    spec, _ = shuffle_section(sigma, track)
+    gaps = [float(min(abs(Fraction(float(k)) - u) for k in spec.knots)) for u in knots]
+    assert max(gaps) <= INTERNAL_TOL
+    exact = [float(copula(k, exact_at(*phi, Fraction(float(k))))) for k in spec.knots]
+    assert np.all(np.abs(np.subtract(exact, spec.delta.y)) <= INTERNAL_TOL)
+
+
+@given(data=st.data(), shuffle=st.booleans(),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1,
+                       max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_bertino_is_below_every_copula_with_the_diagonal(data, shuffle, points):
+    # on the identity track B_delta is the least copula with diagonal delta:
+    # below the shuffle itself and below both extremal constructions
+    if shuffle:
+        spec, copula = data.draw(shuffle_sections(True))
+    else:
+        spec, copula = data.draw(sections(True)), None
+    bounds = psi_bounds(spec)
+    low, up = quadruplet(spec, bounds.psi_low), quadruplet(spec, bounds.psi_up)
+    for x, y in points:
+        least = bertino(spec.delta, x, y)
+        assert least <= min(c_psi_value(spec, low, x, y), c_psi_value(spec, up, x, y)) \
+            + INTERNAL_TOL
+        if copula is not None:
+            assert least <= float(copula(x, y)) + INTERNAL_TOL
+
+
+@TRACKS
 @given(data=st.data(), bumped=st.booleans(), tol=st.sampled_from([0.0, 1e-9]))
 @settings(max_examples=150, deadline=None)
 def test_existence_is_both_criteria(identity, data, bumped, tol):
@@ -108,16 +161,52 @@ def wobbly_psis(draw, identity):
     return spec, PLFunction(knots, y)
 
 
+@st.composite
+def moved_band_psis(draw, identity):
+    """(spec, psi) on a shuffle section: psi_L, psi_U or a blend, interior knots moved off it.
+
+    Each interior knot moves by a distinct multiple of 1e-6, at most 1e-3,
+    so neighbouring moves differ by at least 1e-6; where the band is tight,
+    most moves leave it.
+    """
+    spec, _ = draw(shuffle_sections(identity))
+    bounds = psi_bounds(spec)
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    y = (1.0 - t) * bounds.psi_low.y + t * bounds.psi_up.y
+    n = len(y) - 2
+    y[1:-1] += 1e-6 * np.array(draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n,
+                                             unique=True)))
+    return spec, PLFunction(spec.knots, y)
+
+
+@st.composite
+def random_band_psis(draw, identity):
+    """(spec, psi): random_eligible_psi on a Frechet-mix section, or perturb_ineligible of it."""
+    spec = draw(sections(identity))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = random_eligible_psi(spec, rng)
+    return spec, perturb_ineligible(spec, psi, rng) if draw(st.booleans()) else psi
+
+
 @TRACKS
 @given(data=st.data(), tol=st.sampled_from([0.0, 1e-9, 1e-3]) | st.floats(0.0, 0.2))
 @settings(max_examples=150, deadline=None)
 def test_quadruplet_and_eligibility_give_one_verdict(identity, data, tol):
-    spec, psi = data.draw(wobbly_psis(identity))
-    cand, result = quadruplet(spec, psi, tol), eligibility_by_variation(spec, psi, tol)
-    assert cand.eligible == result.eligible
-    if not result.eligible:
-        a, b = result.witness
+    # at every tol the violation names the witness the candidate keeps; at
+    # tol 0 and off ties the one verdict is the paper's definition
+    spec, psi = data.draw(st.one_of(wobbly_psis(identity), moved_band_psis(identity),
+                                    random_band_psis(identity)))
+    cand = quadruplet(spec, psi, tol)
+    assert cand.eligible == (cand.witness is None) == (cand.violation is None)
+    if not cand.eligible:
+        a, b = cand.witness
         assert cand.violation.endswith(f" decreasing on [{a:.6g}, {b:.6g}]")
+    assume(off_tie(spec, psi))
+    cand, by_variation = quadruplet(spec, psi, 0.0), eligibility_by_variation(spec, psi, 0.0)
+    name, witness = companion_witness(spec, psi)
+    assert (cand.eligible, cand.witness) == (witness is None, witness)
+    assert witness is None or cand.violation.startswith(name)
+    assert (by_variation.eligible, by_variation.witness) == (cand.eligible, cand.witness)
 
 
 # ---------------------------------------------------------------------------
